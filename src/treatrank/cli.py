@@ -401,7 +401,7 @@ def main(argv=None) -> int:
         return 1
     try:
         run(config)
-    except DataError as error:
+    except (DataError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         _write_error(config.out_dir, error, 1)
         return 1
@@ -409,9 +409,6 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         _write_error(config.out_dir, error, 2)
         return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 from scipy.stats import norm
 
 from .errors import ConvergenceError, DataError, FordConditionError, OnlyTiesError
@@ -101,6 +101,58 @@ def _ability_vector(t: Tournament, psi) -> np.ndarray:
     return values
 
 
+# The likelihood core. Every pair (i, j) with records is one row of a
+# (P, 3) count array over the outcomes (i wins, j wins, tie). An outcome
+# credits the pair's three parameter slots (lambda_i, lambda_j, log nu) by
+# one row of _CREDIT; each pair's score is its observed credit minus the
+# expected credit, and gradient, Hessian, MM step and per-record scores are
+# scatter-sums of these per-pair quantities.
+_CREDIT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
+# Row (a, b): the product of the credits to slots a and b, per outcome.
+_CREDIT_PRODUCTS = np.einsum("ka,kb->abk", _CREDIT, _CREDIT).reshape(9, 3)
+
+
+def _pair_arrays(t: Tournament) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, counts[P, 3])`` for the pairs of ``t`` that have records."""
+    index = {x: k for k, x in enumerate(t.treatments)}
+    rows = chain.from_iterable(
+        (index[x], index[y], *c) for (x, y), c in t.counts.items() if c.total > 0
+    )
+    table = np.fromiter(rows, dtype=np.intp).reshape(-1, 5)
+    return table[:, 0], table[:, 1], table[:, 2:].astype(float)
+
+
+def _log_nu(nu: float) -> float:
+    return math.log(nu) if nu > 0 else -math.inf
+
+
+def _log_probabilities(
+    lam: np.ndarray, log_nu: float, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """(P, 3) log win/win/tie probabilities of the pairs ``(i[p], j[p])``.
+
+    ``lam`` holds log-abilities; ``log_nu = -inf`` is the tie-free model.
+    The log-denominator is a max-shifted three-term log-sum-exp, finite for
+    any finite log-abilities.
+    """
+    l_i, l_j = lam[i], lam[j]
+    logits = np.stack((l_i, l_j, log_nu + 0.5 * (l_i + l_j)), axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _loglik(counts: np.ndarray, log_p: np.ndarray) -> float:
+    """``counts . log_p`` where unobserved outcomes contribute 0, even at -inf."""
+    terms = np.multiply(counts, log_p, out=np.zeros_like(log_p), where=counts > 0)
+    return float(terms.sum())
+
+
+def _pair_credit(counts: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observed and expected credit of each pair on its three parameter slots."""
+    expected = counts.sum(axis=1, keepdims=True) * (np.exp(log_p) @ _CREDIT)
+    return counts @ _CREDIT, expected
+
+
 def log_likelihood(t: Tournament, psi, nu: float) -> float:
     """Trinomial log-likelihood of a tournament at the given abilities.
 
@@ -111,14 +163,8 @@ def log_likelihood(t: Tournament, psi, nu: float) -> float:
     values = _ability_vector(t, psi)
     if nu < 0:
         raise DataError(f"tie prevalence must be non-negative, got {nu}")
-    index = {x: k for k, x in enumerate(t.treatments)}
-    total = 0.0
-    for (x, y), c in t.counts.items():
-        p_x, p_y, p_tie = win_tie_probabilities(values[index[x]], values[index[y]], nu)
-        for count, p in ((c.wins_first, p_x), (c.wins_second, p_y), (c.ties, p_tie)):
-            if count:
-                total += count * (math.log(p) if p > 0 else -math.inf)
-    return total
+    i, j, counts = _pair_arrays(t)
+    return _loglik(counts, _log_probabilities(np.log(values), _log_nu(nu), i, j))
 
 
 def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
@@ -210,114 +256,64 @@ class DavidsonObjective:
 
     def __init__(self, t: Tournament):
         self.treatments = t.treatments
-        n = len(t.treatments)
-        index = {x: k for k, x in enumerate(t.treatments)}
-        pairs = [(index[x], index[y], c) for (x, y), c in t.counts.items() if c.total > 0]
-        self._i = np.asarray([p[0] for p in pairs], dtype=np.intp)
-        self._j = np.asarray([p[1] for p in pairs], dtype=np.intp)
-        self._r_ij = np.asarray([p[2].wins_first for p in pairs], dtype=float)
-        self._r_ji = np.asarray([p[2].wins_second for p in pairs], dtype=float)
-        self._w = np.asarray([p[2].ties for p in pairs], dtype=float)
-        self._m = self._r_ij + self._r_ji + self._w
-        self.n_treatments = n
-        self.has_tie_param = bool(self._w.sum() > 0)
+        self.n_treatments = n = len(t.treatments)
+        self._i, self._j, self._counts = _pair_arrays(t)
+        self.has_tie_param = bool(self._counts[:, 2].sum() > 0)
         self.n_params = n - 1 + (1 if self.has_tie_param else 0)
         self.param_names = tuple(
             [f"log_ability[{x}]" for x in t.treatments[1:]]
             + (["log_nu"] if self.has_tie_param else [])
         )
+        # The full parameter vector holds all n log-abilities, then log nu in
+        # slot n; theta is its slice after the reference. Per pair, _slots
+        # lists the (lambda_i, lambda_j, log nu) slots and _cells the 3 x 3
+        # block of the full (n + 1)-square Hessian, both slot-major.
+        self._free = slice(1, self.n_params + 1)
+        self._slots = np.stack((self._i, self._j, np.full_like(self._i, n)))
+        self._cells = (self._slots[:, None, :] * (n + 1) + self._slots[None, :, :]).ravel()
 
-    def _logits(self, theta: np.ndarray):
+    def _scatter(self, per_pair: np.ndarray) -> np.ndarray:
+        """Sum (P, 3) per-pair slot values into the full parameter vector."""
+        return np.bincount(
+            self._slots.ravel(), weights=per_pair.T.ravel(), minlength=self.n_treatments + 1
+        )
+
+    def _log_p(self, theta: np.ndarray) -> np.ndarray:
         n = self.n_treatments
         lam = np.concatenate(([0.0], np.asarray(theta[: n - 1], dtype=float)))
-        l_i = lam[self._i]
-        l_j = lam[self._j]
-        if self.has_tie_param:
-            l_tie = theta[-1] + 0.5 * (l_i + l_j)
-            log_d = logsumexp(np.stack((l_i, l_j, l_tie)), axis=0)
-        else:
-            l_tie = None
-            log_d = np.logaddexp(l_i, l_j)
-        return l_i, l_j, l_tie, log_d
+        log_nu = theta[-1] if self.has_tie_param else -math.inf
+        return _log_probabilities(lam, log_nu, self._i, self._j)
 
     def value(self, theta: np.ndarray) -> float:
-        l_i, l_j, l_tie, log_d = self._logits(theta)
-        total = self._r_ij @ (l_i - log_d) + self._r_ji @ (l_j - log_d)
-        if self.has_tie_param:
-            total += self._w @ (l_tie - log_d)
-        return float(total)
-
-    def _distribution(self, theta: np.ndarray):
-        l_i, l_j, l_tie, log_d = self._logits(theta)
-        p_i = np.exp(l_i - log_d)
-        p_j = np.exp(l_j - log_d)
-        p_tie = np.exp(l_tie - log_d) if self.has_tie_param else np.zeros_like(p_i)
-        return p_i, p_j, p_tie
-
-    def pair_distribution(self, theta: np.ndarray):
-        """Per-pair (index_x, index_y, p_x, p_y, p_tie) arrays at theta."""
-        p_i, p_j, p_tie = self._distribution(theta)
-        return self._i, self._j, p_i, p_j, p_tie
+        return _loglik(self._counts, self._log_p(theta))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        p_i, p_j, p_tie = self._distribution(theta)
-        s_i = p_i + 0.5 * p_tie
-        s_j = p_j + 0.5 * p_tie
-        by_treatment = np.zeros(self.n_treatments)
-        np.add.at(by_treatment, self._i, self._r_ij + 0.5 * self._w - self._m * s_i)
-        np.add.at(by_treatment, self._j, self._r_ji + 0.5 * self._w - self._m * s_j)
-        if not self.has_tie_param:
-            return by_treatment[1:]
-        tie_part = np.sum(self._w - self._m * p_tie)
-        return np.concatenate((by_treatment[1:], [tie_part]))
+        observed, expected = _pair_credit(self._counts, self._log_p(theta))
+        return self._scatter(observed - expected)[self._free]
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        p_i, p_j, p_tie = self._distribution(theta)
-        s_i = p_i + 0.5 * p_tie
-        s_j = p_j + 0.5 * p_tie
-        m = self._m
-        n = self.n_treatments
-        full = np.zeros((n + 1, n + 1))  # all log-abilities plus the tie slot
-        np.add.at(full, (self._i, self._i), -m * (p_i + 0.25 * p_tie - s_i**2))
-        np.add.at(full, (self._j, self._j), -m * (p_j + 0.25 * p_tie - s_j**2))
-        cross = -m * (0.25 * p_tie - s_i * s_j)
-        np.add.at(full, (self._i, self._j), cross)
-        np.add.at(full, (self._j, self._i), cross)
-        if self.has_tie_param:
-            tie_i = -m * p_tie * (0.5 - s_i)
-            tie_j = -m * p_tie * (0.5 - s_j)
-            np.add.at(full, (self._i, np.full_like(self._i, n)), tie_i)
-            np.add.at(full, (np.full_like(self._i, n), self._i), tie_i)
-            np.add.at(full, (self._j, np.full_like(self._j, n)), tie_j)
-            np.add.at(full, (np.full_like(self._j, n), self._j), tie_j)
-            full[n, n] = np.sum(-m * p_tie * (1.0 - p_tie))
-            keep = list(range(1, n)) + [n]
-        else:
-            keep = list(range(1, n))
-        return full[np.ix_(keep, keep)]
+        # A pair's information is its count times the covariance of the
+        # credit its outcome gives the pair's three slots.
+        p = np.exp(self._log_p(theta)).T
+        mean = _CREDIT.T @ p
+        cov = (_CREDIT_PRODUCTS @ p).reshape(3, 3, -1) - mean[:, None, :] * mean[None, :, :]
+        size = self.n_treatments + 1
+        weights = (-self._counts.sum(axis=1) * cov).ravel()
+        full = np.bincount(self._cells, weights=weights, minlength=size**2).reshape(size, size)
+        return full[self._free, self._free]
 
     def mm_step(self, theta: np.ndarray) -> np.ndarray:
-        """One minorization-maximization sweep, mapped back to log parameters."""
-        n = self.n_treatments
-        lam = np.concatenate(([0.0], np.asarray(theta[: n - 1], dtype=float)))
-        psi = np.exp(lam)
-        nu = math.exp(theta[-1]) if self.has_tie_param else 0.0
-        psi_i, psi_j = psi[self._i], psi[self._j]
-        root = np.sqrt(psi_i * psi_j)
-        denom_pair = psi_i + psi_j + nu * root
-        credit = np.zeros(n)
-        np.add.at(credit, self._i, self._r_ij + 0.5 * self._w)
-        np.add.at(credit, self._j, self._r_ji + 0.5 * self._w)
-        load = np.zeros(n)
-        ratio = self._m / denom_pair
-        np.add.at(load, self._i, ratio * (1.0 + 0.5 * nu * np.sqrt(psi_j / psi_i)))
-        np.add.at(load, self._j, ratio * (1.0 + 0.5 * nu * np.sqrt(psi_i / psi_j)))
-        psi_new = credit / load
-        lam_new = np.log(psi_new) - math.log(psi_new[0])
-        if not self.has_tie_param:
-            return lam_new[1:]
-        nu_new = self._w.sum() / float(ratio @ root)
-        return np.concatenate((lam_new[1:], [math.log(nu_new)]))
+        """One minorization-maximization sweep (Hunter 2004), in log parameters.
+
+        Every ability and nu is multiplied by its observed over its expected
+        credit, then the reference is re-pinned at 0.
+        """
+        observed, expected = _pair_credit(self._counts, self._log_p(theta))
+        used = slice(0, self.n_params + 1)
+        lift = np.log(self._scatter(observed)[used]) - np.log(self._scatter(expected)[used])
+        new_theta = theta + lift[1:]
+        new_theta[: self.n_treatments - 1] -= lift[0]
+        return new_theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,7 +461,7 @@ def fit_davidson(
 
     n = obj.n_treatments
     lam = np.concatenate(([0.0], theta[: n - 1]))
-    pi = np.exp(lam - logsumexp(lam))
+    pi = np.exp(lam - lam.max())
     pi = pi / pi.sum()
     nu = math.exp(theta[-1]) if obj.has_tie_param else 0.0
     se = {t.treatments[0]: 0.0}

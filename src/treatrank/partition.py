@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.stats import chi2
 
-from .davidson import AbilityFit, fit_davidson, win_tie_probabilities
+from .davidson import AbilityFit, _log_nu, _log_probabilities, _pair_credit, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import Categorical, Continuous, CovariateKind, CovariateSchema
 from .tcc import PreferenceRecord, Verdict, aggregate_tournament
@@ -38,6 +38,8 @@ __all__ = [
     "stability_test",
     "tree_to_dict",
 ]
+
+_OUTCOME = {Verdict.FIRST_WINS: 0, Verdict.SECOND_WINS: 1, Verdict.TIE: 2}
 
 
 @dataclass(frozen=True)
@@ -103,29 +105,23 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
     makes cumulative sums of them usable as fluctuation processes.
     """
     index = {x: k for k, x in enumerate(fit.treatments)}
+    outside = [r for r in records if r.treat_a not in index or r.treat_b not in index]
+    if outside:
+        raise DataError(
+            f"record in study {outside[0].study_id!r} uses a treatment outside the fit"
+        )
+    i = np.asarray([index[r.treat_a] for r in records], dtype=np.intp)
+    j = np.asarray([index[r.treat_b] for r in records], dtype=np.intp)
+    # Each record is a pair with a single count, on its observed outcome.
+    counts = np.eye(3)[[_OUTCOME[r.verdict] for r in records]]
+    lam = np.log([fit.psi[x] for x in fit.treatments])
+    observed, expected = _pair_credit(counts, _log_probabilities(lam, _log_nu(fit.nu), i, j))
+    scores = observed - expected
     n_t = len(fit.treatments)
     rows = np.zeros((len(records), n_t + 1))
-    for r_idx, r in enumerate(records):
-        if r.treat_a not in index or r.treat_b not in index:
-            raise DataError(
-                f"record in study {r.study_id!r} uses a treatment outside the fit"
-            )
-        i, j = index[r.treat_a], index[r.treat_b]
-        p_a, p_b, p_tie = win_tie_probabilities(fit.psi[r.treat_a], fit.psi[r.treat_b], fit.nu)
-        row = rows[r_idx]
-        row[i] -= p_a + 0.5 * p_tie
-        row[j] -= p_b + 0.5 * p_tie
-        row[n_t] -= p_tie
-        if r.verdict is Verdict.FIRST_WINS:
-            row[i] += 1.0
-        elif r.verdict is Verdict.SECOND_WINS:
-            row[j] += 1.0
-        else:
-            row[i] += 0.5
-            row[j] += 0.5
-            row[n_t] += 1.0
-    keep = list(range(1, n_t)) + ([] if fit.tie_free else [n_t])
-    return rows[:, keep]
+    at = np.arange(len(records))
+    rows[at, i], rows[at, j], rows[:, n_t] = scores.T
+    return rows[:, 1 : len(fit.param_names) + 1]
 
 
 def _covariate_values(records: Sequence[PreferenceRecord], covariate: str) -> list:

@@ -300,6 +300,7 @@ def parse_preference_records(
     records = []
     treatments: list[str] = []
     seen = set()
+    seen_pairs: set[tuple[str, frozenset[str]]] = set()
     for i, row in enumerate(rows, start=2):
         study = (row.get("study") or "").strip()
         t1 = (row.get("treat1") or "").strip()
@@ -311,6 +312,12 @@ def parse_preference_records(
             raise DataError(
                 f"row {i}: verdict must be one of {sorted(valid)}, got {verdict_cell!r}"
             )
+        key = (study, frozenset((t1, t2)))
+        if key in seen_pairs:
+            raise DataError(
+                f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}"
+            )
+        seen_pairs.add(key)
         covariates = {
             name: _parse_covariate(name, schema[name], row.get(name), i)
             for name in covariate_names

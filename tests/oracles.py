@@ -3,11 +3,15 @@
 Nothing here shares code with the package's optimizer: the grid search
 evaluates the likelihood directly on shrinking lattices, the best-value
 probabilities come from one-dimensional quadrature, and gradients come from
-central finite differences. Agreement between these and the package is the
-point of the comparisons, so keep them decoupled.
+central finite differences, and the log-likelihood and per-record scores
+are plain loops over the scalar contest probabilities. Agreement between
+these and the package is the point of the comparisons, so keep them
+decoupled.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -51,6 +55,46 @@ def batch_loglik(t: Tournament, thetas: np.ndarray) -> np.ndarray:
     l_tie = thetas[:, -1:] + 0.5 * (l_i + l_j)
     log_d = np.logaddexp(np.logaddexp(l_i, l_j), l_tie)
     return l_i @ r_ij + l_j @ r_ji + l_tie @ ties - log_d @ m
+
+
+def loop_loglik(t: Tournament, psi, nu: float) -> float:
+    """Log-likelihood summed pair by pair and outcome by outcome.
+
+    ``psi`` lists abilities in ``t.treatments`` order. Outcomes with a zero
+    count add nothing; an observed outcome of probability zero gives -inf.
+    """
+    index = {x: k for k, x in enumerate(t.treatments)}
+    total = 0.0
+    for (x, y), c in t.counts.items():
+        probs = win_tie_probabilities(psi[index[x]], psi[index[y]], nu)
+        for count, p in zip(c, probs):
+            if count:
+                total += count * (math.log(p) if p > 0 else -math.inf)
+    return total
+
+
+# Credit of an outcome to (ability of treat_a, ability of treat_b, nu).
+_VERDICT_CREDIT = {
+    Verdict.FIRST_WINS: (1.0, 0.0, 0.0),
+    Verdict.SECOND_WINS: (0.0, 1.0, 0.0),
+    Verdict.TIE: (0.5, 0.5, 1.0),
+}
+
+
+def loop_scores(records, fit) -> np.ndarray:
+    """Per-record score rows (columns as ``fit.param_names``), record by record."""
+    index = {x: k for k, x in enumerate(fit.treatments)}
+    n_t = len(fit.treatments)
+    rows = np.zeros((len(records), n_t + 1))
+    for row, r in zip(rows, records):
+        i, j = index[r.treat_a], index[r.treat_b]
+        p_a, p_b, p_tie = win_tie_probabilities(fit.psi[r.treat_a], fit.psi[r.treat_b], fit.nu)
+        credit = _VERDICT_CREDIT[r.verdict]
+        row[i] = credit[0] - (p_a + 0.5 * p_tie)
+        row[j] = credit[1] - (p_b + 0.5 * p_tie)
+        row[n_t] = credit[2] - p_tie
+    keep = list(range(1, n_t)) + ([] if fit.tie_free else [n_t])
+    return rows[:, keep]
 
 
 def grid_search_mle(

@@ -127,6 +127,16 @@ def test_rank_missing_input_file(tmp_path):
                 "--mcid", "1.2") == 1
 
 
+def test_rank_unreadable_input_writes_error_json(tmp_path):
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    out = tmp_path / "out"
+    assert _run("rank", "--input", folder, "--out-dir", out, "--records") == 1
+    document = json.loads((out / "error.json").read_text())
+    assert document["error"] == "IsADirectoryError"
+    assert document["exit_code"] == 1
+
+
 def test_format_selection_limits_artifacts(tmp_path):
     code = _run(
         "rank", "--input", CONTRASTS, "--out-dir", tmp_path,

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatrank import (
     AVERAGE,
@@ -25,7 +27,7 @@ from treatrank import (
 )
 from treatrank.davidson import DavidsonObjective
 
-from oracles import fd_gradient, grid_search_mle, random_tournament
+from oracles import fd_gradient, grid_search_mle, loop_loglik, random_tournament
 
 
 def _tournament(counts, treatments=None):
@@ -110,6 +112,97 @@ def test_loglik_impossible_outcome_is_minus_infinity():
     # A tie was observed but nu = 0 assigns it probability zero.
     t = _tournament({("A", "B"): (1, 0, 1)})
     assert log_likelihood(t, {"A": 1.0, "B": 1.0}, 0.0) == -math.inf
+
+
+def _with_empty_pair(t):
+    """``t`` plus an explicit zero-count entry for its first unrecorded pair."""
+    for a, x in enumerate(t.treatments):
+        for y in t.treatments[a + 1:]:
+            if (x, y) not in t.counts:
+                return Tournament(t.treatments, {**t.counts, (x, y): PairCounts(0, 0, 0)})
+    return t
+
+
+def test_loglik_matches_the_pair_loop_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        t = _with_empty_pair(random_tournament(rng, int(rng.integers(2, 7)), max_count=3))
+        psi = rng.lognormal(sigma=2.0, size=len(t.treatments))
+        for nu in (0.0, float(rng.uniform(0.05, 4.0))):
+            expected = loop_loglik(t, psi, nu)
+            got = log_likelihood(t, psi, nu)
+            if math.isinf(expected):
+                assert got == expected
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_loglik_edge_cases_match_the_pair_loop_reference():
+    psi = [1.0, 3.0, 0.5]
+    tie_free = _tournament({("A", "B"): (2, 1, 0), ("B", "C"): (0, 3, 0)}, ("A", "B", "C"))
+    # nu > 0 on a tie-free tournament still puts tie mass in the denominator.
+    assert log_likelihood(tie_free, psi, 1.5) == pytest.approx(
+        loop_loglik(tie_free, psi, 1.5), rel=1e-12
+    )
+    assert log_likelihood(tie_free, psi, 1.5) < log_likelihood(tie_free, psi, 0.0)
+    empty = Tournament(("A", "B"), {("A", "B"): PairCounts(0, 0, 0)})
+    assert log_likelihood(empty, [1.0, 2.0], 1.0) == 0.0
+
+
+def test_objective_value_matches_the_pair_loop_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        t = _with_empty_pair(random_tournament(rng, int(rng.integers(2, 6))))
+        if t.total_records == 0:
+            continue
+        obj = DavidsonObjective(t)
+        theta = rng.uniform(-2.0, 2.0, size=obj.n_params)
+        n = len(t.treatments)
+        psi = np.exp(np.concatenate(([0.0], theta[: n - 1])))
+        nu = math.exp(theta[-1]) if obj.has_tie_param else 0.0
+        assert obj.value(theta) == pytest.approx(loop_loglik(t, psi, nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_objective_is_finite_at_extreme_log_abilities(ties):
+    t = _tournament(
+        {("A", "B"): (3, 1, 2 * ties), ("A", "C"): (1, 2, ties), ("B", "C"): (2, 2, 0)}
+    )
+    obj = DavidsonObjective(t)
+    for sign in (1.0, -1.0):
+        theta = np.zeros(obj.n_params)
+        theta[0], theta[1] = sign * 800.0, -sign * 800.0
+        assert math.isfinite(obj.value(theta))
+        assert np.all(np.isfinite(obj.gradient(theta)))
+        assert np.all(np.isfinite(obj.hessian(theta)))
+
+
+@st.composite
+def _regular_tournaments(draw):
+    n = draw(st.integers(2, 5))
+    labels = tuple(f"T{k}" for k in range(n))
+    cell = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+    counts = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            # One win each way and one tie between neighbours connect the win
+            # graph by wins alone, so the maximum-likelihood estimate is finite.
+            extra = 1 if b == a + 1 else 0
+            counts[(labels[a], labels[b])] = PairCounts(*(v + extra for v in draw(cell)))
+    return Tournament(labels, counts), draw(st.integers(2, 5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_regular_tournaments())
+def test_scaling_counts_keeps_abilities_and_divides_the_covariance(case):
+    t, k = case
+    scaled = Tournament(
+        t.treatments, {pair: PairCounts(*(k * v for v in c)) for pair, c in t.counts.items()}
+    )
+    base, fit = fit_davidson(t), fit_davidson(scaled)
+    for x in t.treatments:
+        assert fit.pi[x] == pytest.approx(base.pi[x], abs=1e-9)
+    np.testing.assert_allclose(fit.covariance * k, base.covariance, rtol=1e-6, atol=1e-12)
 
 
 # ---------------------------------------------------------------- Ford condition

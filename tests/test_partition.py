@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from treatrank import (
     tree_to_dict,
 )
 
-from oracles import simulate_records
+from oracles import loop_scores, simulate_records
 
 STEEP = {"A": 8.0, "B": 4.0, "C": 2.0, "D": 1.0}
 REVERSED = {"A": 1.0, "B": 2.0, "C": 4.0, "D": 8.0}
@@ -84,6 +87,20 @@ def test_score_contributions_tie_free_fit_has_no_tie_column():
     rows = score_contributions(records, fit)
     assert rows.shape == (80, len(fit.treatments) - 1)
     assert np.max(np.abs(rows.sum(axis=0))) < 1e-7
+
+
+@pytest.mark.parametrize("seed, nu", [(36, 1.0), (37, 0.2), (38, 0.0)])
+def test_score_contributions_match_the_record_loop_reference(seed, nu):
+    records = simulate_records(np.random.default_rng(seed), 90, _planted_group, nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the nu = 0 case fits the tie-free model
+        fit = _pooled_fit(records)
+    # The rows hold at any abilities, not only at the estimate.
+    shifted = replace(fit, psi={x: v * (1.5 + k) for k, (x, v) in enumerate(fit.psi.items())})
+    for at in (fit, shifted):
+        np.testing.assert_allclose(
+            score_contributions(records, at), loop_scores(records, at), rtol=0, atol=1e-12
+        )
 
 
 def test_score_contributions_reject_foreign_treatment():
@@ -193,6 +210,20 @@ def test_best_split_recovers_a_planted_cutpoint():
     assert abs(rule - 10.0) < 1.0
     pooled = _pooled_fit(records).loglik
     assert partitioned > pooled
+
+
+def test_best_split_admits_cuts_outside_the_middle_80_percent():
+    # Only the sup-LM scan trims; the split search admits any cut that
+    # leaves min_node_size records on each side.
+    def draw(rng):
+        x = float(rng.uniform(0.0, 20.0))
+        return {"x": x}, (STEEP if x <= 1.0 else REVERSED)
+
+    records = simulate_records(np.random.default_rng(11), 300, draw, 1.0)
+    rule, _ = best_split(records, "x")
+    left = sum(r.covariates["x"] <= rule for r in records)
+    assert abs(rule - 1.0) < 0.2
+    assert 10 <= left < 0.10 * len(records)
 
 
 def test_best_split_recovers_a_planted_level_subset():

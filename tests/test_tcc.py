@@ -283,3 +283,9 @@ def test_parse_records_rejects_bad_verdict():
 def test_parse_records_requires_mandatory_columns():
     with pytest.raises(DataError, match="missing mandatory"):
         parse_preference_records(io.StringIO("study,treat1,verdict\ns1,A,tie\n"))
+
+
+def test_parse_records_rejects_a_duplicate_study_pair():
+    source = "study,treat1,treat2,verdict\ns1,A,B,tie\ns2,A,B,tie\ns1,B,A,first_wins\n"
+    with pytest.raises(DataError, match=r"row 4: duplicate record .* study 's1'"):
+        parse_preference_records(io.StringIO(source))
