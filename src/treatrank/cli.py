@@ -26,7 +26,7 @@ from .davidson import fit_davidson, normalized_abilities
 from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
-from .study_data import complete_intervals, parse_contrast_table, validate_network
+from .study_data import _read_csv, complete_intervals, parse_contrast_table, validate_network
 from .tcc import (
     aggregate_tournament,
     apply_tcc,
@@ -312,9 +312,8 @@ def _run_partition(config: RunConfig) -> None:
 
 def _run_compare(config: RunConfig) -> None:
     with open(config.input, "r", encoding="utf-8", newline="") as stream:
-        header = stream.readline()
+        columns = set(_read_csv(stream)[0])
         stream.seek(0)
-        columns = {c.strip() for c in header.split(",")}
         if {"treat1", "treat2"} <= columns:
             if config.covariance is not None:
                 raise DataError("a covariance CSV applies only to a basic-form table")

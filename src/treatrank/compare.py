@@ -11,16 +11,15 @@ best value. Producing the league table itself is out of scope.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DataError
+from .study_data import _parse_float, _read_csv
 from .tcc import BENEFICIAL, HARMFUL
 
 __all__ = [
@@ -169,6 +168,10 @@ def _pair_entry(lt: LeagueTable, x: str, y: str) -> tuple[float, float]:
     return b_x - b_y, math.sqrt(max(var, 0.0))
 
 
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 def _direction_sign(lt: LeagueTable) -> float:
     return 1.0 if lt.direction == BENEFICIAL else -1.0
 
@@ -199,7 +202,7 @@ def p_scores(lt: LeagueTable) -> dict[str, float]:
     for x, y, (estimate, se) in _ordered_pairs(lt):
         if se <= 0:
             raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
-        p = float(ndtr(d * estimate / se))
+        p = _normal_cdf(d * estimate / se)
         beats[x][y] = p
         beats[y][x] = 1.0 - p
     n_rivals = len(lt.treatments) - 1
@@ -221,8 +224,8 @@ def p_scores_civ(lt: LeagueTable, mcid: float) -> dict[str, float]:
     for x, y, (estimate, se) in _ordered_pairs(lt):
         if se <= 0:
             raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
-        scores[x].append(float(ndtr((d * estimate - shift) / se)))
-        scores[y].append(float(ndtr((-d * estimate - shift) / se)))
+        scores[x].append(_normal_cdf((d * estimate - shift) / se))
+        scores[y].append(_normal_cdf((-d * estimate - shift) / se))
     n_rivals = len(lt.treatments) - 1
     return {x: math.fsum(row) / n_rivals for x, row in scores.items()}
 
@@ -289,26 +292,19 @@ def parse_league_table(
     source: IO[str] | Iterable[str], direction: str = BENEFICIAL
 ) -> LeagueTable:
     """Parse a pairwise league-table CSV: treat1, treat2, estimate, se (log scale)."""
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise DataError("empty input: no header row")
-    fields = [f.strip() for f in reader.fieldnames]
-    missing = [c for c in ("treat1", "treat2", "estimate", "se") if c not in fields]
-    if missing:
-        raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
+    _, rows = _read_csv(source, ("treat1", "treat2", "estimate", "se"))
     entries: dict[tuple[str, str], tuple[float, float]] = {}
     seen_pairs: set[frozenset[str]] = set()
     order: dict[str, None] = {}
-    for i, row in enumerate(reader, start=2):
-        row = {k.strip(): v for k, v in row.items() if k is not None}
+    for i, row in rows:
         t1 = (row.get("treat1") or "").strip()
         t2 = (row.get("treat2") or "").strip()
         if not t1 or not t2:
             raise DataError(f"row {i}: both treatment labels are required")
         if t1 == t2:
             raise DataError(f"row {i}: pair compares {t1!r} with itself")
-        estimate = _parse_cell(row, "estimate", i)
-        se = _parse_cell(row, "se", i)
+        estimate = _parse_float(row.get("estimate"), "estimate", i)
+        se = _parse_float(row.get("se"), "se", i)
         key = frozenset((t1, t2))
         if key in seen_pairs:
             raise DataError(f"row {i}: pair ({t1!r}, {t2!r}) appears more than once")
@@ -327,10 +323,7 @@ def parse_basic_table(
     direction: str = BENEFICIAL,
 ) -> LeagueTable:
     """Parse a basic-form CSV: treat, estimate_vs_ref, se; optional covariance CSV."""
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise DataError("empty input: no header row")
-    fields = [f.strip() for f in reader.fieldnames]
+    fields, rows = _read_csv(source)
     estimate_column = next(
         (c for c in ("estimate_vs_ref", "estimate") if c in fields), None
     )
@@ -339,14 +332,16 @@ def parse_basic_table(
             "basic-form table needs columns: treat, estimate_vs_ref (or estimate), se"
         )
     estimates: dict[str, tuple[float, float]] = {}
-    for i, row in enumerate(reader, start=2):
-        row = {k.strip(): v for k, v in row.items() if k is not None}
+    for i, row in rows:
         label = (row.get("treat") or "").strip()
         if not label:
             raise DataError(f"row {i}: treatment label is required")
         if label in estimates:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
-        estimates[label] = (_parse_cell(row, estimate_column, i), _parse_cell(row, "se", i))
+        estimates[label] = (
+            _parse_float(row.get(estimate_column), estimate_column, i),
+            _parse_float(row.get("se"), "se", i),
+        )
     if not estimates:
         raise DataError("basic-form table has no rows")
     covariance = (
@@ -361,29 +356,21 @@ def parse_covariance_table(
     source: IO[str] | Iterable[str], treatments: tuple[str, ...]
 ) -> np.ndarray:
     """Parse a labeled square covariance CSV and align it to treatment order."""
-    rows = [row for row in csv.reader(source) if row]
-    if len(rows) < 2:
-        raise DataError("covariance table needs a header and one row per treatment")
-    header = [c.strip() for c in rows[0][1:]]
+    fields, rows = _read_csv(source)
+    header = fields[1:]
     if sorted(header) != sorted(treatments):
         raise DataError(
             "covariance columns do not match the treatments: "
             f"{header} vs {list(treatments)}"
         )
     by_label: dict[str, dict[str, float]] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        label = row[0].strip()
+    for i, row in rows:
+        label = (row.get(fields[0]) or "").strip()
         if label in by_label:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
-        if len(row) != len(header) + 1:
-            raise DataError(f"row {i}: expected {len(header) + 1} cells, got {len(row)}")
-        values = {}
-        for column, cell in zip(header, row[1:]):
-            try:
-                values[column] = float(cell)
-            except ValueError:
-                raise DataError(f"row {i}: non-numeric covariance cell {cell!r}") from None
-        by_label[label] = values
+        by_label[label] = {
+            column: _parse_float(row.get(column), "covariance cell", i) for column in header
+        }
     if sorted(by_label) != sorted(treatments):
         raise DataError(
             f"covariance rows do not match the treatments: {sorted(by_label)}"
@@ -395,15 +382,3 @@ def parse_covariance_table(
         raise DataError("covariance table is not symmetric")
     return 0.5 * (matrix + matrix.T)
 
-
-def _parse_cell(row: Mapping[str, str], column: str, row_num: int) -> float:
-    cell = (row.get(column) or "").strip()
-    if not cell:
-        raise DataError(f"row {row_num}: column {column!r} is empty")
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"row {row_num}: non-numeric {column} {cell!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"row {row_num}: non-finite {column} {cell!r}")
-    return value

@@ -22,12 +22,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
-from .errors import ConvergenceError, DataError, FordConditionError, OnlyTiesError
+from .errors import ConvergenceError, DataError, FordConditionError, ModelError, OnlyTiesError
 from .tcc import Tournament
 
 __all__ = [
@@ -244,6 +244,35 @@ def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return subset, complement
 
 
+def _nu_unbounded(i: np.ndarray, j: np.ndarray, counts: np.ndarray, n: int) -> bool:
+    """Whether the likelihood keeps rising as nu grows and the abilities spread.
+
+    Move log nu by t / 2 and the log-abilities by t * d. As t grows, the
+    probability of an observed outcome stays bounded away from 0 exactly
+    when its term dominates its pair's denominator: for a win,
+    d_winner - d_loser >= 1; for a tie, |d_x - d_y| <= 1. Each pair then
+    also has a dominated term, so the likelihood rises towards a supremum it
+    never reaches. The conditions are difference constraints d_v - d_u <= w,
+    feasible iff the graph with an edge u -> v of weight w has no negative
+    cycle, which Floyd-Warshall shows on the diagonal.
+    """
+    first, second = counts[:, 0] > 0, counts[:, 1] > 0
+    if np.any(first & second):
+        return False  # wins both ways in one pair: a negative 2-cycle
+    bound = np.full((n, n), np.inf)
+    np.fill_diagonal(bound, 0.0)
+    ties = counts[:, 2] > 0
+    bound[i[ties], j[ties]] = bound[j[ties], i[ties]] = 1.0
+    bound[i[first], j[first]] = -1.0
+    bound[j[second], i[second]] = -1.0
+    for k in range(n):
+        np.minimum(bound, bound[:, k, None] + bound[None, k, :], out=bound)
+        # A simple path weighs at least -(n - 1), so the floor only stops a
+        # negative cycle's walks from growing without bound.
+        np.maximum(bound, -n, out=bound)
+    return bool(np.all(np.diagonal(bound) >= 0.0))
+
+
 class DavidsonObjective:
     """Log-likelihood of a tournament as a function of the log parameters.
 
@@ -428,6 +457,9 @@ def fit_davidson(
         when no record is a win, so no hierarchy is estimable.
     FordConditionError
         when the preference graph is not strongly connected.
+    ModelError
+        when the tournament has ties and the likelihood still has no finite
+        maximum: every win can widen and every tie stay close while nu grows.
     ConvergenceError
         when the iteration cap is hit.
     """
@@ -444,6 +476,11 @@ def fit_davidson(
         raise FordConditionError(*failure)
 
     obj = DavidsonObjective(t)
+    if obj.has_tie_param and _nu_unbounded(obj._i, obj._j, obj._counts, obj.n_treatments):
+        raise ModelError(
+            "no finite maximum-likelihood estimate: the likelihood keeps rising as "
+            "the tie prevalence nu grows and the abilities spread apart with it"
+        )
     theta = np.zeros(obj.n_params)
     if obj.has_tie_param:
         # Equal abilities make tie odds nu/2, so match the observed ratio.
@@ -520,7 +557,7 @@ def normalized_abilities(
     """Normalized abilities with SEs and CIs propagated on the log scale."""
     if not (0.0 < ci_level < 1.0):
         raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
-    z = norm.ppf((1.0 + ci_level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
     log_var = _log_pi_variance(f)
     out = {}
     for k, label in enumerate(f.treatments):
@@ -548,7 +585,7 @@ def ability_ratios(
     """
     if not (0.0 < ci_level < 1.0):
         raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
-    z = norm.ppf((1.0 + ci_level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
     labels = f.treatments
     ratios = []
     if isinstance(denominator, _AverageAbility):

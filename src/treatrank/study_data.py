@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Union
-
-from scipy.stats import norm
+from statistics import NormalDist
+from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .errors import DataError
 
@@ -150,9 +149,47 @@ class ValidationReport:
 
 
 _MANDATORY = ("study", "treat1", "treat2", "effect")
+# A cell spelling a missing value in an otherwise numeric covariate column.
+_MISSING = "NA"
 
 
-def _parse_float(cell: str, what: str, row_num: int) -> float:
+def _read_csv(
+    source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
+) -> tuple[list[str], list[tuple[int, dict[str, str | None]]]]:
+    """The one CSV-reading path for every input table.
+
+    Returns the stripped header names and the ``(row_num, row)`` pairs, with
+    ``row_num`` counting the header as 1 and skipping blank lines. Each row
+    maps the stripped header names to their cells, ``None`` where the row is
+    short. A row with more cells than the header is rejected.
+    """
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise DataError("empty input: no header row")
+    fields = [f.strip() for f in reader.fieldnames]
+    missing = [c for c in mandatory if c not in fields]
+    if missing:
+        raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
+    rows = []
+    for row_num, row in enumerate(reader, start=2):
+        extra = row.pop(None, None)
+        if extra is not None:
+            raise DataError(
+                f"row {row_num}: expected {len(fields)} cells, got {len(fields) + len(extra)}"
+            )
+        rows.append((row_num, {k.strip(): v for k, v in row.items()}))
+    return fields, rows
+
+
+def _parse_float(
+    cell: str | None, what: str, row_num: int, required: bool = True
+) -> float | None:
+    """A finite float from one cell; an empty cell is ``None`` unless required."""
+    cell = (cell or "").strip()
+    if not cell:
+        if required:
+            raise DataError(f"row {row_num}: {what} is empty")
+        return None
     try:
         value = float(cell)
     except ValueError:
@@ -160,13 +197,6 @@ def _parse_float(cell: str, what: str, row_num: int) -> float:
     if not math.isfinite(value):
         raise DataError(f"row {row_num}: non-finite {what} {cell!r}")
     return value
-
-
-def _parse_optional_float(row, column, what, row_num):
-    cell = row.get(column)
-    if cell is None or cell.strip() == "":
-        return None
-    return _parse_float(cell.strip(), what, row_num)
 
 
 def _log_transform(value: float | None, what: str, row_num: int) -> float | None:
@@ -178,16 +208,11 @@ def _log_transform(value: float | None, what: str, row_num: int) -> float | None
 
 
 def _parse_covariate(name, kind, cell, row_num) -> CovariateValue:
-    if cell is None or cell.strip() == "":
+    cell = (cell or "").strip()
+    if not cell or (cell == _MISSING and isinstance(kind, Continuous)):
         return None
-    cell = cell.strip()
     if isinstance(kind, Continuous):
-        try:
-            return float(cell)
-        except ValueError:
-            raise DataError(
-                f"row {row_num}: covariate {name!r} expects a number, got {cell!r}"
-            ) from None
+        return _parse_float(cell, f"covariate {name!r}", row_num)
     if cell not in kind.levels:
         raise DataError(
             f"row {row_num}: covariate {name!r} has unknown level {cell!r} "
@@ -196,18 +221,40 @@ def _parse_covariate(name, kind, cell, row_num) -> CovariateValue:
     return cell
 
 
-def _infer_schema(names: list[str], columns: dict[str, list[str]]) -> CovariateSchema:
-    # A column is continuous iff every non-empty cell parses as a float.
-    schema: CovariateSchema = {}
+def _covariate_cell(value: CovariateValue) -> str:
+    """The CSV cell that :func:`_parse_covariate` reads back as ``value``."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else value
+
+
+def _covariate_schema(
+    names: list[str], rows: list[tuple[int, dict]], schema: CovariateSchema | None
+) -> CovariateSchema:
+    """The declared schema checked against the covariate columns, or one inferred.
+
+    An inferred column is continuous when every non-empty cell is numeric or
+    the missing token ``NA`` and at least one is numeric, or when it has no
+    non-empty cell; otherwise it is categorical over its non-empty cells,
+    ``NA`` included.
+    """
+    if schema is not None:
+        undeclared = [n for n in names if n not in schema]
+        if undeclared:
+            raise DataError(f"covariate column(s) not in schema: {', '.join(undeclared)}")
+        return dict(schema)
+    inferred: CovariateSchema = {}
     for name in names:
-        cells = [c.strip() for c in columns[name] if c is not None and c.strip() != ""]
+        cells = {c for _, row in rows if (c := (row.get(name) or "").strip())}
         try:
-            for c in cells:
-                float(c)
-            schema[name] = Continuous()
+            numbers = [float(c) for c in cells - {_MISSING}]
         except ValueError:
-            schema[name] = Categorical(levels=tuple(sorted(set(cells))))
-    return schema
+            numbers = None
+        if numbers or not cells:
+            inferred[name] = Continuous()
+        else:
+            inferred[name] = Categorical(levels=tuple(sorted(cells)))
+    return inferred
 
 
 def parse_contrast_table(
@@ -224,59 +271,39 @@ def parse_contrast_table(
     ingest; ``se`` values are always read as log-scale standard errors.
 
     ``schema=None`` infers covariate kinds: continuous when every non-empty
-    cell is numeric, categorical otherwise.
+    cell is numeric (``NA`` then marks a missing value), categorical
+    otherwise.
     """
     if scale not in ("log", "ratio"):
         raise DataError(f"scale must be 'log' or 'ratio', got {scale!r}")
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise DataError("empty input: no header row")
-    fields = [f.strip() for f in reader.fieldnames]
-    missing = [c for c in _MANDATORY if c not in fields]
-    if missing:
-        raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
-    has_se = "se" in fields
+    fields, rows = _read_csv(source, _MANDATORY)
     has_bounds = "lower" in fields and "upper" in fields
-    if not has_se and not has_bounds:
+    if "se" not in fields and not has_bounds:
         raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
     reserved = set(_MANDATORY) | {"se", "lower", "upper", "ci_level"}
     covariate_names = [f for f in fields if f not in reserved]
-
-    rows = [{k.strip(): v for k, v in row.items() if k is not None} for row in reader]
-
-    if schema is None:
-        schema = _infer_schema(
-            covariate_names, {n: [r.get(n) or "" for r in rows] for n in covariate_names}
-        )
-    else:
-        undeclared = [n for n in covariate_names if n not in schema]
-        if undeclared:
-            raise DataError(f"covariate column(s) not in schema: {', '.join(undeclared)}")
+    schema = _covariate_schema(covariate_names, rows, schema)
 
     treatments: list[str] = []
     seen = set()
     effects = []
-    for i, row in enumerate(rows, start=2):  # header is line 1
+    for i, row in rows:
         study = (row.get("study") or "").strip()
         t1 = (row.get("treat1") or "").strip()
         t2 = (row.get("treat2") or "").strip()
         if not study or not t1 or not t2:
             raise DataError(f"row {i}: study and both treatment labels are required")
-        effect_cell = (row.get("effect") or "").strip()
-        effect = _parse_float(effect_cell, "effect", i)
-        se = _parse_optional_float(row, "se", "standard error", i) if has_se else None
-        lower = _parse_optional_float(row, "lower", "lower bound", i) if has_bounds else None
-        upper = _parse_optional_float(row, "upper", "upper bound", i) if has_bounds else None
+        effect = _parse_float(row.get("effect"), "effect", i)
+        se = _parse_float(row.get("se"), "standard error", i, required=False)
+        lower = upper = None
+        if has_bounds:
+            lower = _parse_float(row.get("lower"), "lower bound", i, required=False)
+            upper = _parse_float(row.get("upper"), "upper bound", i, required=False)
         if scale == "ratio":
             effect = _log_transform(effect, "effect", i)
             lower = _log_transform(lower, "lower bound", i)
             upper = _log_transform(upper, "upper bound", i)
-        level_cell = row.get("ci_level")
-        ci_level = (
-            _parse_float(level_cell.strip(), "ci_level", i)
-            if level_cell is not None and level_cell.strip() != ""
-            else 0.95
-        )
+        ci_level = _parse_float(row.get("ci_level"), "ci_level", i, required=False)
         covariates = {
             name: _parse_covariate(name, schema[name], row.get(name), i)
             for name in covariate_names
@@ -294,14 +321,14 @@ def parse_contrast_table(
                 se=se,
                 ci_lower=lower,
                 ci_upper=upper,
-                ci_level=ci_level,
+                ci_level=0.95 if ci_level is None else ci_level,
                 covariates=covariates,
             )
         )
     return Network(
         treatments=tuple(treatments),
         effects=tuple(effects),
-        covariate_schema=dict(schema),
+        covariate_schema=schema,
     )
 
 
@@ -324,14 +351,7 @@ def dump_contrast_table(network: Network, stream: IO[str]) -> None:
             "" if e.ci_upper is None else repr(e.ci_upper),
             repr(e.ci_level),
         ]
-        for name in covariate_names:
-            value = e.covariates.get(name)
-            if value is None:
-                row.append("")
-            elif isinstance(value, float):
-                row.append(repr(value))
-            else:
-                row.append(value)
+        row.extend(_covariate_cell(e.covariates.get(name)) for name in covariate_names)
         writer.writerow(row)
 
 
@@ -342,7 +362,7 @@ def complete_intervals(e: StudyEffect) -> StudyEffect:
     values are never touched, which makes the operation idempotent. Bayesian
     credible intervals are accepted verbatim.
     """
-    z = norm.ppf((1.0 + e.ci_level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + e.ci_level) / 2.0)
     se = e.se
     lower, upper = e.ci_lower, e.ci_upper
     if lower is None or upper is None:

@@ -20,8 +20,10 @@ from .study_data import (
     CovariateSchema,
     CovariateValue,
     StudyEffect,
-    _infer_schema,
+    _covariate_cell,
+    _covariate_schema,
     _parse_covariate,
+    _read_csv,
 )
 
 __all__ = [
@@ -261,14 +263,7 @@ def dump_preference_records(
     writer.writerow(list(_RECORD_COLUMNS) + list(covariate_names))
     for r in records:
         row = [r.study_id, r.treat_a, r.treat_b, r.verdict.value]
-        for name in covariate_names:
-            value = r.covariates.get(name)
-            if value is None:
-                row.append("")
-            elif isinstance(value, float):
-                row.append(repr(value))
-            else:
-                row.append(value)
+        row.extend(_covariate_cell(r.covariates.get(name)) for name in covariate_names)
         writer.writerow(row)
 
 
@@ -277,31 +272,16 @@ def parse_preference_records(
     schema: CovariateSchema | None = None,
 ) -> PreferenceData:
     """Read a preference-record CSV; the entry point for externally computed TCCs."""
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise DataError("empty input: no header row")
-    fields = [f.strip() for f in reader.fieldnames]
-    missing = [c for c in _RECORD_COLUMNS if c not in fields]
-    if missing:
-        raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
+    fields, rows = _read_csv(source, _RECORD_COLUMNS)
     covariate_names = [f for f in fields if f not in _RECORD_COLUMNS]
-    rows = [{k.strip(): v for k, v in row.items() if k is not None} for row in reader]
-
-    if schema is None:
-        schema = _infer_schema(
-            covariate_names, {n: [r.get(n) or "" for r in rows] for n in covariate_names}
-        )
-    else:
-        undeclared = [n for n in covariate_names if n not in schema]
-        if undeclared:
-            raise DataError(f"covariate column(s) not in schema: {', '.join(undeclared)}")
+    schema = _covariate_schema(covariate_names, rows, schema)
 
     valid = {v.value for v in Verdict}
     records = []
     treatments: list[str] = []
     seen = set()
     seen_pairs: set[tuple[str, frozenset[str]]] = set()
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         study = (row.get("study") or "").strip()
         t1 = (row.get("treat1") or "").strip()
         t2 = (row.get("treat2") or "").strip()
@@ -338,5 +318,5 @@ def parse_preference_records(
     return PreferenceData(
         records=tuple(records),
         treatments=tuple(treatments),
-        covariate_schema=dict(schema),
+        covariate_schema=schema,
     )

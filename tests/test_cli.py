@@ -122,6 +122,17 @@ def test_rank_regularity_failure_names_the_bipartition(tmp_path):
     assert sorted(document["complement"]) == ["B", "C"]
 
 
+def test_rank_without_a_finite_maximum_is_a_model_error(tmp_path):
+    source = tmp_path / "tie_and_loss.csv"
+    source.write_text("study,treat1,treat2,verdict\ns1,A,B,second_wins\ns2,A,B,tie\n")
+    code = _run("rank", "--input", source, "--out-dir", tmp_path, "--records")
+    assert code == 2
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document["error"] == "ModelError"
+    assert "no finite maximum" in document["message"]
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_rank_missing_input_file(tmp_path):
     assert _run("rank", "--input", tmp_path / "nope.csv", "--out-dir", tmp_path,
                 "--mcid", "1.2") == 1
@@ -262,6 +273,31 @@ def test_compare_rejects_covariance_with_pairwise_input(tmp_path):
     assert _run(
         "compare", "--input", LEAGUE, "--out-dir", tmp_path, "--covariance", cov
     ) == 1
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_compare_rejects_a_non_finite_covariance_cell(tmp_path, cell):
+    basic = tmp_path / "basic.csv"
+    basic.write_text("treat,estimate_vs_ref,se\nref,0.0,0.0\nA,0.30,0.10\n")
+    cov = tmp_path / "cov.csv"
+    cov.write_text(f",ref,A\nref,0.0,0.0\nA,0.0,{cell}\n")
+    code = _run("compare", "--input", basic, "--out-dir", tmp_path, "--covariance", cov)
+    assert code == 1
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document["message"] == f"row 3: non-finite covariance cell {cell!r}"
+
+
+def test_compare_reads_a_quoted_header(tmp_path):
+    # R's write.csv quotes every header name.
+    quoted = tmp_path / "quoted.csv"
+    lines = LEAGUE.read_text().splitlines(keepends=True)
+    header = ",".join(f'"{name}"' for name in lines[0].strip().split(","))
+    quoted.write_text(header + "\n" + "".join(lines[1:]))
+    for source, out in ((LEAGUE, tmp_path / "plain"), (quoted, tmp_path / "quoted")):
+        assert _run("compare", "--input", source, "--out-dir", out, "--nsim", "2000") == 0
+    assert (tmp_path / "quoted" / "scores.csv").read_bytes() == (
+        tmp_path / "plain" / "scores.csv"
+    ).read_bytes()
 
 
 def test_compare_rejects_unrecognized_header(tmp_path):

@@ -373,3 +373,5 @@ def test_parse_covariance_table_checks():
         parse_covariance_table(io.StringIO(",A,C\nA,0.04,0.0\nC,0.0,0.09\n"), ("A", "B"))
     with pytest.raises(DataError, match="non-numeric"):
         parse_covariance_table(io.StringIO(",A,B\nA,x,0.01\nB,0.01,0.09\n"), ("A", "B"))
+    with pytest.raises(DataError, match="expected 3 cells, got 4"):
+        parse_covariance_table(io.StringIO(",A,B\nA,0.04,0.01,0\nB,0.01,0.09\n"), ("A", "B"))

@@ -14,6 +14,7 @@ from treatrank import (
     ConvergenceError,
     DataError,
     FordConditionError,
+    ModelError,
     OnlyTiesError,
     PairCounts,
     Tournament,
@@ -246,6 +247,29 @@ def test_ford_failure_reported_by_fit():
     assert set(info.value.subset) == {"A"}
     assert set(info.value.complement) == {"B", "C"}
     assert "beats or ties" in str(info.value)
+
+
+# Each case passes the Ford check, yet nu can grow while every win widens and
+# every tie stays close: the direction moves log nu by 1/2 and the
+# log-abilities by d (A, B, C order).
+_NO_FINITE_MAXIMUM = [
+    ({("A", "B"): (0, 1, 1)}, (0.0, 1.0)),
+    ({("A", "B"): (0, 2, 3)}, (0.0, 1.0)),
+    ({("A", "B"): (2, 0, 0), ("B", "C"): (0, 0, 1), ("A", "C"): (0, 0, 1)}, (1.0, 0.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("counts, d", _NO_FINITE_MAXIMUM)
+def test_fit_rejects_a_likelihood_without_a_finite_maximum(counts, d):
+    t = _tournament(counts)
+    assert check_ford(t) is None
+    obj = DavidsonObjective(t)
+    # theta holds the log-abilities relative to the first treatment, then log nu.
+    direction = np.asarray([x - d[0] for x in d[1:]] + [0.5])
+    values = [obj.value(s * direction) for s in (0.0, 5.0, 10.0, 20.0)]
+    assert values == sorted(values) and values[-1] > values[0]
+    with pytest.raises(ModelError, match="no finite maximum"):
+        fit_davidson(t)
 
 
 # ---------------------------------------------------------------- objective

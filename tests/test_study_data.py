@@ -17,6 +17,7 @@ from treatrank import (
     complete_intervals,
     dump_contrast_table,
     parse_contrast_table,
+    parse_preference_records,
     validate_network,
 )
 
@@ -110,6 +111,50 @@ s3,B,C,-0.2,0.1,,inpatient
     assert net.effects[2].covariates["age"] is None
 
 
+# The two covariate-carrying tables: header prefix, one row's prefix, and how
+# to reach the parsed rows' covariates.
+_COVARIATE_TABLES = {
+    "contrasts": (
+        parse_contrast_table, "study,treat1,treat2,effect,se", "A,B,0.3,0.1",
+        lambda parsed: [e.covariates for e in parsed.effects],
+    ),
+    "records": (
+        parse_preference_records, "study,treat1,treat2,verdict", "A,B,tie",
+        lambda parsed: [r.covariates for r in parsed.records],
+    ),
+}
+
+
+def _covariate_table(table, cells, schema=None):
+    parse, header, row, covariates = _COVARIATE_TABLES[table]
+    lines = [f"{header},year,region"]
+    lines += [f"s{k},{row},{year},{region}" for k, (year, region) in enumerate(cells)]
+    parsed = parse(_csv("\n".join(lines)), schema=schema)
+    return parsed.covariate_schema, covariates(parsed)
+
+
+@pytest.mark.parametrize("table", sorted(_COVARIATE_TABLES))
+def test_na_is_missing_in_a_numeric_covariate_and_a_level_otherwise(table):
+    schema, covariates = _covariate_table(table, [("2001", "NA"), ("NA", "EU"), ("", "NA")])
+    assert schema == {"year": Continuous(), "region": Categorical(levels=("EU", "NA"))}
+    assert [c["year"] for c in covariates] == [2001.0, None, None]
+    assert [c["region"] for c in covariates] == ["NA", "EU", "NA"]
+    # A column holding nothing but NA cannot be told from a categorical one.
+    schema, _ = _covariate_table(table, [("NA", "EU"), ("NA", "EU")])
+    assert schema["year"] == Categorical(levels=("NA",))
+    # A declared continuous covariate reads NA as missing too.
+    declared = {"year": Continuous(), "region": Categorical(levels=("EU",))}
+    _, covariates = _covariate_table(table, [("NA", "EU")], schema=declared)
+    assert covariates[0]["year"] is None
+
+
+@pytest.mark.parametrize("table", sorted(_COVARIATE_TABLES))
+@pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+def test_non_finite_continuous_covariate_names_row_and_covariate(table, cell):
+    with pytest.raises(DataError, match=f"row 3: non-finite covariate 'year' '{cell}'"):
+        _covariate_table(table, [("2001", "EU"), (cell, "EU")])
+
+
 def test_parse_explicit_schema_checks_levels_and_names():
     schema = {"setting": Categorical(levels=("inpatient", "outpatient"))}
     with pytest.raises(DataError, match="unknown level"):
@@ -149,6 +194,13 @@ s1,A,B,0.3,0.1
 s2,A,C,zero,0.1
 """
             )
+        )
+
+
+def test_parse_rejects_a_row_longer_than_the_header():
+    with pytest.raises(DataError, match="row 3: expected 5 cells, got 6"):
+        parse_contrast_table(
+            _csv("study,treat1,treat2,effect,se\ns1,A,B,0.3,0.1\ns2,A,C,0.1,0.1,x")
         )
 
 
