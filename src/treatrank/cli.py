@@ -46,7 +46,7 @@ class RunConfig:
 
     subcommand: str
     input: Path
-    out_dir: Path
+    out_dir: Path = Path(".")
     formats: frozenset[str] = frozenset(_FORMATS)
     ci_level: float = 0.95
     seed: int = 0
@@ -77,102 +77,83 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    # Defaults live in RunConfig alone: an option the user leaves out does not
+    # reach the namespace (subparsers do not inherit argument_default).
+    quiet = {"argument_default": argparse.SUPPRESS}
     parser = _Parser(
         prog="treatrank",
         description="Rank treatments from study-level contrasts via win/tie preferences.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, **quiet)
     common.add_argument("--input", required=True, type=Path, help="input CSV file")
-    common.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    common.add_argument(
-        "--format",
-        default=",".join(_FORMATS),
-        help="comma-separated subset of csv,json,svg to emit",
-    )
-    common.add_argument("--ci-level", type=float, default=0.95, help="CI level for reports")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    common.add_argument("--out-dir", type=Path, help="output directory")
+    common.add_argument("--format", help="comma-separated subset of csv,json,svg to emit")
+    common.add_argument("--ci-level", type=float, help="CI level for reports")
+    common.add_argument("--seed", type=int, help="seed for randomized steps, non-negative")
 
-    tcc = argparse.ArgumentParser(add_help=False)
-    tcc.add_argument("--scale", choices=("log", "ratio"), default="log",
+    tcc = argparse.ArgumentParser(add_help=False, **quiet)
+    tcc.add_argument("--scale", choices=("log", "ratio"),
                      help="scale of effect/lower/upper columns in the input")
     tcc.add_argument(
         "--records",
+        dest="records_input",
         action="store_true",
         help="input already holds preference records (study,treat1,treat2,verdict)",
     )
-    tcc.add_argument("--mcid", type=float, default=None,
+    tcc.add_argument("--mcid", type=float,
                      help="minimal clinically important difference, ratio scale > 1")
-    tcc.add_argument("--roe-lower", type=float, default=None,
+    tcc.add_argument("--roe-lower", type=float,
                      help="override the lower equivalence bound, ratio scale")
-    tcc.add_argument("--roe-upper", type=float, default=None,
+    tcc.add_argument("--roe-upper", type=float,
                      help="override the upper equivalence bound, ratio scale")
     tcc.add_argument("--direction", choices=("beneficial", "harmful"),
-                     default="beneficial", help="whether larger effects are better")
+                     help="whether larger effects are better")
     tcc.add_argument("--dump-records", action="store_true",
                      help="also write the derived preference records as records.csv")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("rank", parents=[common, tcc],
+    sub.add_parser("rank", parents=[common, tcc], **quiet,
                    help="fit the ability model and write the ranking artifacts")
-    part = sub.add_parser("partition", parents=[common, tcc],
+    part = sub.add_parser("partition", parents=[common, tcc], **quiet,
                           help="grow a covariate-driven partition tree")
-    part.add_argument("--partition", dest="covariates", default=None,
+    part.add_argument("--partition", dest="covariates",
                       help="comma-separated covariates to test (default: all)")
-    part.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    part.add_argument("--min-node-size", type=int, default=10,
-                      help="minimum records per node")
-    part.add_argument("--max-depth", type=int, default=None, help="maximum split depth")
-    part.add_argument("--permutations", type=int, default=1000,
+    part.add_argument("--alpha", type=float, help="significance level")
+    part.add_argument("--min-node-size", type=int, help="minimum records per node")
+    part.add_argument("--max-depth", type=int, help="maximum split depth")
+    part.add_argument("--permutations", type=int,
                       help="permutation draws for continuous covariates")
-    comp = sub.add_parser("compare", parents=[common],
+    comp = sub.add_parser("compare", parents=[common], **quiet,
                           help="P-scores and best-value probabilities from a league table")
-    comp.add_argument("--mcid", type=float, default=None,
+    comp.add_argument("--mcid", type=float,
                       help="threshold for the adjusted P-scores, ratio scale > 1")
     comp.add_argument("--direction", choices=("beneficial", "harmful"),
-                      default="beneficial", help="whether larger effects are better")
-    comp.add_argument("--covariance", type=Path, default=None,
+                      help="whether larger effects are better")
+    comp.add_argument("--covariance", type=Path,
                       help="covariance CSV for a basic-form league table")
-    comp.add_argument("--nsim", type=int, default=100_000,
+    comp.add_argument("--nsim", type=int,
                       help="simulation draws for the best-value probabilities")
-    sub.add_parser("tcc-dump", parents=[common, tcc],
+    sub.add_parser("tcc-dump", parents=[common, tcc], **quiet,
                    help="write the preference records derived from the contrasts")
     return parser
 
 
 def parse_args(argv=None) -> RunConfig:
-    namespace = _build_parser().parse_args(argv)
-    formats = frozenset(f.strip() for f in namespace.format.split(",") if f.strip())
-    unknown = formats - set(_FORMATS)
-    if unknown:
-        raise DataError(f"unknown output format(s): {', '.join(sorted(unknown))}")
-    if not formats:
-        raise DataError("at least one output format is required")
-    covariates = getattr(namespace, "covariates", None)
-    if isinstance(covariates, str):
-        covariates = tuple(c.strip() for c in covariates.split(",") if c.strip())
-    return RunConfig(
-        subcommand=namespace.subcommand,
-        input=namespace.input,
-        out_dir=namespace.out_dir,
-        formats=formats,
-        ci_level=namespace.ci_level,
-        seed=namespace.seed,
-        scale=getattr(namespace, "scale", "log"),
-        records_input=getattr(namespace, "records", False),
-        mcid=getattr(namespace, "mcid", None),
-        roe_lower=getattr(namespace, "roe_lower", None),
-        roe_upper=getattr(namespace, "roe_upper", None),
-        direction=getattr(namespace, "direction", "beneficial"),
-        dump_records=getattr(namespace, "dump_records", False),
-        covariates=covariates,
-        alpha=getattr(namespace, "alpha", 0.05),
-        min_node_size=getattr(namespace, "min_node_size", 10),
-        max_depth=getattr(namespace, "max_depth", None),
-        permutations=getattr(namespace, "permutations", 1000),
-        covariance=getattr(namespace, "covariance", None),
-        nsim=getattr(namespace, "nsim", 100_000),
-    )
+    options = vars(_build_parser().parse_args(argv))
+    if "format" in options:
+        formats = frozenset(f.strip() for f in options.pop("format").split(",") if f.strip())
+        unknown = formats - set(_FORMATS)
+        if unknown:
+            raise DataError(f"unknown output format(s): {', '.join(sorted(unknown))}")
+        if not formats:
+            raise DataError("at least one output format is required")
+        options["formats"] = formats
+    if "covariates" in options:
+        options["covariates"] = tuple(
+            c.strip() for c in options["covariates"].split(",") if c.strip()
+        )
+    return RunConfig(**options)
 
 
 def _read_preferences(config: RunConfig):

@@ -258,6 +258,9 @@ def _basic_parameters(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray]:
     return means, np.diag(variances)
 
 
+_DRAW_BLOCK = 8192  # rows of draws held at once by prob_best
+
+
 def prob_best(lt: LeagueTable, nsim: int = 100_000, seed: int = 0) -> dict[str, float]:
     """Simulated probability of each treatment having the best value.
 
@@ -269,19 +272,25 @@ def prob_best(lt: LeagueTable, nsim: int = 100_000, seed: int = 0) -> dict[str, 
     """
     if nsim < 1:
         raise DataError(f"nsim must be positive, got {nsim}")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     means, cov = _basic_parameters(lt)
-    eigenvalues = np.linalg.eigvalsh(cov)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
     tolerance = 1e-9 * max(1.0, float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else 0.0
     if eigenvalues.size and float(eigenvalues[0]) < -tolerance:
         raise DataError(
             f"covariance is not positive semi-definite (min eigenvalue {eigenvalues[0]:.3g})"
         )
+    # The factor and the draw order of numpy's multivariate_normal(method="eigh"),
+    # taken in blocks of rows so memory stays bounded in nsim.
+    factor = (eigenvectors * np.sqrt(np.abs(eigenvalues))).T
+    sign = _direction_sign(lt)
     rng = np.random.default_rng(seed)
-    draws = rng.multivariate_normal(
-        means, cov, size=nsim, check_valid="ignore", method="eigh"
-    )
-    best = np.argmax(_direction_sign(lt) * draws, axis=1)
-    counts = np.bincount(best, minlength=len(lt.treatments))
+    counts = np.zeros(len(lt.treatments), dtype=np.int64)
+    for start in range(0, nsim, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, nsim - start)
+        draws = rng.standard_normal((rows, len(means))) @ factor + means
+        counts += np.bincount(np.argmax(sign * draws, axis=1), minlength=len(counts))
     shares = counts / nsim
     top = int(np.argmax(counts))
     shares[top] = 1.0 - (shares.sum() - shares[top])

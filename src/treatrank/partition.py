@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .davidson import AbilityFit, _log_nu, _log_probabilities, _pair_credit, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import Categorical, Continuous, CovariateKind, CovariateSchema
-from .tcc import PreferenceRecord, Verdict, aggregate_tournament
+from .tcc import PreferenceRecord, _code_records, _tally, aggregate_tournament
 
 __all__ = [
     "PartitionConfig",
@@ -37,9 +38,6 @@ __all__ = [
     "stability_test",
     "tree_to_dict",
 ]
-
-_OUTCOME = {Verdict.FIRST_WINS: 0, Verdict.SECOND_WINS: 1, Verdict.TIE: 2}
-
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -59,6 +57,8 @@ class PartitionConfig:
             raise DataError(f"min_node_size must be at least 2, got {self.min_node_size}")
         if self.permutations < 1:
             raise DataError(f"permutations must be positive, got {self.permutations}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 <= self.trim < 0.5):
             raise DataError(f"trim must be in [0, 0.5), got {self.trim}")
 
@@ -109,10 +109,11 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
         raise DataError(
             f"record in study {outside[0].study_id!r} uses a treatment outside the fit"
         )
-    i = np.asarray([index[r.treat_a] for r in records], dtype=np.intp)
-    j = np.asarray([index[r.treat_b] for r in records], dtype=np.intp)
+    pairs, codes = _code_records(records, fit.treatments)
+    pair, outcome = np.divmod(codes, 3)
+    i, j = pairs[pair].T
     # Each record is a pair with a single count, on its observed outcome.
-    counts = np.eye(3)[[_OUTCOME[r.verdict] for r in records]]
+    counts = np.eye(3)[outcome]
     lam = np.log([fit.psi[x] for x in fit.treatments])
     observed, expected = _pair_credit(counts, _log_probabilities(lam, _log_nu(fit.nu), i, j))
     scores = observed - expected
@@ -123,7 +124,15 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
     return rows[:, 1 : len(fit.param_names) + 1]
 
 
-def _covariate_values(records: Sequence[PreferenceRecord], covariate: str) -> list:
+def _read_covariate(
+    records: Sequence[PreferenceRecord], covariate: str, kind: CovariateKind | None
+) -> tuple[CovariateKind, np.ndarray]:
+    """The covariate's kind and its values on the records, as floats or strings.
+
+    ``kind=None`` infers the kind from the parsed values: continuous when
+    every value is a number, categorical otherwise (so a string level such
+    as ``"1"`` stays categorical).
+    """
     values = [r.covariates.get(covariate) for r in records]
     missing = sum(v is None for v in values)
     if missing:
@@ -131,13 +140,38 @@ def _covariate_values(records: Sequence[PreferenceRecord], covariate: str) -> li
             f"covariate {covariate!r} is missing on {missing} record(s); "
             "drop or impute them before testing"
         )
-    return values
+    if kind is None:
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+        kind = Continuous() if numeric else Categorical(tuple(sorted({str(v) for v in values})))
+    if isinstance(kind, Continuous):
+        array = np.asarray(values, dtype=float)
+    else:
+        array = np.asarray([str(v) for v in values])
+    if np.unique(array).size < 2:
+        raise DataError(f"covariate {covariate!r} is constant on these records")
+    return kind, array
 
 
-def _infer_kind(values: Sequence) -> CovariateKind:
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        return Continuous()
-    return Categorical(levels=tuple(sorted({str(v) for v in values})))
+def _candidate_rules(kind: CovariateKind, values: np.ndarray) -> list:
+    """Midpoints between consecutive distinct values, or the level subsets
+    (sorted, each holding the first level) that leave some level out."""
+    levels = np.unique(values)
+    if isinstance(kind, Continuous):
+        return ((levels[:-1] + levels[1:]) / 2.0).tolist()
+    anchor, *others = levels.tolist()
+    return [
+        (anchor, *(lvl for bit, lvl in enumerate(others) if mask >> bit & 1))
+        for mask in range(2 ** len(others) - 1)
+    ]
+
+
+def _goes_left(rule, values: np.ndarray) -> np.ndarray:
+    """Records the rule sends left: ``values <= cut`` or values in the subset."""
+    return np.isin(values, rule) if isinstance(rule, tuple) else values <= rule
+
+
+def _treatment_order(records: Sequence[PreferenceRecord]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(label for r in records for label in r.pair))
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -190,31 +224,24 @@ def stability_test(
         raise DataError(
             f"too few records to test stability: {len(records)} < {min_records}"
         )
-    values = _covariate_values(records, covariate)
-    if kind is None:
-        kind = _infer_kind(values)
+    kind, values = _read_covariate(records, covariate, kind)
     scores = score_contributions(records, fit)
     n, p_dim = scores.shape
     info = scores.T @ scores / n
     info_inv = np.linalg.pinv(info)
 
     if isinstance(kind, Categorical):
-        labels = sorted({str(v) for v in values})
-        if len(labels) < 2:
-            raise DataError(f"covariate {covariate!r} is constant on these records")
+        labels = np.unique(values)
         statistic = 0.0
         for level in labels:
-            mask = np.asarray([str(v) == level for v in values])
+            mask = values == level
             level_sum = scores[mask].sum(axis=0)
             statistic += float(level_sum @ info_inv @ level_sum) / int(mask.sum())
         df = p_dim * (len(labels) - 1)
         return statistic, _chi2_sf(statistic, df)
 
-    numeric = np.asarray(values, dtype=float)
-    if np.unique(numeric).size < 2:
-        raise DataError(f"covariate {covariate!r} is constant on these records")
-    order = np.argsort(numeric, kind="stable")
-    ordered_values = numeric[order]
+    order = np.argsort(values, kind="stable")
+    ordered_values = values[order]
     lo = max(1, math.ceil(trim * n))
     hi = min(n - 1, math.floor((1.0 - trim) * n))
     cut_sizes = np.asarray(
@@ -247,21 +274,10 @@ def stability_test(
     return statistic, p_value
 
 
-def _fit_quietly(records, treatments):
+def _fit_quietly(pairs, codes, treatments):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return fit_davidson(aggregate_tournament(records, treatments))
-
-
-def _partitioned_loglik(left, right, treatments, min_node_size):
-    if len(left) < min_node_size or len(right) < min_node_size:
-        return None
-    try:
-        fit_left = _fit_quietly(left, treatments)
-        fit_right = _fit_quietly(right, treatments)
-    except ModelError:
-        return None
-    return fit_left.loglik + fit_right.loglik
+        return fit_davidson(_tally(pairs, codes, treatments))
 
 
 def best_split(
@@ -286,54 +302,31 @@ def best_split(
     (left side: values <= rule) or the tuple of left-side levels.
     """
     records = tuple(records)
-    values = _covariate_values(records, covariate)
-    if kind is None:
-        kind = _infer_kind(values)
+    kind, values = _read_covariate(records, covariate, kind)
     if treatments is None:
-        seen: dict[str, None] = {}
-        for r in records:
-            seen.setdefault(r.treat_a)
-            seen.setdefault(r.treat_b)
-        treatments = tuple(seen)
-
+        treatments = _treatment_order(records)
+    pairs, codes = _code_records(records, treatments)
     candidates = []
-    if isinstance(kind, Continuous):
-        numeric = np.asarray(values, dtype=float)
-        distinct = np.unique(numeric)
-        if distinct.size < 2:
-            raise DataError(f"covariate {covariate!r} is constant on these records")
-        for cut in (distinct[:-1] + distinct[1:]) / 2.0:
-            left = tuple(r for r, v in zip(records, numeric) if v <= cut)
-            right = tuple(r for r, v in zip(records, numeric) if v > cut)
-            loglik = _partitioned_loglik(left, right, treatments, min_node_size)
-            if loglik is not None:
-                imbalance = abs(len(left) - len(right))
-                candidates.append(((-loglik, imbalance, cut), float(cut), loglik))
-    else:
-        labels = sorted({str(v) for v in values})
-        if len(labels) < 2:
-            raise DataError(f"covariate {covariate!r} is constant on these records")
-        anchor, others = labels[0], labels[1:]
-        for mask in range(2 ** len(others)):
-            subset = (anchor,) + tuple(
-                lvl for bit, lvl in enumerate(others) if mask >> bit & 1
+    for rule in _candidate_rules(kind, values):
+        left = _goes_left(rule, values)
+        n_left = int(left.sum())
+        n_right = len(records) - n_left
+        if min(n_left, n_right) < min_node_size:
+            continue
+        try:
+            loglik = (
+                _fit_quietly(pairs, codes[left], treatments).loglik
+                + _fit_quietly(pairs, codes[~left], treatments).loglik
             )
-            if len(subset) == len(labels):
-                continue
-            chosen = frozenset(subset)
-            left = tuple(r for r, v in zip(records, values) if str(v) in chosen)
-            right = tuple(r for r, v in zip(records, values) if str(v) not in chosen)
-            loglik = _partitioned_loglik(left, right, treatments, min_node_size)
-            if loglik is not None:
-                imbalance = abs(len(left) - len(right))
-                subset_sorted = tuple(sorted(subset))
-                candidates.append(((-loglik, imbalance, subset_sorted), subset_sorted, loglik))
+        except ModelError:
+            continue
+        candidates.append(((-loglik, abs(n_left - n_right), rule), loglik))
     if not candidates:
         raise ModelError(
             f"no admissible split on covariate {covariate!r}: every candidate "
             "leaves a side too small or unfittable"
         )
-    _, rule, loglik = min(candidates, key=lambda c: c[0])
+    (_, _, rule), loglik = min(candidates, key=lambda c: c[0])
     return rule, loglik
 
 
@@ -369,12 +362,7 @@ def grow_tree(
         )
     if not usable:
         raise DataError("no records with complete covariate values")
-    seen: dict[str, None] = {}
-    for r in usable:
-        seen.setdefault(r.treat_a)
-        seen.setdefault(r.treat_b)
-    treatments = tuple(seen)
-    return _grow(usable, treatments, covariate_schema, config, path=(), depth=0)
+    return _grow(usable, _treatment_order(usable), covariate_schema, config, path=(), depth=0)
 
 
 def _grow(records, treatments, schema, config, path, depth):
@@ -419,24 +407,15 @@ def _grow(records, treatments, schema, config, path, depth):
     except (DataError, ModelError):
         return node
 
-    if isinstance(rule, tuple):
-        chosen = frozenset(rule)
-        left = tuple(r for r in records if str(r.covariates[name]) in chosen)
-        right = tuple(r for r in records if str(r.covariates[name]) not in chosen)
-        threshold, subset = None, rule
-    else:
-        left = tuple(r for r in records if float(r.covariates[name]) <= rule)
-        right = tuple(r for r in records if float(r.covariates[name]) > rule)
-        threshold, subset = rule, None
-
-    children = (
-        _grow(left, treatments, schema, config, (*path, 0), depth + 1),
-        _grow(right, treatments, schema, config, (*path, 1), depth + 1),
+    left = _goes_left(rule, _read_covariate(records, name, schema[name])[1])
+    children = tuple(
+        _grow(tuple(compress(records, side)), treatments, schema, config, (*path, k), depth + 1)
+        for k, side in enumerate((left, ~left))
     )
     split = Split(
         covariate=name,
-        threshold=threshold,
-        subset=subset,
+        threshold=None if isinstance(rule, tuple) else rule,
+        subset=rule if isinstance(rule, tuple) else None,
         statistic=statistic,
         p_value=p_value,
         children=children,

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DataError
 from .study_data import (
     CovariateSchema,
@@ -216,29 +218,53 @@ class Tournament:
         return PairCounts(0, 0, 0)
 
 
+_OUTCOME = {Verdict.FIRST_WINS: 0, Verdict.SECOND_WINS: 1, Verdict.TIE: 2}
+_SWAPPED = np.array([1, 0, 2])  # the same outcome seen from the other pair member
+
+
+def _code_records(
+    records: Iterable[PreferenceRecord], treatments: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Records as ``(pairs, codes)``, the one place verdicts meet pair order.
+
+    ``pairs[P, 2]`` holds the distinct treatment-index pairs ``(x, y)``,
+    ``x < y``, in ascending order; record k's code is ``3 * p + outcome``
+    for its pair ``p``, with outcome 0 a win for x, 1 a win for y, 2 a tie.
+    """
+    index = {t: k for k, t in enumerate(treatments)}
+    rows = []
+    for r in records:
+        for label in r.pair:
+            if label not in index:
+                raise DataError(f"record in study {r.study_id!r} uses unknown treatment {label!r}")
+        rows.append((index[r.treat_a], index[r.treat_b], _OUTCOME[r.verdict]))
+    a, b, outcome = np.asarray(rows, dtype=np.intp).reshape(-1, 3).T
+    n = len(treatments)
+    keys, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    pairs = np.stack(np.divmod(keys, n), axis=1)
+    return pairs, 3 * pair + np.where(a > b, _SWAPPED[outcome], outcome)
+
+
+def _tally(pairs: np.ndarray, codes: np.ndarray, treatments: Sequence[str]) -> Tournament:
+    """Tournament of coded records; pairs without records are left out."""
+    treatments = tuple(treatments)
+    counts = np.bincount(codes, minlength=3 * len(pairs)).reshape(-1, 3)
+    kept = counts.sum(axis=1) > 0
+    return Tournament(
+        treatments=treatments,
+        counts={
+            (treatments[x], treatments[y]): PairCounts(*c)
+            for (x, y), c in zip(pairs[kept].tolist(), counts[kept].tolist())
+        },
+    )
+
+
 def aggregate_tournament(
     records: Iterable[PreferenceRecord], treatments: Sequence[str]
 ) -> Tournament:
     """Tally preference records into a tournament over the given treatments."""
     treatments = tuple(treatments)
-    index = {t: i for i, t in enumerate(treatments)}
-    tallies: dict[tuple[str, str], list[int]] = {}
-    for r in records:
-        for label in r.pair:
-            if label not in index:
-                raise DataError(f"record in study {r.study_id!r} uses unknown treatment {label!r}")
-        a, b = r.pair
-        flipped = index[a] > index[b]
-        key = (b, a) if flipped else (a, b)
-        cell = tallies.setdefault(key, [0, 0, 0])
-        if r.verdict is Verdict.TIE:
-            cell[2] += 1
-        elif (r.verdict is Verdict.FIRST_WINS) != flipped:
-            cell[0] += 1
-        else:
-            cell[1] += 1
-    counts = {key: PairCounts(*cell) for key, cell in sorted(tallies.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))}
-    return Tournament(treatments=treatments, counts=counts)
+    return _tally(*_code_records(records, treatments), treatments)
 
 
 @dataclass(frozen=True)

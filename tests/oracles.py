@@ -2,9 +2,11 @@
 
 Nothing here shares code with the package's optimizer: the grid search
 evaluates the likelihood directly on shrinking lattices, the best-value
-probabilities come from one-dimensional quadrature, and gradients come from
-central finite differences, and the log-likelihood and per-record scores
-are plain loops over the scalar contest probabilities. Agreement between
+probabilities come from one-dimensional quadrature (or, draw for draw, from
+one call of numpy's multivariate normal sampler), gradients come from
+central finite differences, the log-likelihood and per-record scores are
+plain loops over the scalar contest probabilities, and tournaments are
+tallied record by record. Agreement between
 these and the package is the point of the comparisons, so keep them
 decoupled.
 """
@@ -179,6 +181,37 @@ def quad_prob_best(means, sds, direction: str = "beneficial") -> list[float]:
         value, _ = quad(integrand, -np.inf, np.inf, limit=200)
         out.append(value)
     return out
+
+
+def one_shot_best_counts(means, cov, sign: float, nsim: int, seed: int) -> list[int]:
+    """How often each treatment is best over ``nsim`` draws taken in one sampler call."""
+    draws = np.random.default_rng(seed).multivariate_normal(
+        means, cov, size=nsim, check_valid="ignore", method="eigh"
+    )
+    counts = [0] * len(means)
+    for row in sign * draws:
+        counts[int(np.argmax(row))] += 1
+    return counts
+
+
+def loop_tally(records, treatments) -> dict[tuple[str, str], PairCounts]:
+    """Per-pair counts keyed in treatment order, one record at a time."""
+    position = list(treatments).index
+    cells: dict[tuple[str, str], list[int]] = {}
+    for r in records:
+        if position(r.treat_a) < position(r.treat_b):
+            key, first = (r.treat_a, r.treat_b), Verdict.FIRST_WINS
+        else:
+            key, first = (r.treat_b, r.treat_a), Verdict.SECOND_WINS
+        cell = cells.setdefault(key, [0, 0, 0])
+        if r.verdict is Verdict.TIE:
+            cell[2] += 1
+        elif r.verdict is first:
+            cell[0] += 1
+        else:
+            cell[1] += 1
+    ordered = sorted(cells, key=lambda k: (position(k[0]), position(k[1])))
+    return {k: PairCounts(*cells[k]) for k in ordered}
 
 
 def simulate_records(rng, n: int, draw, nu: float) -> list[PreferenceRecord]:

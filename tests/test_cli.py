@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from treatrank import build_ability_svg, emit_plot, fit_davidson
-from treatrank.cli import main, parse_args
+from treatrank.cli import RunConfig, main, parse_args
 from treatrank.tcc import PairCounts, Tournament
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -181,6 +181,23 @@ def test_parse_args_builds_a_run_config():
     assert config.permutations == 500
     assert config.seed == 9
     assert config.mcid == 1.25
+
+
+def test_parse_args_leaves_unset_options_at_the_run_config_defaults():
+    for subcommand in ("rank", "partition", "compare", "tcc-dump"):
+        config = parse_args([subcommand, "--input", str(CONTRASTS)])
+        assert config == RunConfig(subcommand=subcommand, input=CONTRASTS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("compare", "--input", LEAGUE), ("partition", "--input", CONTRASTS, "--mcid", "1.2")],
+)
+def test_negative_seed_is_a_data_error(tmp_path, argv):
+    assert _run(*argv, "--out-dir", tmp_path, "--seed", "-1") == 1
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document["error"] == "DataError"
+    assert "seed must be non-negative" in document["message"]
 
 
 def test_partition_on_the_bundled_fixture(tmp_path):

@@ -18,8 +18,9 @@ from treatrank import (
     parse_league_table,
     prob_best,
 )
+from treatrank.compare import _DRAW_BLOCK
 
-from oracles import quad_prob_best
+from oracles import one_shot_best_counts, quad_prob_best
 
 
 def _pairwise_three():
@@ -258,6 +259,33 @@ def test_prob_best_harmful_direction_prefers_small_values():
     for k, x in enumerate(("A", "B", "C")):
         assert result[x] == pytest.approx(expected[k], abs=0.01)
     assert result["C"] == max(result.values())
+
+
+def test_prob_best_blocks_draw_what_one_sampler_call_draws():
+    rng = np.random.default_rng(43)
+    labels = ("A", "B", "C", "D", "E")
+    root = rng.normal(size=(5, 5))
+    full_rank = root @ root.T / 50.0
+    singular = full_rank.copy()
+    singular[0, :] = singular[:, 0] = 0.0  # a reference fixed at its estimate
+    means = rng.normal(0.0, 0.2, 5)
+    nsim = 2 * _DRAW_BLOCK + 123  # two full blocks and a remainder
+    for cov in (full_rank, singular):
+        for direction, sign in (("beneficial", 1.0), ("harmful", -1.0)):
+            lt = LeagueTable.from_basic(
+                {x: (m, 0.1) for x, m in zip(labels, means)},
+                covariance=cov,
+                direction=direction,
+            )
+            result = prob_best(lt, nsim=nsim, seed=11)
+            counts = one_shot_best_counts(means, cov, sign, nsim, 11)
+            assert [round(result[x] * nsim) for x in labels] == counts
+
+
+def test_prob_best_rejects_a_negative_seed():
+    lt = LeagueTable.from_basic({"A": (0.3, 0.2), "B": (0.1, 0.2)}, covariance=np.eye(2) * 0.04)
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        prob_best(lt, nsim=10, seed=-1)
 
 
 def test_prob_best_is_deterministic_given_seed():

@@ -366,3 +366,22 @@ def test_partition_config_validation():
         PartitionConfig(permutations=0)
     with pytest.raises(DataError, match="trim"):
         PartitionConfig(trim=0.5)
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        PartitionConfig(seed=-1)
+
+
+def test_numeric_looking_string_levels_stay_categorical():
+    # Parsed records keep a categorical column's levels as strings; kind=None
+    # must not read "1" and "2" as numbers.
+    records = [
+        replace(r, covariates={"group": "1" if r.covariates["group"] == "lo" else "2"})
+        for r in simulate_records(np.random.default_rng(506), 240, _planted_group, 1.0)
+    ]
+    fit = _pooled_fit(records)
+    declared = Categorical(levels=("1", "2"))
+    statistic, p_value = stability_test(records, "group", fit)
+    assert (statistic, p_value) == stability_test(records, "group", fit, declared)
+    assert p_value < 0.05
+    rule, loglik = best_split(records, "group")
+    assert rule == ("1",)
+    assert (rule, loglik) == best_split(records, "group", declared)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatrank import (
     DataError,
@@ -24,6 +26,8 @@ from treatrank import (
     parse_preference_records,
     tcc_decision,
 )
+
+from oracles import loop_tally
 
 
 def _effect(y, lo, hi, study="s1", a="A", b="B"):
@@ -227,6 +231,32 @@ def test_aggregate_empty_and_multi_arm_cases():
     assert set(t.counts) == {("A", "B"), ("A", "C"), ("B", "C")}
     assert all(c.total == 1 for c in t.counts.values())
     assert t.total_records == len(study)
+
+
+@st.composite
+def _records_and_order(draw):
+    labels = ("A", "B", "C", "D", "E")[: draw(st.integers(2, 5))]
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(
+        lambda p: p[0] != p[1]
+    )
+    rows = draw(st.lists(st.tuples(pair, st.sampled_from(list(Verdict))), max_size=30))
+    records = [
+        PreferenceRecord(study_id=f"s{k}", treat_a=a, treat_b=b, verdict=v)
+        for k, ((a, b), v) in enumerate(rows)
+    ]
+    return records, draw(st.permutations(labels))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_records_and_order())
+def test_aggregate_matches_a_record_by_record_tally(case):
+    # Both record orientations, ties, any treatment order, pairs with no records.
+    records, order = case
+    t = aggregate_tournament(records, order)
+    expected = loop_tally(records, order)
+    assert t.treatments == tuple(order)
+    assert t.counts == expected
+    assert list(t.counts) == list(expected)
 
 
 def test_aggregate_rejects_unknown_treatment():
