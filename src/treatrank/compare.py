@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -41,7 +41,8 @@ class LeagueTable:
     standard error); ``basic`` maps each treatment to (estimate against a
     common baseline, standard error), optionally with a full ``covariance``
     aligned to ``treatments``. Exactly the supplied form is stored; the
-    metric functions derive the form they need.
+    metric functions derive the form they need. ``_index`` maps each
+    treatment to its position.
     """
 
     treatments: tuple[str, ...]
@@ -49,6 +50,7 @@ class LeagueTable:
     pairwise: Mapping[tuple[str, str], tuple[float, float]] | None = None
     basic: Mapping[str, tuple[float, float]] | None = None
     covariance: np.ndarray | None = None
+    _index: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.direction not in (BENEFICIAL, HARMFUL):
@@ -68,6 +70,7 @@ class LeagueTable:
                     f"covariance shape {self.covariance.shape} does not match "
                     f"{n} treatments"
                 )
+        object.__setattr__(self, "_index", {x: k for k, x in enumerate(self.treatments)})
 
     @classmethod
     def from_pairwise(
@@ -142,7 +145,7 @@ class LeagueTable:
 
 def _check_known(lt: LeagueTable, *labels: str) -> None:
     for label in labels:
-        if label not in lt.treatments:
+        if label not in lt._index:
             raise DataError(f"unknown treatment {label!r}")
 
 
@@ -160,8 +163,7 @@ def _pair_entry(lt: LeagueTable, x: str, y: str) -> tuple[float, float]:
     b_x, se_x = lt.basic[x]
     b_y, se_y = lt.basic[y]
     if lt.covariance is not None:
-        index = {label: k for k, label in enumerate(lt.treatments)}
-        i, j = index[x], index[y]
+        i, j = lt._index[x], lt._index[y]
         var = lt.covariance[i, i] + lt.covariance[j, j] - 2.0 * lt.covariance[i, j]
     else:
         var = se_x**2 + se_y**2

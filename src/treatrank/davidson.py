@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -112,16 +111,6 @@ _CREDIT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
 _CREDIT_PRODUCTS = np.einsum("ka,kb->abk", _CREDIT, _CREDIT).reshape(9, 3)
 
 
-def _pair_arrays(t: Tournament) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(i, j, counts[P, 3])`` for the pairs of ``t`` that have records."""
-    index = {x: k for k, x in enumerate(t.treatments)}
-    rows = chain.from_iterable(
-        (index[x], index[y], *c) for (x, y), c in t.counts.items() if c.total > 0
-    )
-    table = np.fromiter(rows, dtype=np.intp).reshape(-1, 5)
-    return table[:, 0], table[:, 1], table[:, 2:].astype(float)
-
-
 def _log_nu(nu: float) -> float:
     return math.log(nu) if nu > 0 else -math.inf
 
@@ -163,8 +152,30 @@ def log_likelihood(t: Tournament, psi, nu: float) -> float:
     values = _ability_vector(t, psi)
     if nu < 0:
         raise DataError(f"tie prevalence must be non-negative, got {nu}")
-    i, j, counts = _pair_arrays(t)
-    return _loglik(counts, _log_probabilities(np.log(values), _log_nu(nu), i, j))
+    return _loglik(t._counts, _log_probabilities(np.log(values), _log_nu(nu), t._i, t._j))
+
+
+def _reached(edges: list[tuple[int, int]], n: int) -> list[bool]:
+    """Which of ``n`` nodes node 0 reaches along the directed ``edges``."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+    seen = [k == 0 for k in range(n)]
+    stack = [0]
+    while stack:
+        for b in adjacency[stack.pop()]:
+            if not seen[b]:
+                seen[b] = True
+                stack.append(b)
+    return seen
+
+
+def _cut(labels: Sequence[str], inside: list[bool]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The labels inside, then those outside, each in the given order."""
+    return (
+        tuple(x for x, k in zip(labels, inside) if k),
+        tuple(x for x, k in zip(labels, inside) if not k),
+    )
 
 
 def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
@@ -177,74 +188,35 @@ def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     in both directions because tied contests shrink in probability as the
     two abilities drift apart, anchoring the likelihood just as a win does.
 
-    Returns None on pass, else one violating bipartition as
-    ``(subset, complement)``: no treatment in ``complement`` ever beats or
-    ties a treatment in ``subset``.
+    Two sweeps from the first treatment decide it, in O(n + P) for n
+    treatments and P pairs with records. Returns None on pass, else one
+    violating bipartition as ``(subset, complement)``, each in treatment
+    order: no treatment in ``complement`` ever beats or ties a treatment in
+    ``subset``. When some treatment cannot be reached from the first one
+    along the edges, ``subset`` holds every such treatment and
+    ``complement`` the reached ones, the first included. Otherwise, when
+    some treatment cannot reach the first one, ``subset`` holds the
+    treatments that can, the first included, and ``complement`` the rest.
     """
-    labels = t.treatments
-    n = len(labels)
-    index = {x: k for k, x in enumerate(labels)}
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for (x, y), c in t.counts.items():
-        i, j = index[x], index[y]
-        if c.wins_first or c.ties:
-            forward[i].append(j)
-            backward[j].append(i)
-        if c.wins_second or c.ties:
-            forward[j].append(i)
-            backward[i].append(j)
-
-    # Kosaraju's algorithm, iterative to keep deep graphs off the call stack.
-    finish_order: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [(start, iter(forward[start]))]
-        while stack:
-            node, neighbours = stack[-1]
-            advanced = False
-            for nxt in neighbours:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(forward[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                finish_order.append(node)
-                stack.pop()
-
-    component = [-1] * n
-    n_components = 0
-    for start in reversed(finish_order):
-        if component[start] != -1:
-            continue
-        component[start] = n_components
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in backward[node]:
-                if component[nxt] == -1:
-                    component[nxt] = n_components
-                    stack.append(nxt)
-        n_components += 1
-
-    if n_components <= 1:
+    n = len(t.treatments)
+    if n == 0:
         return None
-    has_incoming = [False] * n_components
-    for i in range(n):
-        for j in forward[i]:
-            if component[i] != component[j]:
-                has_incoming[component[j]] = True
-    source = has_incoming.index(False)
-    subset = tuple(x for x in labels if component[index[x]] == source)
-    complement = tuple(x for x in labels if component[index[x]] != source)
-    return subset, complement
+    edges = []
+    for i, j, (first, second, ties) in zip(t._i.tolist(), t._j.tolist(), t._counts.tolist()):
+        if first or ties:
+            edges.append((i, j))
+        if second or ties:
+            edges.append((j, i))
+    reached = _reached(edges, n)
+    if not all(reached):
+        return _cut(t.treatments, [not k for k in reached])
+    reaching = _reached([(j, i) for i, j in edges], n)
+    if not all(reaching):
+        return _cut(t.treatments, reaching)
+    return None
 
 
-def _nu_unbounded(i: np.ndarray, j: np.ndarray, counts: np.ndarray, n: int) -> bool:
+def _nu_unbounded(t: Tournament) -> bool:
     """Whether the likelihood keeps rising as nu grows and the abilities spread.
 
     Move log nu by t / 2 and the log-abilities by t * d. As t grows, the
@@ -256,6 +228,7 @@ def _nu_unbounded(i: np.ndarray, j: np.ndarray, counts: np.ndarray, n: int) -> b
     feasible iff the graph with an edge u -> v of weight w has no negative
     cycle, which Floyd-Warshall shows on the diagonal.
     """
+    i, j, counts, n = t._i, t._j, t._counts, len(t.treatments)
     first, second = counts[:, 0] > 0, counts[:, 1] > 0
     if np.any(first & second):
         return False  # wins both ways in one pair: a negative 2-cycle
@@ -286,8 +259,8 @@ class DavidsonObjective:
     def __init__(self, t: Tournament):
         self.treatments = t.treatments
         self.n_treatments = n = len(t.treatments)
-        self._i, self._j, self._counts = _pair_arrays(t)
-        self.has_tie_param = bool(self._counts[:, 2].sum() > 0)
+        self._i, self._j, self._counts = t._i, t._j, t._counts
+        self.has_tie_param = t.total_ties > 0
         self.n_params = n - 1 + (1 if self.has_tie_param else 0)
         self.param_names = tuple(
             [f"log_ability[{x}]" for x in t.treatments[1:]]
@@ -476,7 +449,7 @@ def fit_davidson(
         raise FordConditionError(*failure)
 
     obj = DavidsonObjective(t)
-    if obj.has_tie_param and _nu_unbounded(obj._i, obj._j, obj._counts, obj.n_treatments):
+    if obj.has_tie_param and _nu_unbounded(t):
         raise ModelError(
             "no finite maximum-likelihood estimate: the likelihood keeps rising as "
             "the tie prevalence nu grows and the abilities spread apart with it"

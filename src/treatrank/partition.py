@@ -39,6 +39,11 @@ __all__ = [
     "tree_to_dict",
 ]
 
+# The categorical split search fits both sides of 2^(L-1) - 1 level subsets
+# for L observed levels, so its cost doubles with every level.
+MAX_SPLIT_LEVELS = 10
+
+
 @dataclass(frozen=True)
 class PartitionConfig:
     """Knobs for :func:`grow_tree`; ``max_depth=None`` means unbounded."""
@@ -55,6 +60,8 @@ class PartitionConfig:
             raise DataError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.min_node_size < 2:
             raise DataError(f"min_node_size must be at least 2, got {self.min_node_size}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise DataError(f"max_depth must be non-negative, got {self.max_depth}")
         if self.permutations < 1:
             raise DataError(f"permutations must be positive, got {self.permutations}")
         if self.seed < 0:
@@ -292,17 +299,23 @@ def best_split(
 
     Continuous: candidate cutpoints are the midpoints between consecutive
     distinct observed values; categorical: all binary partitions of the
-    observed levels. A candidate is admissible when both sides meet
-    ``min_node_size`` and fit successfully. The winner maximizes the summed
-    maximized log-likelihood of the two sub-fits; exact ties go to the more
-    balanced split, then to the smaller cutpoint (or the lexicographically
-    smallest level subset).
+    observed levels, of which there may be at most ``MAX_SPLIT_LEVELS``
+    (more raise a ``DataError`` before any fit). A candidate is admissible
+    when both sides meet ``min_node_size`` and fit successfully. The winner
+    maximizes the summed maximized log-likelihood of the two sub-fits; exact
+    ties go to the more balanced split, then to the smaller cutpoint (or the
+    lexicographically smallest level subset).
 
     Returns ``(rule, partitioned_loglik)`` where ``rule`` is the cutpoint
     (left side: values <= rule) or the tuple of left-side levels.
     """
     records = tuple(records)
     kind, values = _read_covariate(records, covariate, kind)
+    if isinstance(kind, Categorical) and (levels := np.unique(values).size) > MAX_SPLIT_LEVELS:
+        raise DataError(
+            f"covariate {covariate!r} has {levels} levels; the split search "
+            f"takes at most {MAX_SPLIT_LEVELS}"
+        )
     if treatments is None:
         treatments = _treatment_order(records)
     pairs, codes = _code_records(records, treatments)

@@ -13,6 +13,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -181,32 +182,48 @@ class Tournament:
 
     Keys follow the ``treatments`` order: in a ``(X, Y)`` key, X precedes Y,
     and ``wins_first`` counts wins for X. Pairs with no records are absent.
+    ``counts`` is a read-only copy of the mapping passed in. The model code
+    reads the same tallies as arrays, built once here: ``_i``, ``_j`` hold
+    the treatment indices of the pairs with records, in key order, and
+    ``_counts[P, 3]`` their (wins for ``_i``, wins for ``_j``, ties).
     """
 
     treatments: tuple[str, ...]
     counts: Mapping[tuple[str, str], PairCounts]
+    _i: np.ndarray = field(init=False, repr=False, compare=False)
+    _j: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {t: i for i, t in enumerate(self.treatments)}
-        for (x, y), c in self.counts.items():
+        counts = MappingProxyType(dict(self.counts))
+        rows = []
+        for (x, y), c in counts.items():
             if x not in index or y not in index:
                 raise DataError(f"pair ({x!r}, {y!r}) uses an unknown treatment")
             if index[x] >= index[y]:
                 raise DataError(f"pair key ({x!r}, {y!r}) is not in treatment order")
             if min(c) < 0:
                 raise DataError(f"pair ({x!r}, {y!r}) has negative counts {c}")
+            if any(c):
+                rows.append((index[x], index[y], *c))
+        table = np.asarray(rows, dtype=np.intp).reshape(-1, 5)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_i", table[:, 0])
+        object.__setattr__(self, "_j", table[:, 1])
+        object.__setattr__(self, "_counts", table[:, 2:].astype(float))
 
     @property
     def total_records(self) -> int:
-        return sum(c.total for c in self.counts.values())
+        return int(self._counts.sum())
 
     @property
     def total_ties(self) -> int:
-        return sum(c.ties for c in self.counts.values())
+        return int(self._counts[:, 2].sum())
 
     @property
     def total_wins(self) -> int:
-        return sum(c.wins_first + c.wins_second for c in self.counts.values())
+        return int(self._counts[:, :2].sum())
 
     def pair_counts(self, x: str, y: str) -> PairCounts:
         """Counts for the (x, y) pair, oriented so wins_first belongs to x."""

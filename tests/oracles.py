@@ -5,8 +5,9 @@ evaluates the likelihood directly on shrinking lattices, the best-value
 probabilities come from one-dimensional quadrature (or, draw for draw, from
 one call of numpy's multivariate normal sampler), gradients come from
 central finite differences, the log-likelihood and per-record scores are
-plain loops over the scalar contest probabilities, and tournaments are
-tallied record by record. Agreement between
+plain loops over the scalar contest probabilities, tournaments are
+tallied record by record, and the preference graph's connectivity comes
+from a boolean transitive closure. Agreement between
 these and the package is the point of the comparisons, so keep them
 decoupled.
 """
@@ -192,6 +193,26 @@ def one_shot_best_counts(means, cov, sign: float, nsim: int, seed: int) -> list[
     for row in sign * draws:
         counts[int(np.argmax(row))] += 1
     return counts
+
+
+def reachability(t: Tournament) -> list[list[bool]]:
+    """``reach[a][b]``: treatment a reaches b along beat-or-tie edges (or a == b).
+
+    Boolean Warshall closure of the preference graph, an edge a -> b when a
+    beat or tied b at least once.
+    """
+    position = list(t.treatments).index
+    n = len(t.treatments)
+    reach = [[a == b for b in range(n)] for a in range(n)]
+    for (x, y), c in t.counts.items():
+        a, b = position(x), position(y)
+        reach[a][b] = reach[a][b] or c.wins_first > 0 or c.ties > 0
+        reach[b][a] = reach[b][a] or c.wins_second > 0 or c.ties > 0
+    for k in range(n):
+        for a in range(n):
+            if reach[a][k]:
+                reach[a] = [r or via for r, via in zip(reach[a], reach[k])]
+    return reach
 
 
 def loop_tally(records, treatments) -> dict[tuple[str, str], PairCounts]:

@@ -200,6 +200,15 @@ def test_negative_seed_is_a_data_error(tmp_path, argv):
     assert "seed must be non-negative" in document["message"]
 
 
+def test_negative_max_depth_is_a_data_error(tmp_path):
+    argv = ("partition", "--input", CONTRASTS, "--mcid", "1.2", "--max-depth", "-1")
+    assert _run(*argv, "--out-dir", tmp_path) == 1
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document["error"] == "DataError"
+    assert "max_depth must be non-negative" in document["message"]
+    assert not (tmp_path / "tree.json").exists()
+
+
 def test_partition_on_the_bundled_fixture(tmp_path):
     code = _run(
         "partition", "--input", CONTRASTS, "--out-dir", tmp_path,

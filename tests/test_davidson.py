@@ -28,7 +28,7 @@ from treatrank import (
 )
 from treatrank.davidson import DavidsonObjective
 
-from oracles import fd_gradient, grid_search_mle, loop_loglik, random_tournament
+from oracles import fd_gradient, grid_search_mle, loop_loglik, random_tournament, reachability
 
 
 def _tournament(counts, treatments=None):
@@ -247,6 +247,50 @@ def test_ford_failure_reported_by_fit():
     assert set(info.value.subset) == {"A"}
     assert set(info.value.complement) == {"B", "C"}
     assert "beats or ties" in str(info.value)
+
+
+@st.composite
+def _sparse_tournaments(draw):
+    """2-8 treatments; each pair absent, or present with counts of 0-2 (all
+    zero included)."""
+    n = draw(st.integers(2, 8))
+    labels = tuple(f"T{k}" for k in range(n))
+    cell = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    counts = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            c = draw(cell)
+            if c is not None:
+                counts[(labels[a], labels[b])] = PairCounts(*c)
+    return Tournament(labels, counts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_tournaments())
+def test_ford_cut_agrees_with_the_reachability_closure(t):
+    reach = reachability(t)
+    labels = t.treatments
+    failure = check_ford(t)
+    if all(all(row) for row in reach):
+        assert failure is None
+        return
+    assert failure is not None
+    subset, complement = failure
+    assert subset and complement
+    assert len(subset) + len(complement) == len(labels)
+    assert subset == tuple(x for x in labels if x in subset)
+    assert complement == tuple(x for x in labels if x in complement)
+    for outside in complement:
+        for inside in subset:
+            c = t.pair_counts(outside, inside)
+            assert c.wins_first == 0 and c.ties == 0
+    # Forward sweep first: what the first treatment does not reach; then
+    # the backward sweep: what reaches the first treatment.
+    if not all(reach[0]):
+        expected = tuple(x for b, x in enumerate(labels) if not reach[0][b])
+    else:
+        expected = tuple(x for a, x in enumerate(labels) if reach[a][0])
+    assert subset == expected
 
 
 # Each case passes the Ford check, yet nu can grow while every win widens and

@@ -21,6 +21,7 @@ from treatrank import (
     fit_davidson,
     format_tree,
     grow_tree,
+    partition,
     score_contributions,
     stability_test,
     tree_to_dict,
@@ -250,6 +251,21 @@ def test_best_split_rejects_constant_covariate():
         best_split(fixed, "k")
 
 
+def test_best_split_refuses_too_many_levels_before_any_fit(monkeypatch):
+    levels = [f"L{k:02d}" for k in range(partition.MAX_SPLIT_LEVELS + 1)]
+    records = [
+        replace(r, covariates={"site": levels[k % len(levels)]})
+        for k, r in enumerate(simulate_records(np.random.default_rng(79), 120, _null_draw, 1.0))
+    ]
+
+    def no_fit(t):
+        raise AssertionError("best_split fitted a candidate")
+
+    monkeypatch.setattr(partition, "fit_davidson", no_fit)
+    with pytest.raises(DataError, match=f"'site' has {len(levels)} levels"):
+        best_split(records, "site")
+
+
 def test_best_split_fails_when_no_candidate_is_admissible():
     records = simulate_records(np.random.default_rng(78), 30, _null_draw, 1.0)
     with pytest.raises(ModelError, match="no admissible split"):
@@ -368,6 +384,8 @@ def test_partition_config_validation():
         PartitionConfig(trim=0.5)
     with pytest.raises(DataError, match="seed must be non-negative"):
         PartitionConfig(seed=-1)
+    with pytest.raises(DataError, match="max_depth must be non-negative"):
+        PartitionConfig(max_depth=-1)
 
 
 def test_numeric_looking_string_levels_stay_categorical():

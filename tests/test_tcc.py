@@ -276,6 +276,16 @@ def test_tournament_validates_keys_and_counts():
         Tournament(treatments=("A", "B"), counts={("A", "B"): PairCounts(-1, 0, 0)})
 
 
+def test_tournament_keeps_a_read_only_copy_of_its_counts():
+    counts = {("A", "B"): PairCounts(3, 1, 2)}
+    t = Tournament(treatments=("A", "B"), counts=counts)
+    counts[("A", "B")] = PairCounts(0, 9, 0)
+    assert t.counts == {("A", "B"): PairCounts(3, 1, 2)}
+    assert (t.total_records, t.total_wins, t.total_ties) == (6, 4, 2)
+    with pytest.raises(TypeError):
+        t.counts[("A", "B")] = PairCounts(0, 0, 0)
+
+
 def test_pair_counts_accessor_flips_orientation():
     t = Tournament(treatments=("A", "B"), counts={("A", "B"): PairCounts(3, 1, 2)})
     assert t.pair_counts("A", "B") == PairCounts(3, 1, 2)
