@@ -155,10 +155,25 @@ def log_likelihood(t: Tournament, psi, nu: float) -> float:
     return _loglik(t._counts, _log_probabilities(np.log(values), _log_nu(nu), t._i, t._j))
 
 
-def _reached(edges: list[tuple[int, int]], n: int) -> list[bool]:
+def _preference_edges(t: Tournament) -> list[tuple[int, int, int]]:
+    """The preference graph as ``(source, target, weight)`` treatment-index edges.
+
+    An edge X -> Y runs when X beat Y at least once (weight -1) or, failing
+    that, tied with Y (weight +1).
+    """
+    edges = []
+    for i, j, (first, second, ties) in zip(t._i.tolist(), t._j.tolist(), t._counts.tolist()):
+        if first or ties:
+            edges.append((i, j, -1 if first else 1))
+        if second or ties:
+            edges.append((j, i, -1 if second else 1))
+    return edges
+
+
+def _reached(edges: list[tuple[int, int, int]], n: int) -> list[bool]:
     """Which of ``n`` nodes node 0 reaches along the directed ``edges``."""
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
+    for a, b, _ in edges:
         adjacency[a].append(b)
     seen = [k == 0 for k in range(n)]
     stack = [0]
@@ -201,16 +216,11 @@ def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     n = len(t.treatments)
     if n == 0:
         return None
-    edges = []
-    for i, j, (first, second, ties) in zip(t._i.tolist(), t._j.tolist(), t._counts.tolist()):
-        if first or ties:
-            edges.append((i, j))
-        if second or ties:
-            edges.append((j, i))
+    edges = _preference_edges(t)
     reached = _reached(edges, n)
     if not all(reached):
         return _cut(t.treatments, [not k for k in reached])
-    reaching = _reached([(j, i) for i, j in edges], n)
+    reaching = _reached([(b, a, w) for a, b, w in edges], n)
     if not all(reaching):
         return _cut(t.treatments, reaching)
     return None
@@ -225,25 +235,24 @@ def _nu_unbounded(t: Tournament) -> bool:
     d_winner - d_loser >= 1; for a tie, |d_x - d_y| <= 1. Each pair then
     also has a dominated term, so the likelihood rises towards a supremum it
     never reaches. The conditions are difference constraints d_v - d_u <= w,
-    feasible iff the graph with an edge u -> v of weight w has no negative
-    cycle, which Floyd-Warshall shows on the diagonal.
+    one per preference edge u -> v of weight w, feasible iff that graph has
+    no negative cycle. Bellman-Ford rounds from all-zero distances decide it
+    in O(n * P) time and O(n + P) memory: a round that changes nothing
+    leaves feasible distances, and one that still relaxes after n rounds
+    means a negative cycle (Cormen et al., CLRS section 24.4).
     """
-    i, j, counts, n = t._i, t._j, t._counts, len(t.treatments)
-    first, second = counts[:, 0] > 0, counts[:, 1] > 0
-    if np.any(first & second):
+    counts = t._counts
+    if np.any((counts[:, 0] > 0) & (counts[:, 1] > 0)):
         return False  # wins both ways in one pair: a negative 2-cycle
-    bound = np.full((n, n), np.inf)
-    np.fill_diagonal(bound, 0.0)
-    ties = counts[:, 2] > 0
-    bound[i[ties], j[ties]] = bound[j[ties], i[ties]] = 1.0
-    bound[i[first], j[first]] = -1.0
-    bound[j[second], i[second]] = -1.0
-    for k in range(n):
-        np.minimum(bound, bound[:, k, None] + bound[None, k, :], out=bound)
-        # A simple path weighs at least -(n - 1), so the floor only stops a
-        # negative cycle's walks from growing without bound.
-        np.maximum(bound, -n, out=bound)
-    return bool(np.all(np.diagonal(bound) >= 0.0))
+    edges = np.asarray(_preference_edges(t), dtype=np.intp).reshape(-1, 3)
+    source, target, weight = edges.T
+    distance = np.zeros(len(t.treatments), dtype=np.intp)
+    for _ in range(len(t.treatments)):
+        relaxed = distance[source] + weight
+        if not np.any(relaxed < distance[target]):
+            return True
+        np.minimum.at(distance, target, relaxed)
+    return False
 
 
 class DavidsonObjective:
@@ -518,31 +527,34 @@ def _log_pi_variance(f: AbilityFit) -> np.ndarray:
     pi = np.asarray([f.pi[x] for x in f.treatments])
     block = f.covariance[: n - 1, : n - 1]
     # d log pi_x / d lambda_z = 1{x = z} - pi_z over the free log-abilities.
-    grads = -np.tile(pi[1:], (n, 1))
-    for k in range(1, n):
-        grads[k, k - 1] += 1.0
+    grads = np.eye(n)[:, 1:] - pi[1:]
     return np.einsum("ki,ij,kj->k", grads, block, grads)
+
+
+def _wald_intervals(
+    estimates: Sequence[float], log_variances: Sequence[float], ci_level: float
+) -> list[tuple[float, float, float]]:
+    """``(se_log, lower, upper)`` per estimate: a log-scale Wald interval, exponentiated."""
+    if not (0.0 < ci_level < 1.0):
+        raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
+    z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
+    out = []
+    for estimate, log_var in zip(estimates, log_variances):
+        se_log = math.sqrt(max(log_var, 0.0))
+        out.append((se_log, estimate * math.exp(-z * se_log), estimate * math.exp(z * se_log)))
+    return out
 
 
 def normalized_abilities(
     f: AbilityFit, ci_level: float = 0.95
 ) -> dict[str, NormalizedAbility]:
     """Normalized abilities with SEs and CIs propagated on the log scale."""
-    if not (0.0 < ci_level < 1.0):
-        raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
-    z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
-    log_var = _log_pi_variance(f)
-    out = {}
-    for k, label in enumerate(f.treatments):
-        pi = f.pi[label]
-        se_log = math.sqrt(max(log_var[k], 0.0))
-        out[label] = NormalizedAbility(
-            estimate=pi,
-            se=pi * se_log,
-            ci_lower=pi * math.exp(-z * se_log),
-            ci_upper=pi * math.exp(z * se_log),
-        )
-    return out
+    estimates = [f.pi[x] for x in f.treatments]
+    intervals = _wald_intervals(estimates, _log_pi_variance(f), ci_level)
+    return {
+        label: NormalizedAbility(estimate=pi, se=pi * se_log, ci_lower=lower, ci_upper=upper)
+        for label, pi, (se_log, lower, upper) in zip(f.treatments, estimates, intervals)
+    }
 
 
 def ability_ratios(
@@ -556,46 +568,26 @@ def ability_ratios(
     fictional treatment whose ability is the arithmetic mean ability. CIs are
     Wald intervals on the log-ratio, exponentiated.
     """
-    if not (0.0 < ci_level < 1.0):
-        raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
-    z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
     labels = f.treatments
-    ratios = []
     if isinstance(denominator, _AverageAbility):
+        scale = sum(f.psi[x] for x in labels) / len(labels)
         log_var = _log_pi_variance(f)
-        mean_ability = sum(f.psi[x] for x in labels) / len(labels)
-        for k, x in enumerate(labels):
-            estimate = f.psi[x] / mean_ability
-            se_log = math.sqrt(max(log_var[k], 0.0))
-            ratios.append(
-                AbilityRatio(
-                    numerator=x,
-                    denominator=AVERAGE,
-                    estimate=estimate,
-                    ci_lower=estimate * math.exp(-z * se_log),
-                    ci_upper=estimate * math.exp(z * se_log),
-                    ci_level=ci_level,
-                )
-            )
-        return ratios
-    if denominator not in f.psi:
+    elif denominator in f.psi:
+        scale, d = f.psi[denominator], labels.index(denominator)
+        block = _ability_block(f)
+        log_var = np.diagonal(block) + block[d, d] - 2.0 * block[:, d]
+    else:
         raise DataError(f"unknown denominator treatment {denominator!r}")
-    block = _ability_block(f)
-    index = {x: k for k, x in enumerate(labels)}
-    d = index[denominator]
-    for x in labels:
-        k = index[x]
-        estimate = 1.0 if x == denominator else f.psi[x] / f.psi[denominator]
-        var = block[k, k] + block[d, d] - 2.0 * block[k, d]
-        se_log = math.sqrt(max(var, 0.0))
-        ratios.append(
-            AbilityRatio(
-                numerator=x,
-                denominator=denominator,
-                estimate=estimate,
-                ci_lower=estimate * math.exp(-z * se_log),
-                ci_upper=estimate * math.exp(z * se_log),
-                ci_level=ci_level,
-            )
+    estimates = [f.psi[x] / scale for x in labels]
+    intervals = _wald_intervals(estimates, log_var, ci_level)
+    return [
+        AbilityRatio(
+            numerator=x,
+            denominator=denominator,
+            estimate=estimate,
+            ci_lower=lower,
+            ci_upper=upper,
+            ci_level=ci_level,
         )
-    return ratios
+        for x, estimate, (_, lower, upper) in zip(labels, estimates, intervals)
+    ]

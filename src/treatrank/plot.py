@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .davidson import AbilityFit, normalized_abilities
 
@@ -28,6 +27,11 @@ def _nice_step(span: float) -> float:
         if mult * magnitude >= raw:
             return mult * magnitude
     return 10.0 * magnitude
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, ``&`` first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -74,7 +78,7 @@ def build_ability_svg(fit: AbilityFit, ci_level: float = 0.95) -> str:
         y = _TOP_MARGIN + _ROW_HEIGHT * row + _ROW_HEIGHT // 2
         parts.append(
             f'<text x="{_LABEL_GUTTER - 10}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12" fill="{_TEXT}" text-anchor="end">{escape(label)}</text>'
+            f'font-size="12" fill="{_TEXT}" text-anchor="end">{_escape(label)}</text>'
         )
         parts.append(
             f'<line x1="{_fmt(to_x(a.ci_lower))}" y1="{y}" x2="{_fmt(to_x(a.ci_upper))}" '

@@ -6,8 +6,9 @@ probabilities come from one-dimensional quadrature (or, draw for draw, from
 one call of numpy's multivariate normal sampler), gradients come from
 central finite differences, the log-likelihood and per-record scores are
 plain loops over the scalar contest probabilities, tournaments are
-tallied record by record, and the preference graph's connectivity comes
-from a boolean transitive closure. Agreement between
+tallied record by record, the preference graph's connectivity comes
+from a boolean transitive closure, and the no-finite-maximum verdict from
+Floyd-Warshall on a dense bound matrix. Agreement between
 these and the package is the point of the comparisons, so keep them
 decoupled.
 """
@@ -213,6 +214,31 @@ def reachability(t: Tournament) -> list[list[bool]]:
             if reach[a][k]:
                 reach[a] = [r or via for r, via in zip(reach[a], reach[k])]
     return reach
+
+
+def floyd_warshall_nu_unbounded(t: Tournament) -> bool:
+    """Whether the difference constraints of ``davidson._nu_unbounded`` are feasible.
+
+    d_loser - d_winner <= -1 for every win and |d_x - d_y| <= 1 for every
+    tie, decided by Floyd-Warshall on the n x n bound matrix: feasible iff no
+    diagonal entry turns negative.
+    """
+    i, j, counts, n = t._i, t._j, t._counts, len(t.treatments)
+    first, second = counts[:, 0] > 0, counts[:, 1] > 0
+    if np.any(first & second):
+        return False  # wins both ways in one pair: a negative 2-cycle
+    bound = np.full((n, n), np.inf)
+    np.fill_diagonal(bound, 0.0)
+    ties = counts[:, 2] > 0
+    bound[i[ties], j[ties]] = bound[j[ties], i[ties]] = 1.0
+    bound[i[first], j[first]] = -1.0
+    bound[j[second], i[second]] = -1.0
+    for k in range(n):
+        np.minimum(bound, bound[:, k, None] + bound[None, k, :], out=bound)
+        # A simple path weighs at least -(n - 1), so the floor only stops a
+        # negative cycle's walks from growing without bound.
+        np.maximum(bound, -n, out=bound)
+    return bool(np.all(np.diagonal(bound) >= 0.0))
 
 
 def loop_tally(records, treatments) -> dict[tuple[str, str], PairCounts]:

@@ -338,11 +338,11 @@ def test_compare_rejects_unrecognized_header(tmp_path):
 def _small_fit():
     return fit_davidson(
         Tournament(
-            treatments=("alpha", "beta & co", "gamma"),
+            treatments=("alpha", "beta & co", "<gamma>"),
             counts={
                 ("alpha", "beta & co"): PairCounts(3, 1, 2),
-                ("alpha", "gamma"): PairCounts(2, 1, 1),
-                ("beta & co", "gamma"): PairCounts(2, 2, 2),
+                ("alpha", "<gamma>"): PairCounts(2, 1, 1),
+                ("beta & co", "<gamma>"): PairCounts(2, 2, 2),
             },
         )
     )
@@ -353,6 +353,8 @@ def test_svg_marks_every_treatment_and_escapes_labels():
     assert svg.count("<circle") == 3
     assert "beta &amp; co" in svg
     assert "&amp; co</text>" in svg
+    assert ">&lt;gamma&gt;</text>" in svg
+    assert "<gamma>" not in svg and "&amp;lt;" not in svg
     assert "95% intervals" in svg
 
 

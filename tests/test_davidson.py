@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,16 @@ from treatrank import (
     pairwise_probabilities,
     win_tie_probabilities,
 )
-from treatrank.davidson import DavidsonObjective
+from treatrank.davidson import DavidsonObjective, _nu_unbounded
 
-from oracles import fd_gradient, grid_search_mle, loop_loglik, random_tournament, reachability
+from oracles import (
+    fd_gradient,
+    floyd_warshall_nu_unbounded,
+    grid_search_mle,
+    loop_loglik,
+    random_tournament,
+    reachability,
+)
 
 
 def _tournament(counts, treatments=None):
@@ -314,6 +322,41 @@ def test_fit_rejects_a_likelihood_without_a_finite_maximum(counts, d):
     assert values == sorted(values) and values[-1] > values[0]
     with pytest.raises(ModelError, match="no finite maximum"):
         fit_davidson(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_tournaments())
+def test_nu_unbounded_agrees_with_floyd_warshall(t):
+    assert _nu_unbounded(t) == floyd_warshall_nu_unbounded(t)
+    # Most drawn tournaments have a pair won both ways, which decides the
+    # check at once; without those wins both verdicts come up about equally.
+    one_way = Tournament(
+        t.treatments,
+        {
+            pair: PairCounts(c.wins_first, 0 if c.wins_first else c.wins_second, c.ties)
+            for pair, c in t.counts.items()
+        },
+    )
+    assert _nu_unbounded(one_way) == floyd_warshall_nu_unbounded(one_way)
+
+
+def test_nu_unbounded_on_a_long_cycle_is_linear_in_memory():
+    # A win one way round the cycle and a tie in every pair: no pair wins
+    # both ways, and the wins make a negative cycle, so the check runs to the
+    # end. A dense n x n bound matrix would take 8 MB.
+    n = 1000
+    labels = tuple(f"T{k:04d}" for k in range(n))
+    counts = {(labels[k], labels[k + 1]): PairCounts(1, 0, 1) for k in range(n - 1)}
+    counts[(labels[0], labels[-1])] = PairCounts(0, 1, 1)
+    t = Tournament(labels, counts)
+    tracemalloc.start()
+    try:
+        verdict = _nu_unbounded(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is False
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------- objective

@@ -52,7 +52,12 @@ def test_chi2_upper_tail_is_finite_for_large_df():
 def test_import_leaves_scipy_unloaded():
     src = str(Path(treatrank.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, treatrank.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # urllib.parse comes with the interpreter's own start-up; urllib.request,
+    # http and email would come from xml.sax.saxutils.
+    probe = (
+        "import sys, treatrank.cli; print(sorted(m for m in sys.modules if m == 'urllib.request'"
+        " or m.split('.')[0] in ('scipy', 'http', 'email')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
