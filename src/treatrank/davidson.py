@@ -136,9 +136,10 @@ def _loglik(counts: np.ndarray, log_p: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def _pair_credit(counts: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Observed and expected credit of each pair on its three parameter slots."""
-    expected = counts.sum(axis=1, keepdims=True) * (np.exp(log_p) @ _CREDIT)
+def _pair_credit(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observed and expected credit of each pair on its three parameter slots,
+    given the pairs' (P, 3) outcome probabilities ``p``."""
+    expected = counts.sum(axis=1, keepdims=True) * (p @ _CREDIT)
     return counts @ _CREDIT, expected
 
 
@@ -282,6 +283,7 @@ class DavidsonObjective:
         self._free = slice(1, self.n_params + 1)
         self._slots = np.stack((self._i, self._j, np.full_like(self._i, n)))
         self._cells = (self._slots[:, None, :] * (n + 1) + self._slots[None, :, :]).ravel()
+        self._memo: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     def _scatter(self, per_pair: np.ndarray) -> np.ndarray:
         """Sum (P, 3) per-pair slot values into the full parameter vector."""
@@ -289,23 +291,36 @@ class DavidsonObjective:
             self._slots.ravel(), weights=per_pair.T.ravel(), minlength=self.n_treatments + 1
         )
 
-    def _log_p(self, theta: np.ndarray) -> np.ndarray:
+    def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(log_p, p)``: the pairs' (P, 3) log-probabilities and probabilities.
+
+        Newton asks for the value, gradient and Hessian at one point, so the
+        last point's evaluation is kept, keyed on the bytes of ``theta``; a
+        ``theta`` changed in place therefore gets a fresh evaluation.
+        """
+        key = np.asarray(theta, dtype=float).tobytes()
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
         n = self.n_treatments
         lam = np.concatenate(([0.0], np.asarray(theta[: n - 1], dtype=float)))
         log_nu = theta[-1] if self.has_tie_param else -math.inf
-        return _log_probabilities(lam, log_nu, self._i, self._j)
+        log_p = _log_probabilities(lam, log_nu, self._i, self._j)
+        p = np.exp(log_p)
+        self._memo = (key, log_p, p)
+        return log_p, p
 
     def value(self, theta: np.ndarray) -> float:
-        return _loglik(self._counts, self._log_p(theta))
+        return _loglik(self._counts, self._evaluate(theta)[0])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        observed, expected = _pair_credit(self._counts, self._log_p(theta))
+        observed, expected = _pair_credit(self._counts, self._evaluate(theta)[1])
         return self._scatter(observed - expected)[self._free]
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         # A pair's information is its count times the covariance of the
         # credit its outcome gives the pair's three slots.
-        p = np.exp(self._log_p(theta)).T
+        p = self._evaluate(theta)[1].T
         mean = _CREDIT.T @ p
         cov = (_CREDIT_PRODUCTS @ p).reshape(3, 3, -1) - mean[:, None, :] * mean[None, :, :]
         size = self.n_treatments + 1
@@ -319,7 +334,7 @@ class DavidsonObjective:
         Every ability and nu is multiplied by its observed over its expected
         credit, then the reference is re-pinned at 0.
         """
-        observed, expected = _pair_credit(self._counts, self._log_p(theta))
+        observed, expected = _pair_credit(self._counts, self._evaluate(theta)[1])
         used = slice(0, self.n_params + 1)
         lift = np.log(self._scatter(observed)[used]) - np.log(self._scatter(expected)[used])
         new_theta = theta + lift[1:]

@@ -122,7 +122,8 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
     # Each record is a pair with a single count, on its observed outcome.
     counts = np.eye(3)[outcome]
     lam = np.log([fit.psi[x] for x in fit.treatments])
-    observed, expected = _pair_credit(counts, _log_probabilities(lam, _log_nu(fit.nu), i, j))
+    p = np.exp(_log_probabilities(lam, _log_nu(fit.nu), i, j))
+    observed, expected = _pair_credit(counts, p)
     scores = observed - expected
     n_t = len(fit.treatments)
     rows = np.zeros((len(records), n_t + 1))
@@ -260,22 +261,27 @@ def stability_test(
             f"covariate {covariate!r} has no admissible cutpoint inside the trim range"
         )
     weights = n / (cut_sizes * (n - cut_sizes))
+    # Rows past the last cut never reach a cut's partial sum.
+    last = int(cut_sizes[-1])
 
     def sup_lm(score_rows: np.ndarray) -> np.ndarray:
-        # score_rows: (..., n, p); returns the sup-LM along the cut axis.
-        sums = np.cumsum(score_rows, axis=-2)[..., cut_sizes - 1, :]
+        # score_rows: a fresh (..., last, p) gather, summed in place; returns
+        # the sup-LM along the cut axis.
+        sums = np.cumsum(score_rows, axis=-2, out=score_rows)[..., cut_sizes - 1, :]
         quad = np.einsum("...cp,pq,...cq->...c", sums, info_inv, sums)
         return np.max(quad * weights, axis=-1)
 
-    statistic = float(sup_lm(scores[order]))
+    statistic = float(sup_lm(scores[order[:last]]))
     if rng is None:
         rng = np.random.default_rng(0)
     exceed = 0
     remaining = permutations
     while remaining > 0:
-        block = min(remaining, 256)  # bound the (block, n, p) workspace
+        # At most 2^20 elements in the (block, last, p) workspace; the draws
+        # of rng.random((block, n)) follow one stream whatever the block.
+        block = min(remaining, 256, max(1, 2**20 // (last * p_dim)))
         shuffles = np.argsort(rng.random((block, n)), axis=1)
-        exceed += int(np.sum(sup_lm(scores[shuffles]) >= statistic))
+        exceed += int(np.sum(sup_lm(scores[shuffles[:, :last]]) >= statistic))
         remaining -= block
     p_value = (1 + exceed) / (permutations + 1)
     return statistic, p_value

@@ -10,7 +10,11 @@ tallied record by record, the preference graph's connectivity comes
 from a boolean transitive closure, and the no-finite-maximum verdict from
 Floyd-Warshall on a dense bound matrix. Agreement between
 these and the package is the point of the comparisons, so keep them
-decoupled.
+decoupled. The one exception is the sup-LM stability test, kept here in
+its earlier form (full-length cumulative sums, blocks of 256
+permutations) on the package's score rows: the package's version must
+match it bit for bit, so it is the arithmetic, not the scoring, that is
+under test.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from treatrank.davidson import win_tie_probabilities
+from treatrank.errors import DataError
+from treatrank.partition import _chi2_sf, _read_covariate, score_contributions
+from treatrank.study_data import Categorical
 from treatrank.tcc import PairCounts, PreferenceRecord, Tournament, Verdict
 
 
@@ -291,3 +298,74 @@ def simulate_records(rng, n: int, draw, nu: float) -> list[PreferenceRecord]:
             )
         )
     return records
+
+
+def reference_stability_test(
+    records,
+    covariate: str,
+    fit,
+    kind=None,
+    *,
+    permutations: int = 1000,
+    rng: np.random.Generator | None = None,
+    trim: float = 0.10,
+    min_records: int = 10,
+) -> tuple[float, float]:
+    """``partition.stability_test`` as it was before its workspace was bounded.
+
+    Every permutation block holds up to 256 full-length (n, p) gathers and
+    a second full-length array of their cumulative sums.
+    """
+    records = tuple(records)
+    if len(records) < min_records:
+        raise DataError(
+            f"too few records to test stability: {len(records)} < {min_records}"
+        )
+    kind, values = _read_covariate(records, covariate, kind)
+    scores = score_contributions(records, fit)
+    n, p_dim = scores.shape
+    info = scores.T @ scores / n
+    info_inv = np.linalg.pinv(info)
+
+    if isinstance(kind, Categorical):
+        labels = np.unique(values)
+        statistic = 0.0
+        for level in labels:
+            mask = values == level
+            level_sum = scores[mask].sum(axis=0)
+            statistic += float(level_sum @ info_inv @ level_sum) / int(mask.sum())
+        df = p_dim * (len(labels) - 1)
+        return statistic, _chi2_sf(statistic, df)
+
+    order = np.argsort(values, kind="stable")
+    ordered_values = values[order]
+    lo = max(1, math.ceil(trim * n))
+    hi = min(n - 1, math.floor((1.0 - trim) * n))
+    cut_sizes = np.asarray(
+        [j for j in range(lo, hi + 1) if ordered_values[j - 1] < ordered_values[j]],
+        dtype=np.intp,
+    )
+    if cut_sizes.size == 0:
+        raise DataError(
+            f"covariate {covariate!r} has no admissible cutpoint inside the trim range"
+        )
+    weights = n / (cut_sizes * (n - cut_sizes))
+
+    def sup_lm(score_rows: np.ndarray) -> np.ndarray:
+        # score_rows: (..., n, p); returns the sup-LM along the cut axis.
+        sums = np.cumsum(score_rows, axis=-2)[..., cut_sizes - 1, :]
+        quad = np.einsum("...cp,pq,...cq->...c", sums, info_inv, sums)
+        return np.max(quad * weights, axis=-1)
+
+    statistic = float(sup_lm(scores[order]))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    exceed = 0
+    remaining = permutations
+    while remaining > 0:
+        block = min(remaining, 256)  # bound the (block, n, p) workspace
+        shuffles = np.argsort(rng.random((block, n)), axis=1)
+        exceed += int(np.sum(sup_lm(scores[shuffles]) >= statistic))
+        remaining -= block
+    p_value = (1 + exceed) / (permutations + 1)
+    return statistic, p_value

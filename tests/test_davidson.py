@@ -27,6 +27,7 @@ from treatrank import (
     pairwise_probabilities,
     win_tie_probabilities,
 )
+from treatrank import davidson
 from treatrank.davidson import DavidsonObjective, _nu_unbounded
 
 from oracles import (
@@ -403,6 +404,60 @@ def test_mm_step_never_decreases_the_objective():
             new_theta = obj.mm_step(theta)
             assert obj.value(new_theta) >= obj.value(theta) - 1e-10
             theta = new_theta
+
+
+def _evaluations(obj, theta):
+    return (
+        obj.value(theta),
+        obj.gradient(theta).tobytes(),
+        obj.hessian(theta).tobytes(),
+        obj.mm_step(theta).tobytes(),
+    )
+
+
+def test_objective_reuses_an_evaluation_only_at_the_same_point():
+    rng = np.random.default_rng(31)
+    t = random_tournament(rng, 5)
+    obj = DavidsonObjective(t)
+    theta_1 = rng.uniform(-1.0, 1.0, size=obj.n_params)
+    theta_2 = rng.uniform(-1.0, 1.0, size=obj.n_params)
+    for theta in (theta_1, theta_2, theta_1):
+        assert _evaluations(obj, theta) == _evaluations(DavidsonObjective(t), theta)
+    # The same array, changed in place, is a new point.
+    theta = theta_1.copy()
+    obj.value(theta)
+    theta[0] += 0.25
+    assert _evaluations(obj, theta) == _evaluations(DavidsonObjective(t), theta)
+
+
+def test_fit_computes_probabilities_once_per_point_it_visits(monkeypatch):
+    points: set[bytes] = set()
+    calls = []
+    for name in ("value", "gradient", "hessian", "mm_step"):
+        method = getattr(DavidsonObjective, name)
+
+        def recorded(self, theta, method=method):
+            points.add(np.asarray(theta, dtype=float).tobytes())
+            return method(self, theta)
+
+        monkeypatch.setattr(DavidsonObjective, name, recorded)
+    original = davidson._log_probabilities
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(davidson, "_log_probabilities", counted)
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        t = random_tournament(rng, 6)
+        if t.total_ties == 0 or check_ford(t) is not None or _nu_unbounded(t):
+            continue
+        points.clear()
+        calls.clear()
+        fit_davidson(t)
+        assert len(points) > 2
+        assert len(calls) == len(points)
 
 
 # ---------------------------------------------------------------- fitting

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from treatrank import (
     tree_to_dict,
 )
 
-from oracles import loop_scores, simulate_records
+from oracles import loop_scores, reference_stability_test, simulate_records
 
 STEEP = {"A": 8.0, "B": 4.0, "C": 2.0, "D": 1.0}
 REVERSED = {"A": 1.0, "B": 2.0, "C": 4.0, "D": 8.0}
@@ -200,6 +201,46 @@ def test_stability_needs_a_cutpoint_inside_the_trim_range():
     ]
     with pytest.raises(DataError, match="cutpoint"):
         stability_test(skewed, "z", _pooled_fit(records))
+
+
+def _coarse_cut(rng):
+    # x on a grid of 0.5 over [0, 20]: about 40 distinct values, many ties.
+    x = float(np.round(rng.uniform(0.0, 20.0) * 2.0) / 2.0)
+    return {"x": x}, (STEEP if x <= 10.0 else REVERSED)
+
+
+@pytest.mark.parametrize("trim", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("permutations", [1, 300, 1000])
+def test_stability_matches_the_reference_sup_lm_bit_for_bit(trim, permutations):
+    records = simulate_records(np.random.default_rng(71), 240, _coarse_cut, 1.0)
+    fit = _pooled_fit(records)
+    kwargs = dict(permutations=permutations, trim=trim)
+    got = stability_test(records, "x", fit, rng=np.random.default_rng(11), **kwargs)
+    want = reference_stability_test(records, "x", fit, rng=np.random.default_rng(11), **kwargs)
+    assert got == want
+
+
+def test_stability_permutation_workspace_is_bounded():
+    # 20 treatments give 20 score columns, so a block holds 2^20 // (last * 20)
+    # permutations, not 256, and 300 is not a multiple of it.
+    abilities = {f"T{k:02d}": 1.2**k for k in range(20)}
+
+    def draw(rng):
+        return {"x": float(rng.uniform(0.0, 1.0))}, abilities
+
+    records = simulate_records(np.random.default_rng(73), 1500, draw, 1.0)
+    fit = _pooled_fit(records)
+    tracemalloc.start()
+    try:
+        got = stability_test(records, "x", fit, permutations=300, rng=np.random.default_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = reference_stability_test(
+        records, "x", fit, permutations=300, rng=np.random.default_rng(5)
+    )
+    assert got == want
+    assert peak < 40 * 2**20
 
 
 # ---------------------------------------------------------------- best split
