@@ -105,7 +105,10 @@ def _ability_vector(t: Tournament, psi) -> np.ndarray:
 # credits the pair's three parameter slots (lambda_i, lambda_j, log nu) by
 # one row of _CREDIT; each pair's score is its observed credit minus the
 # expected credit, and gradient, Hessian, MM step and per-record scores are
-# scatter-sums of these per-pair quantities.
+# scatter-sums of these per-pair quantities. Every function also takes
+# leading axes, one per independent tournament over the same pairs; each
+# reduction runs over the trailing axes only, so a single tournament goes
+# through exactly the operations it would alone.
 _CREDIT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
 # Row (a, b): the product of the credits to slots a and b, per outcome.
 _CREDIT_PRODUCTS = np.einsum("ka,kb->abk", _CREDIT, _CREDIT).reshape(9, 3)
@@ -115,32 +118,45 @@ def _log_nu(nu: float) -> float:
     return math.log(nu) if nu > 0 else -math.inf
 
 
-def _log_probabilities(
-    lam: np.ndarray, log_nu: float, i: np.ndarray, j: np.ndarray
-) -> np.ndarray:
-    """(P, 3) log win/win/tie probabilities of the pairs ``(i[p], j[p])``.
+def _log_probabilities(lam: np.ndarray, log_nu, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(..., P, 3) log win/win/tie probabilities of the pairs ``(i[p], j[p])``.
 
-    ``lam`` holds log-abilities; ``log_nu = -inf`` is the tie-free model.
-    The log-denominator is a max-shifted three-term log-sum-exp, finite for
-    any finite log-abilities.
+    ``lam`` holds log-abilities (..., n) and ``log_nu`` has shape (...);
+    ``log_nu = -inf`` is the tie-free model. The log-denominator is a
+    max-shifted three-term log-sum-exp, finite for any finite log-abilities.
     """
-    l_i, l_j = lam[i], lam[j]
-    logits = np.stack((l_i, l_j, log_nu + 0.5 * (l_i + l_j)), axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    l_i, l_j = lam[..., i], lam[..., j]
+    logits = np.stack((l_i, l_j, np.expand_dims(log_nu, -1) + 0.5 * (l_i + l_j)), axis=-1)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _loglik(counts: np.ndarray, log_p: np.ndarray) -> float:
-    """``counts . log_p`` where unobserved outcomes contribute 0, even at -inf."""
+def _loglik(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """``counts . log_p`` over the last two axes; unobserved outcomes add 0, even at -inf."""
     terms = np.multiply(counts, log_p, out=np.zeros_like(log_p), where=counts > 0)
-    return float(terms.sum())
+    return terms.sum(axis=(-2, -1))
 
 
 def _pair_credit(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Observed and expected credit of each pair on its three parameter slots,
-    given the pairs' (P, 3) outcome probabilities ``p``."""
-    expected = counts.sum(axis=1, keepdims=True) * (p @ _CREDIT)
+    given the pairs' (..., P, 3) outcome probabilities ``p``."""
+    expected = counts.sum(axis=-1, keepdims=True) * (p @ _CREDIT)
     return counts @ _CREDIT, expected
+
+
+def _scatter_rows(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum the (..., m) ``weights`` into ``size`` bins by ``index``, row by row.
+
+    One ``bincount`` over all rows, each offset into its own bins; within a
+    row it adds in the order of ``index``, as a bincount of that row would.
+    """
+    lead = weights.shape[:-1]
+    rows = math.prod(lead)
+    offsets = size * np.arange(rows)[:, None]
+    sums = np.bincount(
+        (index + offsets).ravel(), weights=weights.reshape(rows, -1).ravel(), minlength=rows * size
+    )
+    return sums.reshape(*lead, size)
 
 
 def log_likelihood(t: Tournament, psi, nu: float) -> float:
@@ -153,44 +169,43 @@ def log_likelihood(t: Tournament, psi, nu: float) -> float:
     values = _ability_vector(t, psi)
     if nu < 0:
         raise DataError(f"tie prevalence must be non-negative, got {nu}")
-    return _loglik(t._counts, _log_probabilities(np.log(values), _log_nu(nu), t._i, t._j))
+    return float(_loglik(t._counts, _log_probabilities(np.log(values), _log_nu(nu), t._i, t._j)))
 
 
-def _preference_edges(t: Tournament) -> list[tuple[int, int, int]]:
-    """The preference graph as ``(source, target, weight)`` treatment-index edges.
+def _preference_edges(
+    i: np.ndarray, j: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The preference graphs of (..., P, 3) ``counts`` on the pairs ``(i, j)``.
 
-    An edge X -> Y runs when X beat Y at least once (weight -1) or, failing
-    that, tied with Y (weight +1).
+    Returns ``(source, target, weight, present)``: the 2P possible directed
+    edges as treatment indices, X -> Y and then Y -> X per pair, and per
+    count row which of them run. An edge X -> Y runs when X beat Y at least
+    once (weight -1) or, failing that, tied with Y (weight +1).
     """
-    edges = []
-    for i, j, (first, second, ties) in zip(t._i.tolist(), t._j.tolist(), t._counts.tolist()):
-        if first or ties:
-            edges.append((i, j, -1 if first else 1))
-        if second or ties:
-            edges.append((j, i, -1 if second else 1))
-    return edges
+    first, second, ties = np.moveaxis(counts > 0, -1, 0)
+    wins = np.concatenate((first, second), axis=-1)
+    present = wins | np.concatenate((ties, ties), axis=-1)
+    return np.concatenate((i, j)), np.concatenate((j, i)), np.where(wins, -1, 1), present
 
 
-def _reached(edges: list[tuple[int, int, int]], n: int) -> list[bool]:
-    """Which of ``n`` nodes node 0 reaches along the directed ``edges``."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b, _ in edges:
-        adjacency[a].append(b)
-    seen = [k == 0 for k in range(n)]
-    stack = [0]
-    while stack:
-        for b in adjacency[stack.pop()]:
-            if not seen[b]:
-                seen[b] = True
-                stack.append(b)
-    return seen
+def _reached(n: int, source: np.ndarray, target: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Which of ``n`` nodes node 0 reaches along the ``present`` edges, per row
+    of the (..., E) mask: one frontier step over all edges per round."""
+    seen = np.zeros(present.shape[:-1] + (n,), dtype=bool)
+    seen[..., 0] = True
+    while True:
+        hit = np.nonzero(present & seen[..., source] & ~seen[..., target])
+        if not hit[-1].size:
+            return seen
+        seen[hit[:-1] + (target[hit[-1]],)] = True
 
 
-def _cut(labels: Sequence[str], inside: list[bool]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The labels inside, then those outside, each in the given order."""
+def _ford_passes(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """:func:`check_ford` on each row of (..., P, 3) ``counts``: whether it passes."""
+    source, target, _, present = _preference_edges(i, j, counts)
     return (
-        tuple(x for x, k in zip(labels, inside) if k),
-        tuple(x for x, k in zip(labels, inside) if not k),
+        _reached(n, source, target, present).all(axis=-1)
+        & _reached(n, target, source, present).all(axis=-1)
     )
 
 
@@ -204,27 +219,51 @@ def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     in both directions because tied contests shrink in probability as the
     two abilities drift apart, anchoring the likelihood just as a win does.
 
-    Two sweeps from the first treatment decide it, in O(n + P) for n
-    treatments and P pairs with records. Returns None on pass, else one
-    violating bipartition as ``(subset, complement)``, each in treatment
-    order: no treatment in ``complement`` ever beats or ties a treatment in
-    ``subset``. When some treatment cannot be reached from the first one
-    along the edges, ``subset`` holds every such treatment and
-    ``complement`` the reached ones, the first included. Otherwise, when
-    some treatment cannot reach the first one, ``subset`` holds the
-    treatments that can, the first included, and ``complement`` the rest.
+    Two searches from the first treatment decide it, forward and backward,
+    each a frontier step over the P pairs' edges per round, at most as many
+    rounds as the longest shortest path from or to the first treatment.
+    Returns None on pass, else one violating bipartition as
+    ``(subset, complement)``, each in treatment order: no treatment in
+    ``complement`` ever beats or ties a treatment in ``subset``. When some
+    treatment cannot be reached from the first one along the edges,
+    ``subset`` holds every such treatment and ``complement`` the reached
+    ones, the first included. Otherwise, when some treatment cannot reach
+    the first one, ``subset`` holds the treatments that can, the first
+    included, and ``complement`` the rest.
     """
     n = len(t.treatments)
     if n == 0:
         return None
-    edges = _preference_edges(t)
-    reached = _reached(edges, n)
-    if not all(reached):
-        return _cut(t.treatments, [not k for k in reached])
-    reaching = _reached([(b, a, w) for a, b, w in edges], n)
-    if not all(reaching):
-        return _cut(t.treatments, reaching)
-    return None
+    source, target, _, present = _preference_edges(t._i, t._j, t._counts)
+    inside = ~_reached(n, source, target, present)
+    if not inside.any():
+        inside = _reached(n, target, source, present)
+        if inside.all():
+            return None
+    return (
+        tuple(x for x, k in zip(t.treatments, inside) if k),
+        tuple(x for x, k in zip(t.treatments, inside) if not k),
+    )
+
+
+def _wins_both_ways(counts: np.ndarray) -> np.ndarray:
+    """Whether some pair of the (..., P, 3) ``counts`` has wins in both directions."""
+    return np.any((counts[..., 0] > 0) & (counts[..., 1] > 0), axis=-1)
+
+
+def _unbounded(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> bool:
+    """:func:`_nu_unbounded` on the (P, 3) count array of ``n`` treatments."""
+    if _wins_both_ways(counts):
+        return False  # a negative 2-cycle
+    source, target, weight, present = _preference_edges(i, j, counts)
+    source, target, weight = source[present], target[present], weight[present]
+    distance = np.zeros(n, dtype=np.intp)
+    for _ in range(n):
+        relaxed = distance[source] + weight
+        if not np.any(relaxed < distance[target]):
+            return True
+        np.minimum.at(distance, target, relaxed)
+    return False
 
 
 def _nu_unbounded(t: Tournament) -> bool:
@@ -237,23 +276,13 @@ def _nu_unbounded(t: Tournament) -> bool:
     also has a dominated term, so the likelihood rises towards a supremum it
     never reaches. The conditions are difference constraints d_v - d_u <= w,
     one per preference edge u -> v of weight w, feasible iff that graph has
-    no negative cycle. Bellman-Ford rounds from all-zero distances decide it
-    in O(n * P) time and O(n + P) memory: a round that changes nothing
-    leaves feasible distances, and one that still relaxes after n rounds
-    means a negative cycle (Cormen et al., CLRS section 24.4).
+    no negative cycle; wins both ways in one pair are a negative 2-cycle.
+    Bellman-Ford rounds from all-zero distances decide it in O(n * P) time
+    and O(n + P) memory: a round that changes nothing leaves feasible
+    distances, and one that still relaxes after n rounds means a negative
+    cycle (Cormen et al., CLRS section 24.4).
     """
-    counts = t._counts
-    if np.any((counts[:, 0] > 0) & (counts[:, 1] > 0)):
-        return False  # wins both ways in one pair: a negative 2-cycle
-    edges = np.asarray(_preference_edges(t), dtype=np.intp).reshape(-1, 3)
-    source, target, weight = edges.T
-    distance = np.zeros(len(t.treatments), dtype=np.intp)
-    for _ in range(len(t.treatments)):
-        relaxed = distance[source] + weight
-        if not np.any(relaxed < distance[target]):
-            return True
-        np.minimum.at(distance, target, relaxed)
-    return False
+    return _unbounded(len(t.treatments), t._i, t._j, t._counts)
 
 
 class DavidsonObjective:
@@ -264,16 +293,31 @@ class DavidsonObjective:
     tournament contains at least one tie. In these coordinates each pair's
     log-denominator is a log-sum-exp of linear maps, so the objective is
     concave and the observed information equals the expected information.
+
+    :meth:`_of_counts` builds one objective over a stack of tournaments with
+    the same pairs and the same tie model; its methods then take a
+    (..., n_params) stack of parameter vectors, one per tournament.
     """
 
     def __init__(self, t: Tournament):
-        self.treatments = t.treatments
-        self.n_treatments = n = len(t.treatments)
-        self._i, self._j, self._counts = t._i, t._j, t._counts
-        self.has_tie_param = t.total_ties > 0
+        self._bind(t.treatments, t._i, t._j, t._counts)
+
+    @classmethod
+    def _of_counts(cls, treatments, i, j, counts) -> "DavidsonObjective":
+        """The objective of (..., P, 3) ``counts`` over the pairs ``(i, j)``,
+        which either all have ties or all have none."""
+        obj = cls.__new__(cls)
+        obj._bind(tuple(treatments), i, j, counts)
+        return obj
+
+    def _bind(self, treatments, i, j, counts):
+        self.treatments = treatments
+        self.n_treatments = n = len(treatments)
+        self._i, self._j, self._counts = i, j, counts
+        self.has_tie_param = bool(np.any(counts[..., 2] > 0))
         self.n_params = n - 1 + (1 if self.has_tie_param else 0)
         self.param_names = tuple(
-            [f"log_ability[{x}]" for x in t.treatments[1:]]
+            [f"log_ability[{x}]" for x in treatments[1:]]
             + (["log_nu"] if self.has_tie_param else [])
         )
         # The full parameter vector holds all n log-abilities, then log nu in
@@ -281,52 +325,75 @@ class DavidsonObjective:
         # lists the (lambda_i, lambda_j, log nu) slots and _cells the 3 x 3
         # block of the full (n + 1)-square Hessian, both slot-major.
         self._free = slice(1, self.n_params + 1)
-        self._slots = np.stack((self._i, self._j, np.full_like(self._i, n)))
+        self._slots = np.stack((i, j, np.full_like(i, n)))
         self._cells = (self._slots[:, None, :] * (n + 1) + self._slots[None, :, :]).ravel()
-        self._memo: tuple[bytes, np.ndarray, np.ndarray] | None = None
+        self._memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
+
+    def _take(self, rows: np.ndarray) -> "DavidsonObjective":
+        """The objective of the tournaments selected by the boolean ``rows``;
+        no row may be dropped from an objective of one tournament."""
+        if rows.all():
+            return self
+        return self._of_counts(self.treatments, self._i, self._j, self._counts[rows])
+
+    def _start(self) -> np.ndarray:
+        """The starting point: equal abilities and, with ties, the nu whose
+        tie odds nu / 2 at equal abilities match the observed tie ratio."""
+        counts = self._counts
+        theta = np.zeros(counts.shape[:-2] + (self.n_params,))
+        if self.has_tie_param:
+            ratio = 2.0 * counts[..., 2].sum(axis=-1) / counts[..., :2].sum(axis=(-2, -1))
+            # math.log, as fits have always used: np.log can differ in the last bit.
+            theta[..., -1] = np.frompyfunc(math.log, 1, 1)(ratio)
+        return theta
 
     def _scatter(self, per_pair: np.ndarray) -> np.ndarray:
-        """Sum (P, 3) per-pair slot values into the full parameter vector."""
-        return np.bincount(
-            self._slots.ravel(), weights=per_pair.T.ravel(), minlength=self.n_treatments + 1
-        )
+        """Sum (..., P, 3) per-pair slot values into the full parameter vector."""
+        slot_major = np.swapaxes(per_pair, -1, -2).reshape(*per_pair.shape[:-2], -1)
+        return _scatter_rows(self._slots.ravel(), slot_major, self.n_treatments + 1)
 
     def _evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(log_p, p)``: the pairs' (P, 3) log-probabilities and probabilities.
+        """``(log_p, p)``: the pairs' (..., P, 3) log-probabilities and probabilities.
 
         Newton asks for the value, gradient and Hessian at one point, so the
-        last point's evaluation is kept, keyed on the bytes of ``theta``; a
-        ``theta`` changed in place therefore gets a fresh evaluation.
+        last point's evaluation is kept, keyed on the shape and bytes of
+        ``theta``; a ``theta`` changed in place therefore gets a fresh
+        evaluation.
         """
-        key = np.asarray(theta, dtype=float).tobytes()
+        theta = np.asarray(theta, dtype=float)
+        key = (theta.shape, theta.tobytes())
         memo = self._memo
         if memo is not None and memo[0] == key:
             return memo[1], memo[2]
         n = self.n_treatments
-        lam = np.concatenate(([0.0], np.asarray(theta[: n - 1], dtype=float)))
-        log_nu = theta[-1] if self.has_tie_param else -math.inf
+        lam = np.concatenate((np.zeros(theta.shape[:-1] + (1,)), theta[..., : n - 1]), axis=-1)
+        log_nu = theta[..., -1] if self.has_tie_param else -math.inf
         log_p = _log_probabilities(lam, log_nu, self._i, self._j)
         p = np.exp(log_p)
         self._memo = (key, log_p, p)
         return log_p, p
 
-    def value(self, theta: np.ndarray) -> float:
+    def value(self, theta: np.ndarray) -> float | np.ndarray:
         return _loglik(self._counts, self._evaluate(theta)[0])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         observed, expected = _pair_credit(self._counts, self._evaluate(theta)[1])
-        return self._scatter(observed - expected)[self._free]
+        return self._scatter(observed - expected)[..., self._free]
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         # A pair's information is its count times the covariance of the
         # credit its outcome gives the pair's three slots.
-        p = self._evaluate(theta)[1].T
+        # The (..., 3, 3, P) terms are the largest workspace; they are
+        # updated in place.
+        p = np.swapaxes(self._evaluate(theta)[1], -1, -2)
+        lead = p.shape[:-2]
         mean = _CREDIT.T @ p
-        cov = (_CREDIT_PRODUCTS @ p).reshape(3, 3, -1) - mean[:, None, :] * mean[None, :, :]
+        weights = (_CREDIT_PRODUCTS @ p).reshape(*lead, 3, 3, -1)
+        weights -= mean[..., :, None, :] * mean[..., None, :, :]
+        weights *= -self._counts.sum(axis=-1)[..., None, None, :]
         size = self.n_treatments + 1
-        weights = (-self._counts.sum(axis=1) * cov).ravel()
-        full = np.bincount(self._cells, weights=weights, minlength=size**2).reshape(size, size)
-        return full[self._free, self._free]
+        full = _scatter_rows(self._cells, weights.reshape(*lead, -1), size**2)
+        return full.reshape(*lead, size, size)[..., self._free, self._free]
 
     def mm_step(self, theta: np.ndarray) -> np.ndarray:
         """One minorization-maximization sweep (Hunter 2004), in log parameters.
@@ -336,9 +403,11 @@ class DavidsonObjective:
         """
         observed, expected = _pair_credit(self._counts, self._evaluate(theta)[1])
         used = slice(0, self.n_params + 1)
-        lift = np.log(self._scatter(observed)[used]) - np.log(self._scatter(expected)[used])
-        new_theta = theta + lift[1:]
-        new_theta[: self.n_treatments - 1] -= lift[0]
+        lift = np.log(self._scatter(observed)[..., used]) - np.log(
+            self._scatter(expected)[..., used]
+        )
+        new_theta = theta + lift[..., 1:]
+        new_theta[..., : self.n_treatments - 1] -= lift[..., :1]
         return new_theta
 
 
@@ -394,49 +463,88 @@ class AbilityRatio:
     ci_level: float = 0.95
 
 
+def _newton_step(neg_hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve ``neg_hessian @ step = grad`` row by row; nan where a matrix is singular."""
+    try:
+        return np.linalg.solve(neg_hessian, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if grad.ndim == 1:
+            return np.full_like(grad, np.nan)
+        return np.stack([_newton_step(h, g) for h, g in zip(neg_hessian, grad)])
+
+
 def _maximize(obj: DavidsonObjective, theta: np.ndarray, max_iterations: int,
-              grad_tol: float, step_tol: float) -> tuple[np.ndarray, int]:
-    value = obj.value(theta)
+              grad_tol: float, step_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton ascent from each row of an (R, n_params) ``theta``.
+
+    Row r maximizes tournament r of ``obj`` (every row, when ``obj`` holds
+    one tournament). Per row: stop at the current point once the gradient
+    max-norm is below ``grad_tol``; otherwise take the Newton step, halved
+    until the value falls by no more than 1e-12, or one MM sweep when no
+    such step exists, and stop at the new point once it moved by less than
+    ``step_tol``. A row that stops leaves the batch, and each halving and
+    sweep evaluates only the rows that take it. Returns the points and, per
+    row, the iterations taken, -1 where the row had not stopped after
+    ``max_iterations``.
+    """
+    theta = theta.copy()
+    iterations = np.full(len(theta), -1)
+    rows = np.arange(len(theta))
+    point, value = theta, obj.value(theta)
+
+    def settle(done, taken):
+        # Record the rows that stopped and drop them; True once none is left.
+        nonlocal obj, rows, point, value
+        theta[rows[done]], iterations[rows[done]] = point[done], taken
+        if done.all():
+            return True
+        obj, rows, point, value = obj._take(~done), rows[~done], point[~done], value[~done]
+        return False
+
     for iteration in range(1, max_iterations + 1):
-        grad = obj.gradient(theta)
-        if np.max(np.abs(grad)) < grad_tol:
-            return theta, iteration - 1
-        step = None
-        try:
-            step = np.linalg.solve(-obj.hessian(theta), grad)
-        except np.linalg.LinAlgError:
-            pass
-        candidate = None
-        if step is not None and np.all(np.isfinite(step)):
-            scale = 1.0
-            while scale >= 1e-12:
-                trial = theta + scale * step
-                trial_value = obj.value(trial)
-                if math.isfinite(trial_value) and trial_value >= value - 1e-12:
-                    candidate = (trial, trial_value)
-                    break
-                scale *= 0.5
-        if candidate is None:
+        grad = obj.gradient(point)
+        done = np.max(np.abs(grad), axis=-1) < grad_tol
+        if done.any():
+            if settle(done, iteration - 1):
+                return theta, iterations
+            grad = grad[~done]
+        step = _newton_step(-obj.hessian(point), grad)
+        new_point, new_value = point.copy(), value.copy()
+        pending = np.ones(len(rows), dtype=bool)
+        searching = np.all(np.isfinite(step), axis=-1)
+        scale = 1.0
+        while scale >= 1e-12 and searching.any():
+            at = np.flatnonzero(searching)
+            trial = point[at] + scale * step[at]
+            trial_value = obj._take(searching).value(trial)
+            ok = np.isfinite(trial_value) & (trial_value >= value[at] - 1e-12)
+            new_point[at[ok]], new_value[at[ok]] = trial[ok], trial_value[ok]
+            searching[at[ok]] = pending[at[ok]] = False
+            scale *= 0.5
+        if pending.any():
             # Newton step unusable (singular or non-improving): fall back to
             # one minorization-maximization sweep, which is always defined.
-            trial = obj.mm_step(theta)
-            candidate = (trial, obj.value(trial))
-        new_theta, new_value = candidate
-        if np.max(np.abs(new_theta - theta)) < step_tol:
-            return new_theta, iteration
-        theta, value = new_theta, new_value
-    raise ConvergenceError(
-        f"no convergence after {max_iterations} iterations "
-        f"(gradient max-norm {np.max(np.abs(obj.gradient(theta))):.3g})"
-    )
+            sweep = obj._take(pending)
+            new_point[pending] = trial = sweep.mm_step(point[pending])
+            new_value[pending] = sweep.value(trial)
+        done = np.max(np.abs(new_point - point), axis=-1) < step_tol
+        point, value = new_point, new_value
+        if done.any() and settle(done, iteration):
+            return theta, iterations
+    theta[rows] = point
+    return theta, iterations
+
+
+# The default stopping rule of fit_davidson, which the batched fits share.
+_MAX_ITERATIONS, _GRAD_TOL, _STEP_TOL = 10_000, 1e-8, 1e-10
 
 
 def fit_davidson(
     t: Tournament,
     *,
-    max_iterations: int = 10_000,
-    grad_tol: float = 1e-8,
-    step_tol: float = 1e-10,
+    max_iterations: int = _MAX_ITERATIONS,
+    grad_tol: float = _GRAD_TOL,
+    step_tol: float = _STEP_TOL,
 ) -> AbilityFit:
     """Maximum-likelihood fit of the tie-extended model to a tournament.
 
@@ -478,20 +586,24 @@ def fit_davidson(
             "no finite maximum-likelihood estimate: the likelihood keeps rising as "
             "the tie prevalence nu grows and the abilities spread apart with it"
         )
-    theta = np.zeros(obj.n_params)
-    if obj.has_tie_param:
-        # Equal abilities make tie odds nu/2, so match the observed ratio.
-        theta[-1] = math.log(2.0 * t.total_ties / t.total_wins)
-    else:
+    if not obj.has_tie_param:
         warnings.warn(
             "tournament has no ties; fitting the tie-free model with nu = 0",
             UserWarning,
             stacklevel=2,
         )
-    theta, iterations = _maximize(obj, theta, max_iterations, grad_tol, step_tol)
-
-    covariance = np.linalg.inv(-obj.hessian(theta))
+    # One row of parameters; the objective's memo then holds the last point
+    # for the Hessian and the value below.
+    theta, iterations = _maximize(obj, obj._start()[None], max_iterations, grad_tol, step_tol)
+    if iterations[0] < 0:
+        raise ConvergenceError(
+            f"no convergence after {max_iterations} iterations "
+            f"(gradient max-norm {np.max(np.abs(obj.gradient(theta))):.3g})"
+        )
+    loglik = float(obj.value(theta)[0])
+    covariance = np.linalg.inv(-obj.hessian(theta)[0])
     covariance = 0.5 * (covariance + covariance.T)
+    theta = theta[0]
 
     n = obj.n_treatments
     lam = np.concatenate(([0.0], theta[: n - 1]))
@@ -511,11 +623,46 @@ def fit_davidson(
         covariance=covariance,
         se_log_ability=se,
         pi=dict(abilities),
-        loglik=obj.value(theta),
+        loglik=loglik,
         converged=True,
-        iterations=iterations,
+        iterations=int(iterations[0]),
         tie_free=not obj.has_tie_param,
     )
+
+
+def _fittable(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Which tournaments of an (R, P, 3) count stack over ``n`` treatments, on
+    the pairs ``(i, j)``, pass the checks of :func:`fit_davidson`: a win, the
+    Ford check and, with ties, a finite maximum. The checks run on the
+    count-array helpers that :func:`check_ford` and :func:`_nu_unbounded` use."""
+    passed = (counts[..., :2].sum(axis=(-2, -1)) > 0) & _ford_passes(n, i, j, counts)
+    ties = counts[..., 2].sum(axis=-1) > 0
+    for r in np.flatnonzero(passed & ties & ~_wins_both_ways(counts)):
+        passed[r] = not _unbounded(n, i, j, counts[r])
+    return passed
+
+
+def _max_logliks(treatments, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Maximized log-likelihood of each tournament in an (R, P, 3) count stack.
+
+    Row r is a tournament over ``treatments`` that passes :func:`_fittable`;
+    its counts are on the pairs ``(i, j)``, some of which may have none.
+    The rows are maximized together, one batch with the tie parameter and
+    one without, each from the same start by the same rule and defaults as
+    :func:`fit_davidson`, whose ``loglik`` each gets up to the order of
+    float sums; nan where a row hits the iteration cap.
+    """
+    used = counts.any(axis=(0, 2))  # pairs without records in any row add nothing
+    i, j, counts = i[used], j[used], counts[:, used]
+    ties = counts[..., 2].sum(axis=-1) > 0
+    logliks = np.full(len(counts), np.nan)
+    for tie_model in (False, True):
+        rows = np.flatnonzero(ties == tie_model)
+        if rows.size:
+            obj = DavidsonObjective._of_counts(treatments, i, j, counts[rows])
+            theta, iterations = _maximize(obj, obj._start(), _MAX_ITERATIONS, _GRAD_TOL, _STEP_TOL)
+            logliks[rows] = np.where(iterations >= 0, obj.value(theta), np.nan)
+    return logliks
 
 
 def pairwise_probabilities(f: AbilityFit, x: str, y: str) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,10 +262,32 @@ def _code_records(
     return pairs, 3 * pair + np.where(a > b, _SWAPPED[outcome], outcome)
 
 
+def _counts(codes: np.ndarray, n_pairs: int, group=0, n_groups: int = 1) -> np.ndarray:
+    """(n_groups, P, 3) outcome counts per pair of the coded records in each
+    group, for records in groups ``0 <= group < n_groups``."""
+    cells = 3 * n_pairs
+    counts = np.bincount(group * cells + codes, minlength=n_groups * cells)
+    return counts.reshape(n_groups, n_pairs, 3)
+
+
+def _running_counts(codes: np.ndarray, n_pairs: int, group: np.ndarray, n_groups: int,
+                    chunk: int) -> Iterator[np.ndarray]:
+    """The counts of the records in groups ``0..k`` for ``k < n_groups - 1``,
+    as (c, P, 3) arrays of at most ``chunk`` consecutive ``k``: running sums
+    over records sorted by ``group``."""
+    starts = np.searchsorted(group, np.arange(n_groups))
+    counts = np.zeros((1, n_pairs, 3))
+    for a in range(0, n_groups - 1, chunk):
+        b = min(a + chunk, n_groups - 1)
+        at = slice(starts[a], starts[b])
+        counts = counts[-1] + np.cumsum(_counts(codes[at], n_pairs, group[at] - a, b - a), axis=0)
+        yield counts
+
+
 def _tally(pairs: np.ndarray, codes: np.ndarray, treatments: Sequence[str]) -> Tournament:
     """Tournament of coded records; pairs without records are left out."""
     treatments = tuple(treatments)
-    counts = np.bincount(codes, minlength=3 * len(pairs)).reshape(-1, 3)
+    counts = _counts(codes, len(pairs))[0]
     kept = counts.sum(axis=1) > 0
     return Tournament(
         treatments=treatments,

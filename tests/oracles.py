@@ -10,26 +10,35 @@ tallied record by record, the preference graph's connectivity comes
 from a boolean transitive closure, and the no-finite-maximum verdict from
 Floyd-Warshall on a dense bound matrix. Agreement between
 these and the package is the point of the comparisons, so keep them
-decoupled. The one exception is the sup-LM stability test, kept here in
-its earlier form (full-length cumulative sums, blocks of 256
-permutations) on the package's score rows: the package's version must
-match it bit for bit, so it is the arithmetic, not the scoring, that is
-under test.
+decoupled. The exceptions are kept here in an earlier form of the
+package's own code, because the package must match them bit for bit, so
+it is the arithmetic that is under test: the sup-LM stability test
+(full-length cumulative sums, blocks of 256 permutations) on the
+package's score rows, the one-tournament likelihood core and Newton
+solver, and the split search that fits both sides of every candidate.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from treatrank.davidson import win_tie_probabilities
-from treatrank.errors import DataError
-from treatrank.partition import _chi2_sf, _read_covariate, score_contributions
-from treatrank.study_data import Categorical
-from treatrank.tcc import PairCounts, PreferenceRecord, Tournament, Verdict
+from treatrank.davidson import fit_davidson, win_tie_probabilities
+from treatrank.errors import ConvergenceError, DataError, ModelError
+from treatrank.partition import (
+    MAX_SPLIT_LEVELS,
+    _chi2_sf,
+    _goes_left,
+    _read_covariate,
+    _treatment_order,
+    score_contributions,
+)
+from treatrank.study_data import Categorical, Continuous
+from treatrank.tcc import PairCounts, PreferenceRecord, Tournament, Verdict, _code_records, _tally
 
 
 def _pair_arrays(t: Tournament):
@@ -369,3 +378,197 @@ def reference_stability_test(
         remaining -= block
     p_value = (1 + exceed) / (permutations + 1)
     return statistic, p_value
+
+
+# ---------------------------------------------------------------- scalar solver
+# ``davidson``'s likelihood core and Newton solver for one tournament, as they
+# were before they took a leading candidate axis.
+
+_CREDIT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
+_CREDIT_PRODUCTS = np.einsum("ka,kb->abk", _CREDIT, _CREDIT).reshape(9, 3)
+
+
+def _scalar_log_probabilities(lam, log_nu, i, j):
+    l_i, l_j = lam[i], lam[j]
+    logits = np.stack((l_i, l_j, log_nu + 0.5 * (l_i + l_j)), axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _scalar_loglik(counts, log_p):
+    terms = np.multiply(counts, log_p, out=np.zeros_like(log_p), where=counts > 0)
+    return float(terms.sum())
+
+
+def _scalar_pair_credit(counts, p):
+    expected = counts.sum(axis=1, keepdims=True) * (p @ _CREDIT)
+    return counts @ _CREDIT, expected
+
+
+class ScalarDavidsonObjective:
+    """``davidson.DavidsonObjective`` for one tournament, with its evaluation memo."""
+
+    def __init__(self, t: Tournament):
+        self.treatments = t.treatments
+        self.n_treatments = n = len(t.treatments)
+        self._i, self._j, self._counts = t._i, t._j, t._counts
+        self.has_tie_param = t.total_ties > 0
+        self.n_params = n - 1 + (1 if self.has_tie_param else 0)
+        self._free = slice(1, self.n_params + 1)
+        self._slots = np.stack((self._i, self._j, np.full_like(self._i, n)))
+        self._cells = (self._slots[:, None, :] * (n + 1) + self._slots[None, :, :]).ravel()
+        self._memo = None
+
+    def _scatter(self, per_pair):
+        return np.bincount(
+            self._slots.ravel(), weights=per_pair.T.ravel(), minlength=self.n_treatments + 1
+        )
+
+    def _evaluate(self, theta):
+        key = np.asarray(theta, dtype=float).tobytes()
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
+        n = self.n_treatments
+        lam = np.concatenate(([0.0], np.asarray(theta[: n - 1], dtype=float)))
+        log_nu = theta[-1] if self.has_tie_param else -math.inf
+        log_p = _scalar_log_probabilities(lam, log_nu, self._i, self._j)
+        p = np.exp(log_p)
+        self._memo = (key, log_p, p)
+        return log_p, p
+
+    def value(self, theta):
+        return _scalar_loglik(self._counts, self._evaluate(theta)[0])
+
+    def gradient(self, theta):
+        observed, expected = _scalar_pair_credit(self._counts, self._evaluate(theta)[1])
+        return self._scatter(observed - expected)[self._free]
+
+    def hessian(self, theta):
+        p = self._evaluate(theta)[1].T
+        mean = _CREDIT.T @ p
+        cov = (_CREDIT_PRODUCTS @ p).reshape(3, 3, -1) - mean[:, None, :] * mean[None, :, :]
+        size = self.n_treatments + 1
+        weights = (-self._counts.sum(axis=1) * cov).ravel()
+        full = np.bincount(self._cells, weights=weights, minlength=size**2).reshape(size, size)
+        return full[self._free, self._free]
+
+    def mm_step(self, theta):
+        observed, expected = _scalar_pair_credit(self._counts, self._evaluate(theta)[1])
+        used = slice(0, self.n_params + 1)
+        lift = np.log(self._scatter(observed)[used]) - np.log(self._scatter(expected)[used])
+        new_theta = theta + lift[1:]
+        new_theta[: self.n_treatments - 1] -= lift[0]
+        return new_theta
+
+
+def scalar_maximize(obj, theta, max_iterations, grad_tol, step_tol):
+    value = obj.value(theta)
+    for iteration in range(1, max_iterations + 1):
+        grad = obj.gradient(theta)
+        if np.max(np.abs(grad)) < grad_tol:
+            return theta, iteration - 1
+        step = None
+        try:
+            step = np.linalg.solve(-obj.hessian(theta), grad)
+        except np.linalg.LinAlgError:
+            pass
+        candidate = None
+        if step is not None and np.all(np.isfinite(step)):
+            scale = 1.0
+            while scale >= 1e-12:
+                trial = theta + scale * step
+                trial_value = obj.value(trial)
+                if math.isfinite(trial_value) and trial_value >= value - 1e-12:
+                    candidate = (trial, trial_value)
+                    break
+                scale *= 0.5
+        if candidate is None:
+            trial = obj.mm_step(theta)
+            candidate = (trial, obj.value(trial))
+        new_theta, new_value = candidate
+        if np.max(np.abs(new_theta - theta)) < step_tol:
+            return new_theta, iteration
+        theta, value = new_theta, new_value
+    raise ConvergenceError(
+        f"no convergence after {max_iterations} iterations "
+        f"(gradient max-norm {np.max(np.abs(obj.gradient(theta))):.3g})"
+    )
+
+
+def reference_fit(t: Tournament, max_iterations=10_000, grad_tol=1e-8, step_tol=1e-10):
+    """``(log_params, covariance, loglik, iterations)`` as ``fit_davidson`` computed
+    them from a tournament that passes its checks."""
+    obj = ScalarDavidsonObjective(t)
+    theta = np.zeros(obj.n_params)
+    if obj.has_tie_param:
+        theta[-1] = math.log(2.0 * t.total_ties / t.total_wins)
+    theta, iterations = scalar_maximize(obj, theta, max_iterations, grad_tol, step_tol)
+    covariance = np.linalg.inv(-obj.hessian(theta))
+    covariance = 0.5 * (covariance + covariance.T)
+    return theta, covariance, obj.value(theta), iterations
+
+
+# ---------------------------------------------------------------- split search
+# ``partition.best_split`` as it was when it fitted both sides of every
+# candidate with ``fit_davidson``.
+
+
+def _candidate_rules(kind, values):
+    levels = np.unique(values)
+    if isinstance(kind, Continuous):
+        return ((levels[:-1] + levels[1:]) / 2.0).tolist()
+    anchor, *others = levels.tolist()
+    return [
+        (anchor, *(lvl for bit, lvl in enumerate(others) if mask >> bit & 1))
+        for mask in range(2 ** len(others) - 1)
+    ]
+
+
+def _fit_quietly(pairs, codes, treatments):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit_davidson(_tally(pairs, codes, treatments))
+
+
+def reference_split_candidates(records, covariate, kind=None, treatments=None, *, min_node_size=10):
+    """Every admissible candidate as ``((-loglik, imbalance, rule), loglik)``, in rule order."""
+    records = tuple(records)
+    kind, values = _read_covariate(records, covariate, kind)
+    if isinstance(kind, Categorical) and (levels := np.unique(values).size) > MAX_SPLIT_LEVELS:
+        raise DataError(
+            f"covariate {covariate!r} has {levels} levels; the split search "
+            f"takes at most {MAX_SPLIT_LEVELS}"
+        )
+    if treatments is None:
+        treatments = _treatment_order(records)
+    pairs, codes = _code_records(records, treatments)
+    candidates = []
+    for rule in _candidate_rules(kind, values):
+        left = _goes_left(rule, values)
+        n_left = int(left.sum())
+        n_right = len(records) - n_left
+        if min(n_left, n_right) < min_node_size:
+            continue
+        try:
+            loglik = (
+                _fit_quietly(pairs, codes[left], treatments).loglik
+                + _fit_quietly(pairs, codes[~left], treatments).loglik
+            )
+        except ModelError:
+            continue
+        candidates.append(((-loglik, abs(n_left - n_right), rule), loglik))
+    return candidates
+
+
+def reference_best_split(records, covariate, kind=None, treatments=None, *, min_node_size=10):
+    candidates = reference_split_candidates(
+        records, covariate, kind, treatments, min_node_size=min_node_size
+    )
+    if not candidates:
+        raise ModelError(
+            f"no admissible split on covariate {covariate!r}: every candidate "
+            "leaves a side too small or unfittable"
+        )
+    (_, _, rule), loglik = min(candidates, key=lambda c: c[0])
+    return rule, loglik

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from oracles import (
     loop_loglik,
     random_tournament,
     reachability,
+    reference_fit,
+    scalar_maximize,
+    ScalarDavidsonObjective,
 )
 
 
@@ -458,6 +462,117 @@ def test_fit_computes_probabilities_once_per_point_it_visits(monkeypatch):
         fit_davidson(t)
         assert len(points) > 2
         assert len(calls) == len(points)
+
+
+# ---------------------------------------------------------------- one solver, batched or not
+
+
+def _rescaled(t, factor=1, ties=True):
+    return Tournament(
+        t.treatments,
+        {
+            pair: PairCounts(factor * c.wins_first, factor * c.wins_second, factor * c.ties * ties)
+            for pair, c in t.counts.items()
+        },
+    )
+
+
+def _quiet_fit(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tie-free model warns
+        return fit_davidson(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_tournaments())
+def test_fit_matches_the_scalar_solver_bit_for_bit(t):
+    # At 10^6 records per count the solver tends to stop on its step
+    # tolerance; from a far start it needs step halving and MM sweeps.
+    for k, case in enumerate((t, _rescaled(t, ties=False), _rescaled(t, 10**6))):
+        try:
+            fit = _quiet_fit(case)
+        except (DataError, ModelError):
+            continue
+        log_params, covariance, loglik, iterations = reference_fit(case)
+        assert fit.log_params.tobytes() == log_params.tobytes()
+        assert fit.covariance.tobytes() == covariance.tobytes()
+        assert (fit.loglik, fit.iterations) == (loglik, iterations)
+        if k == 0:
+            far = 30.0 * (-1.0) ** np.arange(len(log_params))
+            want = scalar_maximize(ScalarDavidsonObjective(case), far, 10_000, 1e-8, 1e-10)
+            obj = DavidsonObjective(case)
+            theta, taken = davidson._maximize(obj, far[None], 10_000, 1e-8, 1e-10)
+            assert (theta[0].tobytes(), taken[0]) == (want[0].tobytes(), want[1])
+
+
+@st.composite
+def _count_stacks(draw):
+    """1-6 tournaments over the pairs of 2-6 treatments, each with a record.
+
+    Each pair of each tournament has no records, or counts of 0-2 per
+    outcome; all counts are then scaled by 1, 1000 or 10^6, and at the
+    larger scales the solver tends to stop on its step tolerance.
+    """
+    n = draw(st.integers(2, 6))
+    labels = tuple(f"T{k}" for k in range(n))
+    i, j = (np.asarray(v, dtype=np.intp) for v in np.triu_indices(n, 1))
+    cell = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    row = st.lists(cell, min_size=len(i), max_size=len(i)).map(
+        lambda cells: [c or (0, 0, 0) for c in cells]
+    )
+    rows = draw(st.lists(row.filter(lambda r: any(map(any, r))), min_size=1, max_size=6))
+    scale = draw(st.sampled_from([1, 1000, 10**6]))
+    return labels, i, j, scale * np.asarray(rows, dtype=float)
+
+
+def _row_tournament(labels, i, j, row):
+    return Tournament(
+        labels,
+        {(labels[a], labels[b]): PairCounts(*map(int, c)) for a, b, c in zip(i, j, row)},
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_count_stacks())
+def test_batched_fits_match_fit_davidson_row_by_row(stack):
+    labels, i, j, counts = stack
+    passed = davidson._fittable(len(labels), i, j, counts)
+    logliks = davidson._max_logliks(labels, i, j, counts[passed])
+    assert np.all(np.isfinite(logliks))
+    for row, ok in zip(counts, passed):
+        try:
+            want = _quiet_fit(_row_tournament(labels, i, j, row)).loglik
+        except ModelError:
+            assert not ok
+            continue
+        assert ok
+        loglik, logliks = logliks[0], logliks[1:]
+        assert abs(loglik - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def _assert_each_row_met_a_tolerance(obj, start, grad_tol=1e-8, step_tol=1e-10):
+    theta, iterations = davidson._maximize(obj, start, 10_000, grad_tol, step_tol)
+    assert np.all(iterations >= 0)
+    small = np.max(np.abs(obj.gradient(theta)), axis=-1) < grad_tol
+    for r in np.flatnonzero(~small):
+        # The solver is deterministic: rerun it one iteration short.
+        before, _ = davidson._maximize(obj, start, int(iterations[r]) - 1, grad_tol, step_tol)
+        assert np.max(np.abs(theta[r] - before[r])) < step_tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_count_stacks())
+def test_every_returned_row_met_a_tolerance(stack):
+    labels, i, j, counts = stack
+    passed = davidson._fittable(len(labels), i, j, counts)
+    ties = counts[..., 2].sum(axis=-1) > 0
+    for rows in (passed & ties, passed & ~ties):
+        if rows.any():
+            obj = DavidsonObjective._of_counts(labels, i, j, counts[rows])
+            _assert_each_row_met_a_tolerance(obj, obj._start())
+    for row in counts[passed]:
+        obj = DavidsonObjective(_row_tournament(labels, i, j, row))
+        _assert_each_row_met_a_tolerance(obj, obj._start()[None])
 
 
 # ---------------------------------------------------------------- fitting

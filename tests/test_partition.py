@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatrank import (
     Categorical,
@@ -28,7 +31,15 @@ from treatrank import (
     tree_to_dict,
 )
 
-from oracles import loop_scores, reference_stability_test, simulate_records
+from treatrank.tcc import _code_records
+
+from oracles import (
+    loop_scores,
+    reference_best_split,
+    reference_split_candidates,
+    reference_stability_test,
+    simulate_records,
+)
 
 STEEP = {"A": 8.0, "B": 4.0, "C": 2.0, "D": 1.0}
 REVERSED = {"A": 1.0, "B": 2.0, "C": 4.0, "D": 8.0}
@@ -311,6 +322,102 @@ def test_best_split_fails_when_no_candidate_is_admissible():
     records = simulate_records(np.random.default_rng(78), 30, _null_draw, 1.0)
     with pytest.raises(ModelError, match="no admissible split"):
         best_split(records, "age", min_node_size=20)
+
+
+_VERDICT_SETS = (
+    (Verdict.FIRST_WINS, Verdict.SECOND_WINS, Verdict.TIE),
+    (Verdict.FIRST_WINS, Verdict.SECOND_WINS),
+    (Verdict.FIRST_WINS, Verdict.TIE),
+    (Verdict.TIE,),
+)
+
+
+@st.composite
+def _split_cases(draw):
+    """Records among 2-6 treatments on a random subset of their pairs, with
+    verdicts from one of _VERDICT_SETS (so sides can be tie-free, all ties,
+    fail the Ford check or have no finite maximum), and a covariate with up
+    to 6 values: repeated numbers, or categorical levels."""
+    n_t = draw(st.integers(2, 6))
+    labels = tuple(f"T{k}" for k in range(n_t))
+    every_pair = [(a, b) for a in range(n_t) for b in range(a + 1, n_t)]
+    pairs = draw(st.lists(st.sampled_from(every_pair), min_size=1, unique=True))
+    verdicts = draw(st.sampled_from(_VERDICT_SETS))
+    categorical = draw(st.booleans())
+    n_values = draw(st.integers(2, 6))
+    records = []
+    for k in range(draw(st.integers(4, 30))):
+        a, b = draw(st.sampled_from(pairs))
+        if draw(st.booleans()):
+            a, b = b, a
+        v = draw(st.integers(0, n_values - 1))
+        records.append(
+            PreferenceRecord(
+                f"s{k}", labels[a], labels[b], draw(st.sampled_from(verdicts)),
+                {"x": f"L{v}" if categorical else 0.5 * v},
+            )
+        )
+    return records, labels, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_split_cases())
+def test_batched_split_search_matches_the_per_candidate_fits(case):
+    records, labels, min_node_size = case
+    kwargs = dict(min_node_size=min_node_size)
+    try:
+        reference = reference_split_candidates(records, "x", None, labels, **kwargs)
+    except DataError:  # a constant covariate
+        with pytest.raises(DataError):
+            best_split(records, "x", None, labels, **kwargs)
+        return
+    kind, values = partition._read_covariate(records, "x", None)
+    pairs, codes = _code_records(records, labels)
+    rules, totals = partition._split_logliks(kind, values, pairs, codes, labels, min_node_size)
+    batched = {rule: total for rule, total in zip(rules, totals.tolist()) if math.isfinite(total)}
+    assert batched.keys() == {rule for (_, _, rule), _ in reference}
+    for (_, _, rule), loglik in reference:
+        assert abs(batched[rule] - loglik) <= 1e-9 * max(1.0, abs(loglik))
+    if reference:
+        got = best_split(records, "x", None, labels, **kwargs)
+        assert got == reference_best_split(records, "x", None, labels, **kwargs)
+    else:
+        with pytest.raises(ModelError, match="no admissible split"):
+            best_split(records, "x", None, labels, **kwargs)
+
+
+def test_best_split_refits_only_the_finalists(monkeypatch):
+    records = simulate_records(np.random.default_rng(303), 1000, _planted_cut, 1.0)
+    reference = reference_split_candidates(records, "x")
+    best = max(loglik for _, loglik in reference)
+    finalists = sum(loglik >= best - 1e-9 * max(1.0, abs(best)) for _, loglik in reference)
+    fits = []
+    fit = partition.fit_davidson
+    monkeypatch.setattr(partition, "fit_davidson", lambda t: fits.append(t) or fit(t))
+    assert best_split(records, "x") == reference_best_split(records, "x")
+    assert len(reference) > 500
+    assert len(fits) == 2 * finalists
+
+
+def test_best_split_workspace_is_bounded_on_a_wide_node():
+    # 100 treatments, about 1300 pairs with records and 299 cuts. In chunks
+    # whose solver workspace holds at most 2^20 floats (8 MB) the search
+    # peaks near 20 MB; every cut at once takes 53 MB.
+    abilities = {f"T{k:03d}": 1.02**k for k in range(100)}
+    grid = np.arange(300) / 300
+
+    def draw(rng):
+        return {"x": float(grid[rng.integers(300)])}, abilities
+
+    records = simulate_records(np.random.default_rng(5), 1500, draw, 1.0)
+    tracemalloc.start()
+    try:
+        rule, _ = best_split(records, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rule < 1.0
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------- tree growth
