@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .study_data import _parse_float, _read_csv
+from .study_data import _first_seen, _parse_float, _read_csv
 from .tcc import BENEFICIAL, HARMFUL
 
 __all__ = [
@@ -84,14 +84,7 @@ class LeagueTable:
         When both (X, Y) and (Y, X) appear they must agree (opposite
         estimates, equal SEs). Keys are canonicalized to treatment order.
         """
-        if treatments is None:
-            seen: dict[str, None] = {}
-            for x, y in entries:
-                seen.setdefault(x)
-                seen.setdefault(y)
-            treatments = tuple(seen)
-        else:
-            treatments = tuple(treatments)
+        treatments = _first_seen(entries) if treatments is None else tuple(treatments)
         index = {x: k for k, x in enumerate(treatments)}
         canonical: dict[tuple[str, str], tuple[float, float]] = {}
         for (x, y), (estimate, se) in entries.items():
@@ -306,7 +299,6 @@ def parse_league_table(
     _, rows = _read_csv(source, ("treat1", "treat2", "estimate", "se"))
     entries: dict[tuple[str, str], tuple[float, float]] = {}
     seen_pairs: set[frozenset[str]] = set()
-    order: dict[str, None] = {}
     for i, row in rows:
         t1 = (row.get("treat1") or "").strip()
         t2 = (row.get("treat2") or "").strip()
@@ -320,12 +312,10 @@ def parse_league_table(
         if key in seen_pairs:
             raise DataError(f"row {i}: pair ({t1!r}, {t2!r}) appears more than once")
         seen_pairs.add(key)
-        order.setdefault(t1)
-        order.setdefault(t2)
         entries[(t1, t2)] = (estimate, se)
     if not entries:
         raise DataError("league table has no rows")
-    return LeagueTable.from_pairwise(entries, treatments=tuple(order), direction=direction)
+    return LeagueTable.from_pairwise(entries, direction=direction)
 
 
 def parse_basic_table(

@@ -25,9 +25,8 @@ import numpy as np
 from .davidson import AbilityFit, _fittable, _log_nu, _log_probabilities, _max_logliks
 from .davidson import _pair_credit, fit_davidson
 from .errors import DataError, ModelError
-from .study_data import Categorical, Continuous, CovariateKind, CovariateSchema
-from .tcc import PreferenceRecord, _code_records, _counts, _running_counts, _tally
-from .tcc import aggregate_tournament
+from .study_data import Categorical, Continuous, CovariateKind, CovariateSchema, _first_seen
+from .tcc import PreferenceRecord, _code_records, _counts, _running_counts, aggregate_tournament
 
 __all__ = [
     "PartitionConfig",
@@ -171,10 +170,6 @@ def _goes_left(rule, values: np.ndarray) -> np.ndarray:
     return np.isin(values, rule) if isinstance(rule, tuple) else values <= rule
 
 
-def _treatment_order(records: Sequence[PreferenceRecord]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(label for r in records for label in r.pair))
-
-
 def _chi2_sf(x: float, df: int) -> float:
     """Upper tail of the chi-square distribution with integer ``df`` at ``x``.
 
@@ -304,8 +299,9 @@ def best_split(
     two sides pass the checks are maximized in one batched Newton solve, in
     chunks whose solver workspace holds at most 2^20 floats. The finalists,
     whose batched total lies within 1e-9 (relative above 1) of the best,
-    are refitted with :func:`fit_davidson`, and the winner is chosen on
-    those refitted values.
+    are re-solved one side at a time by the same solver, which then gives
+    the ``loglik`` of :func:`fit_davidson` bit for bit, and the winner is
+    chosen on those values.
 
     Returns ``(rule, partitioned_loglik)`` where ``rule`` is the cutpoint
     (left side: values <= rule) or the tuple of left-side levels.
@@ -318,22 +314,20 @@ def best_split(
             f"takes at most {MAX_SPLIT_LEVELS}"
         )
     if treatments is None:
-        treatments = _treatment_order(records)
+        treatments = _first_seen(r.pair for r in records)
     pairs, codes = _code_records(records, treatments)
     rules, totals = _split_logliks(kind, values, pairs, codes, treatments, min_node_size)
     best = np.max(totals, initial=-np.inf, where=~np.isnan(totals))
+    i, j = pairs.T
     candidates = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a side without ties fits the tie-free model
-        for c in np.flatnonzero(totals >= best - 1e-9 * max(1.0, abs(best))).tolist():
-            left = _goes_left(rules[c], values)
-            try:
-                loglik = sum(fit_davidson(_tally(pairs, codes[s], treatments)).loglik
-                             for s in (left, ~left))
-            except ModelError:
-                continue
-            imbalance = abs(len(records) - 2 * int(left.sum()))
-            candidates.append(((-loglik, imbalance, rules[c]), loglik))
+    for c in np.flatnonzero(totals >= best - 1e-9 * max(1.0, abs(best))).tolist():
+        left = _goes_left(rules[c], values)
+        sides = (_counts(codes[s], len(pairs)).astype(float) for s in (left, ~left))
+        loglik = sum(float(_max_logliks(treatments, i, j, side)[0]) for side in sides)
+        if math.isnan(loglik):
+            continue  # a side hit the iteration cap
+        imbalance = abs(len(records) - 2 * int(left.sum()))
+        candidates.append(((-loglik, imbalance, rules[c]), loglik))
     if not candidates:
         raise ModelError(
             f"no admissible split on covariate {covariate!r}: every candidate "
@@ -413,7 +407,8 @@ def grow_tree(
         )
     if not usable:
         raise DataError("no records with complete covariate values")
-    return _grow(usable, _treatment_order(usable), covariate_schema, config, path=(), depth=0)
+    treatments = _first_seen(r.pair for r in usable)
+    return _grow(usable, treatments, covariate_schema, config, path=(), depth=0)
 
 
 def _grow(records, treatments, schema, config, path, depth):

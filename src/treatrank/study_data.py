@@ -148,6 +148,12 @@ class ValidationReport:
         )
 
 
+def _first_seen(pairs: Iterable[tuple[str, str]]) -> tuple[str, ...]:
+    """Treatment labels in order of first appearance over the pairs; the
+    first is the reference treatment of a fit."""
+    return tuple(dict.fromkeys(label for pair in pairs for label in pair))
+
+
 _MANDATORY = ("study", "treat1", "treat2", "effect")
 # A cell spelling a missing value in an otherwise numeric covariate column.
 _MISSING = "NA"
@@ -284,8 +290,6 @@ def parse_contrast_table(
     covariate_names = [f for f in fields if f not in reserved]
     schema = _covariate_schema(covariate_names, rows, schema)
 
-    treatments: list[str] = []
-    seen = set()
     effects = []
     for i, row in rows:
         study = (row.get("study") or "").strip()
@@ -308,10 +312,6 @@ def parse_contrast_table(
             name: _parse_covariate(name, schema[name], row.get(name), i)
             for name in covariate_names
         }
-        for label in (t1, t2):
-            if label not in seen:
-                seen.add(label)
-                treatments.append(label)
         effects.append(
             StudyEffect(
                 study_id=study,
@@ -326,7 +326,7 @@ def parse_contrast_table(
             )
         )
     return Network(
-        treatments=tuple(treatments),
+        treatments=_first_seen(e.pair for e in effects),
         effects=tuple(effects),
         covariate_schema=schema,
     )

@@ -25,6 +25,7 @@ from .study_data import (
     StudyEffect,
     _covariate_cell,
     _covariate_schema,
+    _first_seen,
     _parse_covariate,
     _read_csv,
 )
@@ -284,26 +285,19 @@ def _running_counts(codes: np.ndarray, n_pairs: int, group: np.ndarray, n_groups
         yield counts
 
 
-def _tally(pairs: np.ndarray, codes: np.ndarray, treatments: Sequence[str]) -> Tournament:
-    """Tournament of coded records; pairs without records are left out."""
-    treatments = tuple(treatments)
-    counts = _counts(codes, len(pairs))[0]
-    kept = counts.sum(axis=1) > 0
-    return Tournament(
-        treatments=treatments,
-        counts={
-            (treatments[x], treatments[y]): PairCounts(*c)
-            for (x, y), c in zip(pairs[kept].tolist(), counts[kept].tolist())
-        },
-    )
-
-
 def aggregate_tournament(
     records: Iterable[PreferenceRecord], treatments: Sequence[str]
 ) -> Tournament:
     """Tally preference records into a tournament over the given treatments."""
     treatments = tuple(treatments)
-    return _tally(*_code_records(records, treatments), treatments)
+    pairs, codes = _code_records(records, treatments)
+    return Tournament(
+        treatments=treatments,
+        counts={
+            (treatments[x], treatments[y]): PairCounts(*c)
+            for (x, y), c in zip(pairs.tolist(), _counts(codes, len(pairs))[0].tolist())
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -343,8 +337,6 @@ def parse_preference_records(
 
     valid = {v.value for v in Verdict}
     records = []
-    treatments: list[str] = []
-    seen = set()
     seen_pairs: set[tuple[str, frozenset[str]]] = set()
     for i, row in rows:
         study = (row.get("study") or "").strip()
@@ -367,10 +359,6 @@ def parse_preference_records(
             name: _parse_covariate(name, schema[name], row.get(name), i)
             for name in covariate_names
         }
-        for label in (t1, t2):
-            if label not in seen:
-                seen.add(label)
-                treatments.append(label)
         records.append(
             PreferenceRecord(
                 study_id=study,
@@ -382,6 +370,6 @@ def parse_preference_records(
         )
     return PreferenceData(
         records=tuple(records),
-        treatments=tuple(treatments),
+        treatments=_first_seen(r.pair for r in records),
         covariate_schema=schema,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import compress
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,11 +35,10 @@ from treatrank.partition import (
     _chi2_sf,
     _goes_left,
     _read_covariate,
-    _treatment_order,
     score_contributions,
 )
-from treatrank.study_data import Categorical, Continuous
-from treatrank.tcc import PairCounts, PreferenceRecord, Tournament, Verdict, _code_records, _tally
+from treatrank.study_data import Categorical, Continuous, _first_seen
+from treatrank.tcc import PairCounts, PreferenceRecord, Tournament, Verdict, aggregate_tournament
 
 
 def _pair_arrays(t: Tournament):
@@ -525,10 +525,10 @@ def _candidate_rules(kind, values):
     ]
 
 
-def _fit_quietly(pairs, codes, treatments):
+def _fit_quietly(records, treatments):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return fit_davidson(_tally(pairs, codes, treatments))
+        return fit_davidson(aggregate_tournament(records, treatments))
 
 
 def reference_split_candidates(records, covariate, kind=None, treatments=None, *, min_node_size=10):
@@ -541,8 +541,7 @@ def reference_split_candidates(records, covariate, kind=None, treatments=None, *
             f"takes at most {MAX_SPLIT_LEVELS}"
         )
     if treatments is None:
-        treatments = _treatment_order(records)
-    pairs, codes = _code_records(records, treatments)
+        treatments = _first_seen(r.pair for r in records)
     candidates = []
     for rule in _candidate_rules(kind, values):
         left = _goes_left(rule, values)
@@ -552,8 +551,8 @@ def reference_split_candidates(records, covariate, kind=None, treatments=None, *
             continue
         try:
             loglik = (
-                _fit_quietly(pairs, codes[left], treatments).loglik
-                + _fit_quietly(pairs, codes[~left], treatments).loglik
+                _fit_quietly(compress(records, left), treatments).loglik
+                + _fit_quietly(compress(records, ~left), treatments).loglik
             )
         except ModelError:
             continue

@@ -550,6 +550,17 @@ def test_batched_fits_match_fit_davidson_row_by_row(stack):
         assert abs(loglik - want) <= 1e-9 * max(1.0, abs(want))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_tournaments())
+def test_one_row_solve_gives_the_fit_loglik_bit_for_bit(t):
+    # The split search re-solves each side of its finalists this way.
+    for case in (t, _rescaled(t, ties=False)):
+        n, i, j, counts = len(case.treatments), case._i, case._j, case._counts[None]
+        if davidson._fittable(n, i, j, counts)[0]:
+            loglik = davidson._max_logliks(case.treatments, i, j, counts)[0]
+            assert loglik == _quiet_fit(case).loglik
+
+
 def _assert_each_row_met_a_tolerance(obj, start, grad_tol=1e-8, step_tol=1e-10):
     theta, iterations = davidson._maximize(obj, start, 10_000, grad_tol, step_tol)
     assert np.all(iterations >= 0)

@@ -310,10 +310,11 @@ def test_best_split_refuses_too_many_levels_before_any_fit(monkeypatch):
         for k, r in enumerate(simulate_records(np.random.default_rng(79), 120, _null_draw, 1.0))
     ]
 
-    def no_fit(t):
+    def no_fit(*args):
         raise AssertionError("best_split fitted a candidate")
 
     monkeypatch.setattr(partition, "fit_davidson", no_fit)
+    monkeypatch.setattr(partition, "_max_logliks", no_fit)
     with pytest.raises(DataError, match=f"'site' has {len(levels)} levels"):
         best_split(records, "site")
 
@@ -391,12 +392,27 @@ def test_best_split_refits_only_the_finalists(monkeypatch):
     reference = reference_split_candidates(records, "x")
     best = max(loglik for _, loglik in reference)
     finalists = sum(loglik >= best - 1e-9 * max(1.0, abs(best)) for _, loglik in reference)
-    fits = []
-    fit = partition.fit_davidson
-    monkeypatch.setattr(partition, "fit_davidson", lambda t: fits.append(t) or fit(t))
-    assert best_split(records, "x") == reference_best_split(records, "x")
+    want = reference_best_split(records, "x")
+    tie_free = simulate_records(np.random.default_rng(304), 300, _planted_cut, 0.0)
+    want_tie_free = reference_best_split(tie_free, "x")
+
+    def no_fit(t):
+        raise AssertionError("best_split called fit_davidson")
+
+    rows = []
+    solve = partition._max_logliks
+    monkeypatch.setattr(partition, "fit_davidson", no_fit)
+    monkeypatch.setattr(
+        partition, "_max_logliks", lambda *args: rows.append(len(args[-1])) or solve(*args)
+    )
+    assert best_split(records, "x") == want
     assert len(reference) > 500
-    assert len(fits) == 2 * finalists
+    # Each finalist's two sides are re-solved one at a time.
+    assert rows.count(1) == 2 * finalists
+    # Sides without ties fit the tie-free model, which warns in fit_davidson.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert best_split(tie_free, "x") == want_tie_free
 
 
 def test_best_split_workspace_is_bounded_on_a_wide_node():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,20 @@ from treatrank import (
     DataError,
     Network,
     StudyEffect,
+    apply_tcc,
+    best_split,
+    build_roe,
     complete_intervals,
     dump_contrast_table,
+    dump_preference_records,
     parse_contrast_table,
+    parse_league_table,
     parse_preference_records,
+    partition,
     validate_network,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _csv(text: str) -> io.StringIO:
@@ -342,3 +351,49 @@ def test_validate_network_clean_case():
     )
     report = validate_network(Network(treatments=("A", "B"), effects=effects))
     assert report.is_clean()
+
+
+# ---------------------------------------------------------------- treatment order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tables_list_treatments_in_first_seen_order(seed, monkeypatch):
+    # The first treatment is the reference of every fit, whatever the row order.
+    rng = np.random.default_rng(seed)
+
+    def shuffled(text):
+        header, *rows = text.splitlines()
+        return [header, *(rows[k] for k in rng.permutation(len(rows)))]
+
+    def first_seen(lines, columns):
+        order = []
+        for line in lines[1:]:
+            cells = line.split(",")
+            for c in columns:
+                if cells[c] not in order:
+                    order.append(cells[c])
+        return tuple(order)
+
+    contrasts = shuffled((FIXTURES / "contrasts.csv").read_text())
+    network = parse_contrast_table(contrasts)
+    assert network.treatments == first_seen(contrasts, (1, 2))
+    league = shuffled((FIXTURES / "league.csv").read_text())
+    assert parse_league_table(league).treatments == first_seen(league, (0, 1))
+
+    roe = build_roe(1.2)
+    buf = io.StringIO()
+    dump_preference_records(
+        [apply_tcc(complete_intervals(e), roe) for e in network.effects], buf, ["age"]
+    )
+    table = shuffled(buf.getvalue())
+    data = parse_preference_records(table)
+    assert data.treatments == first_seen(table, (1, 2))
+
+    orders = []
+    code = partition._code_records
+    monkeypatch.setattr(
+        partition, "_code_records", lambda records, t: orders.append(tuple(t)) or code(records, t)
+    )
+    split = best_split(data.records, "age", min_node_size=5)
+    assert orders == [data.treatments]
+    assert split == best_split(data.records, "age", treatments=data.treatments, min_node_size=5)
