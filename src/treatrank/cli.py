@@ -293,7 +293,7 @@ def _run_partition(config: RunConfig) -> None:
 
 def _run_compare(config: RunConfig) -> None:
     with open(config.input, "r", encoding="utf-8", newline="") as stream:
-        columns = set(_read_csv(stream)[0])
+        columns = set(_read_csv([stream.readline()])[0])
         stream.seek(0)
         if {"treat1", "treat2"} <= columns:
             if config.covariance is not None:

@@ -300,14 +300,13 @@ def parse_league_table(
     entries: dict[tuple[str, str], tuple[float, float]] = {}
     seen_pairs: set[frozenset[str]] = set()
     for i, row in rows:
-        t1 = (row.get("treat1") or "").strip()
-        t2 = (row.get("treat2") or "").strip()
+        t1, t2 = row["treat1"], row["treat2"]
         if not t1 or not t2:
             raise DataError(f"row {i}: both treatment labels are required")
         if t1 == t2:
             raise DataError(f"row {i}: pair compares {t1!r} with itself")
-        estimate = _parse_float(row.get("estimate"), "estimate", i)
-        se = _parse_float(row.get("se"), "se", i)
+        estimate = _parse_float(row["estimate"], "estimate", i)
+        se = _parse_float(row["se"], "se", i)
         key = frozenset((t1, t2))
         if key in seen_pairs:
             raise DataError(f"row {i}: pair ({t1!r}, {t2!r}) appears more than once")
@@ -334,14 +333,14 @@ def parse_basic_table(
         )
     estimates: dict[str, tuple[float, float]] = {}
     for i, row in rows:
-        label = (row.get("treat") or "").strip()
+        label = row["treat"]
         if not label:
             raise DataError(f"row {i}: treatment label is required")
         if label in estimates:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
         estimates[label] = (
-            _parse_float(row.get(estimate_column), estimate_column, i),
-            _parse_float(row.get("se"), "se", i),
+            _parse_float(row[estimate_column], estimate_column, i),
+            _parse_float(row["se"], "se", i),
         )
     if not estimates:
         raise DataError("basic-form table has no rows")
@@ -366,11 +365,11 @@ def parse_covariance_table(
         )
     by_label: dict[str, dict[str, float]] = {}
     for i, row in rows:
-        label = (row.get(fields[0]) or "").strip()
+        label = row[fields[0]]
         if label in by_label:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
         by_label[label] = {
-            column: _parse_float(row.get(column), "covariance cell", i) for column in header
+            column: _parse_float(row[column], "covariance cell", i) for column in header
         }
     if sorted(by_label) != sorted(treatments):
         raise DataError(

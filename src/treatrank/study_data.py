@@ -11,6 +11,7 @@ pre-adjusted upstream; nothing here inflates or deflates them.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -161,37 +162,40 @@ _MISSING = "NA"
 
 def _read_csv(
     source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
-) -> tuple[list[str], list[tuple[int, dict[str, str | None]]]]:
-    """The one CSV-reading path for every input table.
+) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """The one CSV-reading path for every input table, and the one place a cell is normalized.
 
-    Returns the stripped header names and the ``(row_num, row)`` pairs, with
-    ``row_num`` counting the header as 1 and skipping blank lines. Each row
-    maps the stripped header names to their cells, ``None`` where the row is
-    short. A row with more cells than the header is rejected.
+    Returns the stripped header names, without a leading byte order mark, and the
+    ``(row_num, row)`` pairs, with ``row_num`` counting the header as 1 and skipping
+    blank lines. Each row maps every name to its stripped cell, ``""`` where the row
+    is short. A repeated name and a row longer than the header are rejected.
     """
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    lines = iter(source)
+    first = next(lines, None)
+    if first is None:
         raise DataError("empty input: no header row")
-    fields = [f.strip() for f in reader.fieldnames]
+    reader = csv.reader(itertools.chain((first.removeprefix("\ufeff"),), lines))
+    fields = [name.strip() for name in next(reader)]
+    if len(set(fields)) < len(fields):
+        repeated = next(name for k, name in enumerate(fields) if name in fields[:k])
+        raise DataError(f"column {repeated!r} appears more than once in the header")
     missing = [c for c in mandatory if c not in fields]
     if missing:
         raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
+    width = len(fields)
     rows = []
-    for row_num, row in enumerate(reader, start=2):
-        extra = row.pop(None, None)
-        if extra is not None:
-            raise DataError(
-                f"row {row_num}: expected {len(fields)} cells, got {len(fields) + len(extra)}"
-            )
-        rows.append((row_num, {k.strip(): v for k, v in row.items()}))
+    for row_num, cells in enumerate(filter(None, reader), start=2):
+        if len(cells) > width:
+            raise DataError(f"row {row_num}: expected {width} cells, got {len(cells)}")
+        cells = [cell.strip() for cell in cells] + [""] * (width - len(cells))
+        rows.append((row_num, dict(zip(fields, cells))))
     return fields, rows
 
 
 def _parse_float(
     cell: str | None, what: str, row_num: int, required: bool = True
 ) -> float | None:
-    """A finite float from one cell; an empty cell is ``None`` unless required."""
-    cell = (cell or "").strip()
+    """A finite float from one cell; an empty or absent cell is ``None`` unless required."""
     if not cell:
         if required:
             raise DataError(f"row {row_num}: {what} is empty")
@@ -214,7 +218,6 @@ def _log_transform(value: float | None, what: str, row_num: int) -> float | None
 
 
 def _parse_covariate(name, kind, cell, row_num) -> CovariateValue:
-    cell = (cell or "").strip()
     if not cell or (cell == _MISSING and isinstance(kind, Continuous)):
         return None
     if isinstance(kind, Continuous):
@@ -251,7 +254,7 @@ def _covariate_schema(
         return dict(schema)
     inferred: CovariateSchema = {}
     for name in names:
-        cells = {c for _, row in rows if (c := (row.get(name) or "").strip())}
+        cells = {c for _, row in rows if (c := row[name])}
         try:
             numbers = [float(c) for c in cells - {_MISSING}]
         except ValueError:
@@ -261,6 +264,29 @@ def _covariate_schema(
         else:
             inferred[name] = Categorical(levels=tuple(sorted(cells)))
     return inferred
+
+
+def _study_rows(fields, rows, reserved, schema) -> tuple[CovariateSchema, list[tuple]]:
+    """The covariate schema and the study part of every row of a study table.
+
+    Every column outside ``reserved`` is a covariate and needs a name. Each row
+    comes back as ``(row_num, row, (study, treat1, treat2), covariates)``.
+    """
+    names = [f for f in fields if f not in reserved]
+    if "" in names:
+        raise DataError(
+            f"column {fields.index('') + 1} has no header name; name it, or drop it "
+            "(in R, write.csv(..., row.names = FALSE))"
+        )
+    schema = _covariate_schema(names, rows, schema)
+    study_rows = []
+    for i, row in rows:
+        labels = (row["study"], row["treat1"], row["treat2"])
+        if not all(labels):
+            raise DataError(f"row {i}: study and both treatment labels are required")
+        covariates = {name: _parse_covariate(name, schema[name], row[name], i) for name in names}
+        study_rows.append((i, row, labels, covariates))
+    return schema, study_rows
 
 
 def parse_contrast_table(
@@ -287,31 +313,21 @@ def parse_contrast_table(
     if "se" not in fields and not has_bounds:
         raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
     reserved = set(_MANDATORY) | {"se", "lower", "upper", "ci_level"}
-    covariate_names = [f for f in fields if f not in reserved]
-    schema = _covariate_schema(covariate_names, rows, schema)
+    schema, study_rows = _study_rows(fields, rows, reserved, schema)
 
     effects = []
-    for i, row in rows:
-        study = (row.get("study") or "").strip()
-        t1 = (row.get("treat1") or "").strip()
-        t2 = (row.get("treat2") or "").strip()
-        if not study or not t1 or not t2:
-            raise DataError(f"row {i}: study and both treatment labels are required")
-        effect = _parse_float(row.get("effect"), "effect", i)
+    for i, row, (study, t1, t2), covariates in study_rows:
+        effect = _parse_float(row["effect"], "effect", i)
         se = _parse_float(row.get("se"), "standard error", i, required=False)
         lower = upper = None
         if has_bounds:
-            lower = _parse_float(row.get("lower"), "lower bound", i, required=False)
-            upper = _parse_float(row.get("upper"), "upper bound", i, required=False)
+            lower = _parse_float(row["lower"], "lower bound", i, required=False)
+            upper = _parse_float(row["upper"], "upper bound", i, required=False)
         if scale == "ratio":
             effect = _log_transform(effect, "effect", i)
             lower = _log_transform(lower, "lower bound", i)
             upper = _log_transform(upper, "upper bound", i)
         ci_level = _parse_float(row.get("ci_level"), "ci_level", i, required=False)
-        covariates = {
-            name: _parse_covariate(name, schema[name], row.get(name), i)
-            for name in covariate_names
-        }
         effects.append(
             StudyEffect(
                 study_id=study,

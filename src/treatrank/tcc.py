@@ -24,10 +24,9 @@ from .study_data import (
     CovariateValue,
     StudyEffect,
     _covariate_cell,
-    _covariate_schema,
     _first_seen,
-    _parse_covariate,
     _read_csv,
+    _study_rows,
 )
 
 __all__ = [
@@ -332,19 +331,13 @@ def parse_preference_records(
 ) -> PreferenceData:
     """Read a preference-record CSV; the entry point for externally computed TCCs."""
     fields, rows = _read_csv(source, _RECORD_COLUMNS)
-    covariate_names = [f for f in fields if f not in _RECORD_COLUMNS]
-    schema = _covariate_schema(covariate_names, rows, schema)
+    schema, study_rows = _study_rows(fields, rows, _RECORD_COLUMNS, schema)
 
     valid = {v.value for v in Verdict}
     records = []
     seen_pairs: set[tuple[str, frozenset[str]]] = set()
-    for i, row in rows:
-        study = (row.get("study") or "").strip()
-        t1 = (row.get("treat1") or "").strip()
-        t2 = (row.get("treat2") or "").strip()
-        verdict_cell = (row.get("verdict") or "").strip()
-        if not study or not t1 or not t2:
-            raise DataError(f"row {i}: study and both treatment labels are required")
+    for i, row, (study, t1, t2), covariates in study_rows:
+        verdict_cell = row["verdict"]
         if verdict_cell not in valid:
             raise DataError(
                 f"row {i}: verdict must be one of {sorted(valid)}, got {verdict_cell!r}"
@@ -355,10 +348,6 @@ def parse_preference_records(
                 f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}"
             )
         seen_pairs.add(key)
-        covariates = {
-            name: _parse_covariate(name, schema[name], row.get(name), i)
-            for name in covariate_names
-        }
         records.append(
             PreferenceRecord(
                 study_id=study,

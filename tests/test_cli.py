@@ -237,6 +237,46 @@ def test_partition_covariate_subset_and_unknown_name(tmp_path):
     ) == 1
 
 
+def _r_export(lines):
+    # R's default write.csv: every header name quoted, plus a leading row-name column.
+    quoted = ",".join(f'"{name}"' for name in lines[0].split(","))
+    return [f'"",{quoted}', *(f'"{k}",{line}' for k, line in enumerate(lines[1:], 1))]
+
+
+@pytest.mark.parametrize(
+    "export, column",
+    [(_r_export, 1), (lambda lines: [line + "," for line in lines], 8)],
+    ids=["r-row-names", "trailing-comma"],
+)
+def test_partition_rejects_an_unnamed_column(tmp_path, export, column):
+    # Read as a covariate, the R row names would be tested as one, and a trailing
+    # empty column would leave no record with complete covariates.
+    source = tmp_path / "export.csv"
+    source.write_text("\n".join(export(CONTRASTS.read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    assert _run("partition", "--input", source, "--out-dir", out, "--mcid", "1.2") == 1
+    document = json.loads((out / "error.json").read_text())
+    assert document["error"] == "DataError"
+    assert document["message"].startswith(f"column {column} has no header name")
+    assert not (out / "tree.json").exists()
+
+
+def test_a_byte_order_mark_changes_no_artifact(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+    for command, source, extra in (
+        ("rank", CONTRASTS, ("--mcid", "1.2")),
+        ("compare", LEAGUE, ("--nsim", "2000")),
+    ):
+        marked = tmp_path / f"marked_{source.name}"
+        marked.write_text("\ufeff" + source.read_text(), encoding="utf-8")
+        outputs = []
+        for name, path in (("plain", source), ("marked", marked)):
+            out = tmp_path / command / name
+            assert _run(command, "--input", path, "--out-dir", out, *extra) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+
 def test_partition_is_byte_deterministic(tmp_path):
     for directory in ("one", "two"):
         assert _run(

@@ -2,26 +2,34 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatrank import (
     Categorical,
     Continuous,
     DataError,
     Network,
+    PreferenceData,
+    PreferenceRecord,
     StudyEffect,
+    Verdict,
     apply_tcc,
     best_split,
     build_roe,
     complete_intervals,
     dump_contrast_table,
     dump_preference_records,
+    parse_basic_table,
     parse_contrast_table,
+    parse_covariance_table,
     parse_league_table,
     parse_preference_records,
     partition,
@@ -397,3 +405,163 @@ def test_tables_list_treatments_in_first_seen_order(seed, monkeypatch):
     split = best_split(data.records, "age", min_node_size=5)
     assert orders == [data.treatments]
     assert split == best_split(data.records, "age", treatments=data.treatments, min_node_size=5)
+
+
+# ---------------------------------------------------------------- the table reader
+
+_REPEATED_HEADERS = {
+    "contrast": (parse_contrast_table, "study,treat1,treat2,effect,se,se\ns1,A,B,0.1,0.2,0.3\n"),
+    "records": (parse_preference_records, "study,treat1,treat2,verdict,se,se\ns1,A,B,tie,1,2\n"),
+    "league": (parse_league_table, "treat1,treat2,estimate,se,se\nA,B,0.3,0.1,0.2\n"),
+    "basic": (parse_basic_table, "treat,estimate,se,se\nA,0.0,0.0,0.1\nB,0.3,0.1,0.2\n"),
+    "covariance": (
+        lambda source: parse_covariance_table(source, ("A", "B")),
+        ",A,B,se,se\nA,0.04,0.01,0,0\nB,0.01,0.09,0,0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("pad", ["", " "], ids=["same", "same-after-stripping"])
+@pytest.mark.parametrize("table", sorted(_REPEATED_HEADERS))
+def test_a_repeated_header_name_is_rejected_by_every_parser(table, pad):
+    # Reading by name would keep one of the two columns and silently drop the other.
+    parse, text = _REPEATED_HEADERS[table]
+    text = text.replace(",se\n", f",{pad}se{pad}\n", 1)
+    with pytest.raises(DataError, match="column 'se' appears more than once in the header"):
+        parse(io.StringIO(text))
+
+
+def _r_export(text: str) -> str:
+    """The table as R's default write.csv writes it: quoted header, row-name column."""
+    header, *rows = text.splitlines()
+    quoted = ",".join(f'"{name}"' for name in header.split(","))
+    return "\n".join([f'"",{quoted}', *(f'"{k}",{row}' for k, row in enumerate(rows, 1))]) + "\n"
+
+
+def _trailing_comma(text: str) -> str:
+    return "".join(line + ",\n" for line in text.splitlines())
+
+
+_RECORDS = "study,treat1,treat2,verdict,age\ns1,A,B,tie,50\ns2,B,C,first_wins,60\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_contrast_table, (FIXTURES / "contrasts.csv").read_text()),
+        (parse_preference_records, _RECORDS),
+    ],
+    ids=["contrast", "records"],
+)
+def test_an_unnamed_covariate_column_is_rejected(parse, text):
+    width = len(text.splitlines()[0].split(","))
+    with pytest.raises(DataError, match=r"column 1 has no header name.*row\.names = FALSE"):
+        parse(io.StringIO(_r_export(text)))
+    with pytest.raises(DataError, match=f"column {width + 1} has no header name"):
+        parse(io.StringIO(_trailing_comma(text)))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_a_byte_order_mark_before_the_header_is_dropped(quoted):
+    # Excel's "CSV UTF-8" export starts with U+FEFF; R's write.csv also quotes the header.
+    def league(source):
+        table = parse_league_table(source)  # compares by identity
+        return table.treatments, table.pairwise
+
+    for parse, name in ((parse_contrast_table, "contrasts.csv"), (league, "league.csv")):
+        header, rest = (FIXTURES / name).read_text().split("\n", 1)
+        if quoted:
+            header = ",".join(f'"{cell}"' for cell in header.split(","))
+        text = f"{header}\n{rest}"
+        assert parse(io.StringIO("\ufeff" + text)) == parse(io.StringIO(text))
+
+
+# Cells the CSV writer leaves unquoted, so they can be padded and quoted by hand.
+_labels = st.text(alphabet="AbZ09 -_.&é", min_size=1, max_size=5).map(str.strip).filter(bool)
+_levels = st.lists(_labels | st.just("NA"), min_size=1, max_size=3, unique=True)
+_values = st.floats(-10, 10)
+
+
+@st.composite
+def _table_rows(draw):
+    """Treatments, category levels and per row the study id, pair and covariates."""
+    treatments = draw(st.lists(_labels, min_size=2, max_size=5, unique=True))
+    levels = tuple(sorted(draw(_levels)))
+    rows = []
+    for k in range(draw(st.integers(1, 8))):
+        pair = draw(st.permutations(treatments))[:2]
+        covariates = {
+            "age": draw(st.none() | st.floats(-1e6, 1e6)),
+            "setting": draw(st.none() | st.sampled_from(levels)),
+        }
+        rows.append((f"{draw(_labels)}#{k}", *pair, covariates))
+    schema = {"age": Continuous(), "setting": Categorical(levels=levels)}
+    return schema, rows
+
+
+@st.composite
+def _networks(draw):
+    schema, rows = draw(_table_rows())
+    effects = []
+    for study, a, b, covariates in rows:
+        effect = draw(_values)
+        form = draw(st.sampled_from(("se", "bounds", "both")))
+        se = None if form == "bounds" else draw(st.floats(0, 10))
+        lower = upper = None
+        if form != "se":
+            lower, upper = effect - draw(st.floats(0, 10)), effect + draw(st.floats(0, 10))
+        effects.append(
+            StudyEffect(
+                study_id=study, treat_a=a, treat_b=b, effect=effect, se=se, ci_lower=lower,
+                ci_upper=upper, ci_level=draw(st.floats(0.01, 0.99)), covariates=covariates,
+            )
+        )
+    treatments = tuple(dict.fromkeys(label for e in effects for label in e.pair))
+    return Network(treatments=treatments, effects=tuple(effects), covariate_schema=schema)
+
+
+@st.composite
+def _preference_data(draw):
+    schema, rows = draw(_table_rows())
+    records = tuple(
+        PreferenceRecord(study, a, b, draw(st.sampled_from(Verdict)), covariates)
+        for study, a, b, covariates in rows
+    )
+    treatments = tuple(dict.fromkeys(label for r in records for label in r.pair))
+    return PreferenceData(records=records, treatments=treatments, covariate_schema=schema)
+
+
+def _dumped(table) -> str:
+    buf = io.StringIO()
+    if isinstance(table, Network):
+        dump_contrast_table(table, buf)
+    else:
+        dump_preference_records(table.records, buf, list(table.covariate_schema))
+    return buf.getvalue()
+
+
+def _parse(table, text: str, schema=None):
+    parse = parse_contrast_table if isinstance(table, Network) else parse_preference_records
+    return parse(io.StringIO(text), schema=schema)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_networks() | _preference_data())
+def test_dump_then_parse_is_the_identity(table):
+    assert _parse(table, _dumped(table), table.covariate_schema) == table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_networks() | _preference_data(), st.data())
+def test_padding_blank_lines_and_short_rows_parse_like_the_plain_table(table, data):
+    plain = _dumped(table)
+    spaces = st.text(alphabet=" \t", max_size=2)
+    lines = []
+    for k, cells in enumerate(csv.reader(io.StringIO(plain))):
+        while k and not cells[-1]:
+            cells.pop()
+        padded = [data.draw(spaces) + cell + data.draw(spaces) for cell in cells]
+        quoted = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        lines.append(",".join(f'"{c}"' if q else c for c, q in zip(padded, quoted)))
+        lines.extend([""] * data.draw(st.integers(0, 2)))
+    assert _parse(table, "\n".join(lines) + "\n") == _parse(table, plain)
