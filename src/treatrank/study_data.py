@@ -167,15 +167,19 @@ def _read_csv(
 
     Returns the stripped header names, without a leading byte order mark, and the
     ``(row_num, row)`` pairs, with ``row_num`` counting the header as 1 and skipping
-    blank lines. Each row maps every name to its stripped cell, ``""`` where the row
-    is short. A repeated name and a row longer than the header are rejected.
+    blank rows: empty lines and rows whose cells are all empty after stripping (Excel
+    writes ``,,,,`` for a formatted but empty row), before the header and after it.
+    Each row maps every name to its stripped cell, ``""`` where the row is short. A
+    repeated name and a row longer than the header are rejected.
     """
     lines = iter(source)
-    first = next(lines, None)
-    if first is None:
-        raise DataError("empty input: no header row")
+    first = next(lines, "")
     reader = csv.reader(itertools.chain((first.removeprefix("\ufeff"),), lines))
-    fields = [name.strip() for name in next(reader)]
+    stripped = ([cell.strip() for cell in cells] for cells in reader)
+    kept = (cells for cells in stripped if any(cells))
+    fields = next(kept, None)
+    if fields is None:
+        raise DataError("empty input: no header row")
     if len(set(fields)) < len(fields):
         repeated = next(name for k, name in enumerate(fields) if name in fields[:k])
         raise DataError(f"column {repeated!r} appears more than once in the header")
@@ -184,11 +188,10 @@ def _read_csv(
         raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
     width = len(fields)
     rows = []
-    for row_num, cells in enumerate(filter(None, reader), start=2):
+    for row_num, cells in enumerate(kept, start=2):
         if len(cells) > width:
             raise DataError(f"row {row_num}: expected {width} cells, got {len(cells)}")
-        cells = [cell.strip() for cell in cells] + [""] * (width - len(cells))
-        rows.append((row_num, dict(zip(fields, cells))))
+        rows.append((row_num, dict(zip(fields, cells + [""] * (width - len(cells))))))
     return fields, rows
 
 

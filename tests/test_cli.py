@@ -44,6 +44,28 @@ def test_rank_on_the_bundled_fixture(tmp_path):
     assert svg.count("<circle") == 6
 
 
+def _readme_names(readme: str, lead: str) -> list[str]:
+    """The backquoted names of the README paragraph that starts with ``lead``."""
+    paragraph = re.search(rf"^{re.escape(lead)}(.+?)\n\n", readme, re.M | re.S)
+    return re.findall(r"`([^`]+)`", paragraph.group(1))
+
+
+def test_readme_lists_what_each_subcommand_writes(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `([a-z-]+)` +\|[^|]*\| (.+?) \|$", readme, re.M))
+    inputs = {"rank": CONTRASTS, "partition": CONTRASTS, "compare": LEAGUE, "tcc-dump": CONTRASTS}
+    assert table.keys() == inputs.keys()
+    for command, source in inputs.items():
+        out = tmp_path / command
+        assert _run(command, "--input", source, "--out-dir", out, "--mcid", "1.2") == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(re.findall(r"`([^`]+)`", table[command])), command
+    header = (tmp_path / "rank" / "rank.csv").read_text().splitlines()[0]
+    assert header.split(",") == _readme_names(readme, "`rank.csv` columns")
+    document = json.loads((tmp_path / "rank" / "fit.json").read_text())
+    assert list(document) == _readme_names(readme, "`fit.json` keys:")
+
+
 def test_rank_csv_values_use_six_significant_digits(tmp_path):
     assert _run("rank", "--input", CONTRASTS, "--out-dir", tmp_path, "--mcid", "1.2") == 0
     for line in (tmp_path / "rank.csv").read_text().splitlines()[1:]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -232,8 +233,8 @@ def test_stability_matches_the_reference_sup_lm_bit_for_bit(trim, permutations):
 
 
 def test_stability_permutation_workspace_is_bounded():
-    # 20 treatments give 20 score columns, so a block holds 2^20 // (last * 20)
-    # permutations, not 256, and 300 is not a multiple of it.
+    # 20 treatments give 20 score columns, so a block holds 2^18 // (1500 * 20)
+    # = 8 permutations, not 256, and 300 is not a multiple of it.
     abilities = {f"T{k:02d}": 1.2**k for k in range(20)}
 
     def draw(rng):
@@ -252,6 +253,74 @@ def test_stability_permutation_workspace_is_bounded():
     )
     assert got == want
     assert peak < 40 * 2**20
+
+
+@st.composite
+def _stability_cases(draw):
+    """Records among 2-5 treatments that chain every treatment to the next
+    by a win each way and a tie (so the pooled fit exists), plus random
+    records on random pairs, with a continuous covariate on 2-12 values,
+    often repeated. Such small discrete designs put many permutations at
+    the observed statistic, inside the recheck band."""
+    n_t = draw(st.integers(2, 5))
+    labels = [f"T{k}" for k in range(n_t)]
+    n_values = draw(st.integers(2, 12))
+    x = st.integers(0, n_values - 1).map(lambda v: 0.25 * v)
+    records = [
+        PreferenceRecord(f"c{k}{v.value}", labels[k], labels[k + 1], v, {"x": draw(x)})
+        for k in range(n_t - 1)
+        for v in Verdict
+    ]
+    verdicts = st.sampled_from(list(Verdict))
+    for k in range(draw(st.integers(10, 60))):
+        a, b = draw(st.permutations(labels))[:2]
+        records.append(PreferenceRecord(f"s{k}", a, b, draw(verdicts), {"x": draw(x)}))
+    kwargs = dict(
+        trim=draw(st.sampled_from([0.0, 0.1, 0.25])),
+        permutations=draw(st.sampled_from([1, 37, 300])),
+    )
+    return records, kwargs, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_stability_cases())
+def test_stability_matches_the_reference_on_generated_records(case):
+    records, kwargs, seed = case
+    fit = _pooled_fit(records)
+    try:
+        want = reference_stability_test(
+            records, "x", fit, rng=np.random.default_rng(seed), **kwargs
+        )
+    except DataError as error:  # a constant covariate, or no cut inside the trim
+        with pytest.raises(DataError, match=re.escape(str(error))):
+            stability_test(records, "x", fit, rng=np.random.default_rng(seed), **kwargs)
+        return
+    assert stability_test(records, "x", fit, rng=np.random.default_rng(seed), **kwargs) == want
+
+
+def test_stability_rechecks_permutations_inside_the_band(monkeypatch):
+    # Ten records on one pair, wins alternating: every score row is +-1/2, so
+    # many permutations tie the observed statistic.
+    records = [
+        PreferenceRecord(
+            f"s{k}", "A", "B", (Verdict.FIRST_WINS, Verdict.SECOND_WINS)[k % 2], {"x": float(k)}
+        )
+        for k in range(10)
+    ]
+    with pytest.warns(UserWarning, match="no ties"):
+        fit = _pooled_fit(records)
+    kwargs = dict(permutations=999, trim=0.0)
+    rechecked = []
+    sup_lm = partition._sup_lm
+    monkeypatch.setattr(
+        partition, "_sup_lm", lambda rows, *a: rechecked.append(len(rows)) or sup_lm(rows, *a)
+    )
+    got = stability_test(records, "x", fit, rng=np.random.default_rng(13), **kwargs)
+    assert got == reference_stability_test(
+        records, "x", fit, rng=np.random.default_rng(13), **kwargs
+    )
+    # The first call computes the observed statistic; the rest are rechecks.
+    assert len(rechecked) > 1 and sum(rechecked[1:]) > 0
 
 
 # ---------------------------------------------------------------- best split

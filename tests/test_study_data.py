@@ -476,6 +476,42 @@ def test_a_byte_order_mark_before_the_header_is_dropped(quoted):
         assert parse(io.StringIO("\ufeff" + text)) == parse(io.StringIO(text))
 
 
+def _league(table):
+    return table.treatments, table.pairwise, table.basic  # LeagueTable compares by identity
+
+
+_PLAIN_TABLES = {
+    "contrast": (parse_contrast_table, (FIXTURES / "contrasts.csv").read_text()),
+    "records": (parse_preference_records, _RECORDS),
+    "league": (
+        lambda source: _league(parse_league_table(source)),
+        (FIXTURES / "league.csv").read_text(),
+    ),
+    "basic": (
+        lambda source: _league(parse_basic_table(source)),
+        "treat,estimate,se\nA,0,0\nB,0.3,0.1\n",
+    ),
+    "covariance": (
+        lambda source: parse_covariance_table(source, ("A", "B")).tolist(),
+        ",A,B\nA,0.04,0.01\nB,0.01,0.09\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ["commas", "spaces", "blank-before-header"])
+@pytest.mark.parametrize("table", sorted(_PLAIN_TABLES))
+def test_rows_of_empty_cells_are_skipped_by_every_parser(table, variant):
+    # Excel writes ",,,,,," for a formatted but empty row.
+    parse, text = _PLAIN_TABLES[table]
+    header, first, rest = text.split("\n", 2)
+    if variant == "blank-before-header":
+        padded = f"\n{text}"
+    else:
+        blank = "," * header.count(",") if variant == "commas" else "   "
+        padded = f"{header}\n{first}\n{blank}\n{rest}"
+    assert parse(io.StringIO(padded)) == parse(io.StringIO(text))
+
+
 # Cells the CSV writer leaves unquoted, so they can be padded and quoted by hand.
 _labels = st.text(alphabet="AbZ09 -_.&é", min_size=1, max_size=5).map(str.strip).filter(bool)
 _levels = st.lists(_labels | st.just("NA"), min_size=1, max_size=3, unique=True)
