@@ -26,14 +26,13 @@ from .davidson import fit_davidson, normalized_abilities
 from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
-from .study_data import _read_csv, complete_intervals, parse_contrast_table, validate_network
-from .tcc import (
-    aggregate_tournament,
-    apply_tcc,
-    build_roe,
-    dump_preference_records,
-    parse_preference_records,
-)
+from .study_data import _read_contrasts, _read_header, _report
+from .tcc import _judge, _Preferences, _read_records, build_roe
+
+# Not called here; bench/tracing.py wraps these layer functions by their names in this module.
+from .study_data import complete_intervals, parse_contrast_table, validate_network  # noqa: F401
+from .tcc import aggregate_tournament, apply_tcc, dump_preference_records  # noqa: F401
+from .tcc import parse_preference_records  # noqa: F401
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -156,14 +155,13 @@ def parse_args(argv=None) -> RunConfig:
     return RunConfig(**options)
 
 
-def _read_preferences(config: RunConfig):
-    """Input file -> (records, treatments, covariate schema)."""
+def _read_preferences(config: RunConfig) -> _Preferences:
+    """Input file -> preference records as columns, with their covariate schema."""
     with open(config.input, "r", encoding="utf-8", newline="") as stream:
         if config.records_input:
-            data = parse_preference_records(stream)
-            return data.records, data.treatments, data.covariate_schema
-        network = parse_contrast_table(stream, scale=config.scale)
-    report = validate_network(network)
+            return _read_records(stream)
+        studies, numbers = _read_contrasts(stream, scale=config.scale)
+    report = _report(studies)
     if not report.is_clean():
         for item in report.isolated_treatments:
             print(f"warning: treatment {item!r} appears in no contrast", file=sys.stderr)
@@ -182,13 +180,12 @@ def _read_preferences(config: RunConfig):
         roe_upper=config.roe_upper,
         direction=config.direction,
     )
-    records = tuple(apply_tcc(complete_intervals(e), roe) for e in network.effects)
-    return records, network.treatments, network.covariate_schema
+    return _judge(studies, numbers, roe)
 
 
-def _write_records(records, schema, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        dump_preference_records(records, stream, covariate_names=list(schema))
+def _write_records(preferences: _Preferences, config: RunConfig) -> None:
+    with open(config.out_dir / "records.csv", "w", encoding="utf-8", newline="") as stream:
+        preferences.dump(stream)
 
 
 def _write_fit_artifacts(fit, n_records: int, config: RunConfig) -> None:
@@ -247,24 +244,25 @@ def _write_json(path: Path, document) -> None:
 
 
 def _run_rank(config: RunConfig) -> None:
-    records, treatments, schema = _read_preferences(config)
+    preferences = _read_preferences(config)
     if config.dump_records and "csv" in config.formats:
-        _write_records(records, schema, config.out_dir / "records.csv")
-    fit = fit_davidson(aggregate_tournament(records, treatments))
-    _write_fit_artifacts(fit, len(records), config)
+        _write_records(preferences, config)
+    fit = fit_davidson(preferences.tournament())
+    _write_fit_artifacts(fit, len(preferences.study), config)
 
 
 def _run_partition(config: RunConfig) -> None:
-    records, treatments, schema = _read_preferences(config)
+    preferences = _read_preferences(config)
     if config.dump_records and "csv" in config.formats:
-        _write_records(records, schema, config.out_dir / "records.csv")
+        _write_records(preferences, config)
+    schema = preferences.schema
     if config.covariates is not None:
         unknown = [c for c in config.covariates if c not in schema]
         if unknown:
             raise DataError(f"unknown partition covariate(s): {', '.join(unknown)}")
         schema = {name: schema[name] for name in config.covariates}
     tree = grow_tree(
-        records,
+        preferences.records(),
         schema,
         PartitionConfig(
             alpha=config.alpha,
@@ -293,7 +291,7 @@ def _run_partition(config: RunConfig) -> None:
 
 def _run_compare(config: RunConfig) -> None:
     with open(config.input, "r", encoding="utf-8", newline="") as stream:
-        columns = set(_read_csv([stream.readline()])[0])
+        columns = set(_read_header(stream)[0])
         stream.seek(0)
         if {"treat1", "treat2"} <= columns:
             if config.covariance is not None:
@@ -339,8 +337,7 @@ def _run_compare(config: RunConfig) -> None:
 
 
 def _run_tcc_dump(config: RunConfig) -> None:
-    records, _, schema = _read_preferences(config)
-    _write_records(records, schema, config.out_dir / "records.csv")
+    _write_records(_read_preferences(config), config)
 
 
 def run(config: RunConfig) -> None:

@@ -13,9 +13,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from statistics import NormalDist
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import DataError
 
@@ -155,27 +159,44 @@ def _first_seen(pairs: Iterable[tuple[str, str]]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(label for pair in pairs for label in pair))
 
 
+@dataclass(frozen=True)
+class _Studies:
+    """The study part of a table as columns: entry ``k`` of each comes from data row
+    ``k + 2``, and ``covariates`` maps every covariate name to one value per row."""
+
+    study: Sequence[str]
+    treat1: Sequence[str]
+    treat2: Sequence[str]
+    treatments: tuple[str, ...]
+    covariates: Mapping[str, Sequence[CovariateValue]]
+    schema: CovariateSchema
+
+    def rows(self) -> Iterator[dict[str, CovariateValue]]:
+        """Each row's covariates as a dict of its own."""
+        if not self.covariates:
+            return ({} for _ in self.study)
+        names = list(self.covariates)
+        return (dict(zip(names, values)) for values in zip(*self.covariates.values()))
+
+
 _MANDATORY = ("study", "treat1", "treat2", "effect")
+_LABELS = ("study", "treat1", "treat2")
+_NUMBERS = ("effect", "se", "lower", "upper", "ci_level")
 # A cell spelling a missing value in an otherwise numeric covariate column.
 _MISSING = "NA"
 
 
-def _read_csv(
-    source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
-) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """The one CSV-reading path for every input table, and the one place a cell is normalized.
+def _read_header(source: IO[str] | Iterable[str]) -> tuple[list[str], Iterator[list[str]]]:
+    """The stripped header names of a table and an iterator over its other rows' cells.
 
-    Returns the stripped header names, without a leading byte order mark, and the
-    ``(row_num, row)`` pairs, with ``row_num`` counting the header as 1 and skipping
-    blank rows: empty lines and rows whose cells are all empty after stripping (Excel
-    writes ``,,,,`` for a formatted but empty row), before the header and after it.
-    Each row maps every name to its stripped cell, ``""`` where the row is short. A
-    repeated name and a row longer than the header are rejected.
+    A leading byte order mark is dropped. Blank rows are skipped, before the header and
+    after it: empty lines and rows whose cells are all empty after stripping (Excel
+    writes ``,,,,`` for a formatted but empty row). A repeated name is rejected.
     """
     lines = iter(source)
     first = next(lines, "")
     reader = csv.reader(itertools.chain((first.removeprefix("\ufeff"),), lines))
-    stripped = ([cell.strip() for cell in cells] for cells in reader)
+    stripped = (list(map(str.strip, cells)) for cells in reader)
     kept = (cells for cells in stripped if any(cells))
     fields = next(kept, None)
     if fields is None:
@@ -183,6 +204,19 @@ def _read_csv(
     if len(set(fields)) < len(fields):
         repeated = next(name for k, name in enumerate(fields) if name in fields[:k])
         raise DataError(f"column {repeated!r} appears more than once in the header")
+    return fields, kept
+
+
+def _read_rows(
+    source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
+) -> tuple[list[str], list[list[str]]]:
+    """The one CSV-reading path for every input table, and the one place a cell is normalized.
+
+    Returns the names of :func:`_read_header` and every other kept row's cells, padded
+    with ``""`` to the header's width. Row numbers count the header as 1 and skip blank
+    rows, so data row ``k`` is row ``k + 2``. A row longer than the header is rejected.
+    """
+    fields, kept = _read_header(source)
     missing = [c for c in mandatory if c not in fields]
     if missing:
         raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
@@ -191,8 +225,17 @@ def _read_csv(
     for row_num, cells in enumerate(kept, start=2):
         if len(cells) > width:
             raise DataError(f"row {row_num}: expected {width} cells, got {len(cells)}")
-        rows.append((row_num, dict(zip(fields, cells + [""] * (width - len(cells))))))
+        cells += [""] * (width - len(cells))
+        rows.append(cells)
     return fields, rows
+
+
+def _read_csv(
+    source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
+) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """The rows of :func:`_read_rows` as ``(row_num, row)``, ``row`` mapping names to cells."""
+    fields, rows = _read_rows(source, mandatory)
+    return fields, [(i, dict(zip(fields, cells))) for i, cells in enumerate(rows, start=2)]
 
 
 def _parse_float(
@@ -210,6 +253,18 @@ def _parse_float(
     if not math.isfinite(value):
         raise DataError(f"row {row_num}: non-finite {what} {cell!r}")
     return value
+
+
+def _floats(cells: Sequence[str], absent=("",)) -> tuple[list[float | None], int]:
+    """``float()`` of a column's cells, ``None`` for cells in ``absent``, and the first
+    row :func:`_parse_float` may reject: 0 if a cell is no number, else the first
+    non-finite value's row, else ``len(cells)``."""
+    try:
+        values = [None if c in absent else float(c) for c in cells]
+    except ValueError:
+        return [None] * len(cells), 0
+    bad = (k for k, v in enumerate(values) if v is not None and not math.isfinite(v))
+    return values, next(bad, len(cells))
 
 
 def _log_transform(value: float | None, what: str, row_num: int) -> float | None:
@@ -241,7 +296,7 @@ def _covariate_cell(value: CovariateValue) -> str:
 
 
 def _covariate_schema(
-    names: list[str], rows: list[tuple[int, dict]], schema: CovariateSchema | None
+    names: list[str], columns: Mapping[str, Sequence[str]], schema: CovariateSchema | None
 ) -> CovariateSchema:
     """The declared schema checked against the covariate columns, or one inferred.
 
@@ -257,7 +312,7 @@ def _covariate_schema(
         return dict(schema)
     inferred: CovariateSchema = {}
     for name in names:
-        cells = {c for _, row in rows if (c := row[name])}
+        cells = set(columns[name]) - {""}
         try:
             numbers = [float(c) for c in cells - {_MISSING}]
         except ValueError:
@@ -269,11 +324,12 @@ def _covariate_schema(
     return inferred
 
 
-def _study_rows(fields, rows, reserved, schema) -> tuple[CovariateSchema, list[tuple]]:
-    """The covariate schema and the study part of every row of a study table.
+def _study_columns(fields, rows, reserved, schema) -> tuple[_Studies, dict[str, tuple[str, ...]]]:
+    """The study columns of a study table, and all its cells by column.
 
-    Every column outside ``reserved`` is a covariate and needs a name. Each row
-    comes back as ``(row_num, row, (study, treat1, treat2), covariates)``.
+    Every column outside ``reserved`` is a covariate and needs a name; every row needs
+    the study and both treatment labels. Each check runs over a whole column; from the
+    first row one flags, the per-row checks run again and raise that row's message.
     """
     names = [f for f in fields if f not in reserved]
     if "" in names:
@@ -281,15 +337,89 @@ def _study_rows(fields, rows, reserved, schema) -> tuple[CovariateSchema, list[t
             f"column {fields.index('') + 1} has no header name; name it, or drop it "
             "(in R, write.csv(..., row.names = FALSE))"
         )
-    schema = _covariate_schema(names, rows, schema)
-    study_rows = []
-    for i, row in rows:
-        labels = (row["study"], row["treat1"], row["treat2"])
-        if not all(labels):
-            raise DataError(f"row {i}: study and both treatment labels are required")
-        covariates = {name: _parse_covariate(name, schema[name], row[name], i) for name in names}
-        study_rows.append((i, row, labels, covariates))
-    return schema, study_rows
+    columns = dict(zip(fields, zip(*rows))) if rows else dict.fromkeys(fields, ())
+    schema = _covariate_schema(names, columns, schema)
+    suspect = [columns[c].index("") for c in _LABELS if "" in columns[c]]
+    covariates = {}
+    for name in names:
+        cells, kind = columns[name], schema[name]
+        if isinstance(kind, Continuous):
+            covariates[name], first = _floats(cells, ("", _MISSING))
+        else:
+            covariates[name] = [c or None for c in cells]
+            first = min(map(cells.index, set(cells) - {""} - set(kind.levels)), default=len(cells))
+        suspect.append(first)
+    for k in range(min(suspect, default=len(rows)), len(rows)):
+        if not all(columns[c][k] for c in _LABELS):
+            raise DataError(f"row {k + 2}: study and both treatment labels are required")
+        for name in names:
+            _parse_covariate(name, schema[name], columns[name][k], k + 2)
+    study, t1, t2 = (columns[c] for c in _LABELS)
+    return _Studies(study, t1, t2, _first_seen(zip(t1, t2)), covariates, schema), columns
+
+
+def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> StudyEffect:
+    """Row ``k`` of a contrast table read one cell at a time, raising on the first bad one."""
+    i = k + 2
+    effect = _parse_float(cells["effect"][k], "effect", i)
+    se = _parse_float(cells["se"][k], "standard error", i, required=False)
+    lower = _parse_float(cells["lower"][k], "lower bound", i, required=False)
+    upper = _parse_float(cells["upper"][k], "upper bound", i, required=False)
+    if scale == "ratio":
+        effect = _log_transform(effect, "effect", i)
+        lower = _log_transform(lower, "lower bound", i)
+        upper = _log_transform(upper, "upper bound", i)
+    ci_level = _parse_float(cells["ci_level"][k], "ci_level", i, required=False)
+    study, t1, t2 = (cells[c][k] for c in _LABELS)
+    return StudyEffect(study, t1, t2, effect, se, lower, upper,
+                       0.95 if ci_level is None else ci_level)
+
+
+def _read_contrasts(
+    source: IO[str] | Iterable[str], schema: CovariateSchema | None = None, scale: str = "log"
+) -> tuple[_Studies, dict[str, np.ndarray]]:
+    """The columnar core of :func:`parse_contrast_table`: its checks and its first error,
+    with each cell read once and each check run over a whole column.
+
+    Returns the study columns and an array for each of ``effect``, ``se``, ``lower``,
+    ``upper`` (log scale, NaN where absent) and ``ci_level`` (0.95 where absent).
+    """
+    if scale not in ("log", "ratio"):
+        raise DataError(f"scale must be 'log' or 'ratio', got {scale!r}")
+    fields, rows = _read_rows(source, _MANDATORY)
+    has_bounds = "lower" in fields and "upper" in fields
+    if "se" not in fields and not has_bounds:
+        raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
+    reserved = set(_MANDATORY) | {"se", "lower", "upper", "ci_level"}
+    studies, columns = _study_columns(fields, rows, reserved, schema)
+    n = len(rows)
+    cells = {c: columns.get(c, ("",) * n) for c in (*_LABELS, *_NUMBERS)}
+    if not has_bounds:
+        cells["lower"] = cells["upper"] = ("",) * n
+    numbers, suspect = {}, [n]
+    for name in _NUMBERS:
+        values, first = _floats(cells[name])
+        if scale == "ratio" and name in ("effect", "lower", "upper"):
+            nonpositive = (k for k, v in enumerate(values) if v is not None and v <= 0)
+            first = min(first, next(nonpositive, n))
+            values = [math.log(v) if v is not None and v > 0 else v for v in values]
+        numbers[name] = np.array(values, dtype=float)
+        suspect.append(first)
+    effect, se, lower, upper, ci_level = numbers.values()
+    same = np.array([a == b for a, b in zip(studies.treat1, studies.treat2)], dtype=bool)
+    both = ~np.isnan(lower) & ~np.isnan(upper)
+    bad = (np.isnan(effect) | same | (ci_level <= 0) | (ci_level >= 1) | (se < 0)
+           | (np.isnan(se) & ~both) | (both & ~((lower <= effect) & (effect <= upper))))
+    for k in range(min(suspect + np.flatnonzero(bad)[:1].tolist()), n):
+        _study_effect(cells, k, scale)
+    keys = list(zip(studies.study, map(frozenset, zip(studies.treat1, studies.treat2))))
+    first_row = dict(zip(reversed(keys), reversed(range(n))))
+    if len(first_row) < n:
+        k = next(k for k, key in enumerate(keys) if first_row[key] < k)
+        pair = (studies.treat1[k], studies.treat2[k])
+        raise DataError(f"duplicate contrast for pair {pair} in study {studies.study[k]!r}")
+    numbers["ci_level"] = np.where(np.isnan(ci_level), 0.95, ci_level)
+    return studies, numbers
 
 
 def parse_contrast_table(
@@ -309,46 +439,14 @@ def parse_contrast_table(
     cell is numeric (``NA`` then marks a missing value), categorical
     otherwise.
     """
-    if scale not in ("log", "ratio"):
-        raise DataError(f"scale must be 'log' or 'ratio', got {scale!r}")
-    fields, rows = _read_csv(source, _MANDATORY)
-    has_bounds = "lower" in fields and "upper" in fields
-    if "se" not in fields and not has_bounds:
-        raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
-    reserved = set(_MANDATORY) | {"se", "lower", "upper", "ci_level"}
-    schema, study_rows = _study_rows(fields, rows, reserved, schema)
-
-    effects = []
-    for i, row, (study, t1, t2), covariates in study_rows:
-        effect = _parse_float(row["effect"], "effect", i)
-        se = _parse_float(row.get("se"), "standard error", i, required=False)
-        lower = upper = None
-        if has_bounds:
-            lower = _parse_float(row["lower"], "lower bound", i, required=False)
-            upper = _parse_float(row["upper"], "upper bound", i, required=False)
-        if scale == "ratio":
-            effect = _log_transform(effect, "effect", i)
-            lower = _log_transform(lower, "lower bound", i)
-            upper = _log_transform(upper, "upper bound", i)
-        ci_level = _parse_float(row.get("ci_level"), "ci_level", i, required=False)
-        effects.append(
-            StudyEffect(
-                study_id=study,
-                treat_a=t1,
-                treat_b=t2,
-                effect=effect,
-                se=se,
-                ci_lower=lower,
-                ci_upper=upper,
-                ci_level=0.95 if ci_level is None else ci_level,
-                covariates=covariates,
-            )
-        )
-    return Network(
-        treatments=_first_seen(e.pair for e in effects),
-        effects=tuple(effects),
-        covariate_schema=schema,
+    studies, numbers = _read_contrasts(source, schema, scale)
+    columns = ([None if v != v else v for v in x.tolist()] for x in numbers.values())
+    effects = tuple(
+        StudyEffect(*row, covariates=covariates)
+        for *row, covariates in zip(studies.study, studies.treat1, studies.treat2, *columns,
+                                    studies.rows())
     )
+    return Network(studies.treatments, effects, studies.schema)
 
 
 def dump_contrast_table(network: Network, stream: IO[str]) -> None:
@@ -374,6 +472,13 @@ def dump_contrast_table(network: Network, stream: IO[str]) -> None:
         writer.writerow(row)
 
 
+@lru_cache(maxsize=64)  # a table has a few distinct levels; bounded for long processes
+def _z(ci_level: float) -> float:
+    """The normal quantile at ``(1 + ci_level) / 2``: how many standard errors a
+    ``ci_level`` interval reaches on either side of its estimate."""
+    return NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
+
+
 def complete_intervals(e: StudyEffect) -> StudyEffect:
     """Fill missing interval bounds from the SE, or the SE from the bounds.
 
@@ -381,7 +486,7 @@ def complete_intervals(e: StudyEffect) -> StudyEffect:
     values are never touched, which makes the operation idempotent. Bayesian
     credible intervals are accepted verbatim.
     """
-    z = NormalDist().inv_cdf((1.0 + e.ci_level) / 2.0)
+    z = _z(e.ci_level)
     se = e.se
     lower, upper = e.ci_lower, e.ci_upper
     if lower is None or upper is None:
@@ -391,42 +496,44 @@ def complete_intervals(e: StudyEffect) -> StudyEffect:
         se = (upper - lower) / (2.0 * z)
     if se == e.se and lower == e.ci_lower and upper == e.ci_upper:
         return e
-    return StudyEffect(
-        study_id=e.study_id,
-        treat_a=e.treat_a,
-        treat_b=e.treat_b,
-        effect=e.effect,
-        se=se,
-        ci_lower=lower,
-        ci_upper=upper,
-        ci_level=e.ci_level,
-        covariates=e.covariates,
+    return replace(e, se=se, ci_lower=lower, ci_upper=upper)
+
+
+def _bounds(numbers: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The interval bounds that :func:`complete_intervals` gives every row of
+    :func:`_read_contrasts`' numbers, from the same float operations."""
+    effect, se, lower, upper, ci_level = (numbers[c] for c in _NUMBERS)
+    fill = np.isnan(lower) | np.isnan(upper)
+    with np.errstate(over="ignore"):  # as in float arithmetic, a huge se gives inf
+        levels, row_level = np.unique(ci_level, return_inverse=True)
+        spread = np.array([_z(level) for level in levels.tolist()])[row_level] * se
+        return np.where(fill, effect - spread, lower), np.where(fill, effect + spread, upper)
+
+
+def _report(studies: _Studies) -> ValidationReport:
+    """:func:`validate_network` over study columns."""
+    observed = Counter(studies.study)
+    arms: dict[str, set[str]] = {}
+    for study, a, b in zip(studies.study, studies.treat1, studies.treat2):
+        if observed[study] > 1:  # a study of one contrast has both of its arms compared
+            arms.setdefault(study, set()).update((a, b))
+    expected = {study: len(x) * (len(x) - 1) // 2 for study, x in arms.items()}
+    used = set(studies.treat1) | set(studies.treat2)
+    return ValidationReport(
+        isolated_treatments=tuple(t for t in studies.treatments if t not in used),
+        incomplete_studies=tuple(
+            (s, observed[s], expected[s]) for s in arms if observed[s] < expected[s]
+        ),
+        covariates_with_missing=tuple(
+            name for name, values in studies.covariates.items() if None in values
+        ),
     )
 
 
 def validate_network(network: Network) -> ValidationReport:
     """Report isolated treatments, incomplete multi-arm studies, and missing covariates."""
-    used: set[str] = set()
-    for e in network.effects:
-        used.update(e.pair)
-    isolated = tuple(t for t in network.treatments if t not in used)
-
-    incomplete = []
-    for study_id, contrasts in network.by_study().items():
-        arms: set[str] = set()
-        for e in contrasts:
-            arms.update(e.pair)
-        expected = len(arms) * (len(arms) - 1) // 2
-        if len(contrasts) < expected:
-            incomplete.append((study_id, len(contrasts), expected))
-
-    missing = []
-    for name in network.covariate_schema:
-        if any(e.covariates.get(name) is None for e in network.effects):
-            missing.append(name)
-
-    return ValidationReport(
-        isolated_treatments=isolated,
-        incomplete_studies=tuple(incomplete),
-        covariates_with_missing=tuple(missing),
-    )
+    e = network.effects
+    schema = network.covariate_schema
+    covariates = {name: [x.covariates.get(name) for x in e] for name in schema}
+    return _report(_Studies([x.study_id for x in e], [x.treat_a for x in e],
+                            [x.treat_b for x in e], network.treatments, covariates, schema))

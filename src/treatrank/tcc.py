@@ -23,10 +23,11 @@ from .study_data import (
     CovariateSchema,
     CovariateValue,
     StudyEffect,
+    _bounds,
     _covariate_cell,
-    _first_seen,
-    _read_csv,
-    _study_rows,
+    _read_rows,
+    _study_columns,
+    _Studies,
 )
 
 __all__ = [
@@ -53,6 +54,12 @@ class Verdict(enum.Enum):
     FIRST_WINS = "first_wins"
     SECOND_WINS = "second_wins"
     TIE = "tie"
+
+
+_VERDICTS = tuple(Verdict)  # indexed by outcome: a win for the first, for the second, a tie
+_OUTCOME = {v: k for k, v in enumerate(_VERDICTS)}
+_SWAPPED = np.array([1, 0, 2])  # the same outcome seen from the other pair member
+_RECORD_COLUMNS = ("study", "treat1", "treat2", "verdict")
 
 
 @dataclass(frozen=True)
@@ -128,30 +135,30 @@ class PreferenceRecord:
         return (self.treat_a, self.treat_b)
 
 
+def _outcomes(y, lo, hi, roe: RoeConfig):
+    """The TCC's ``(i1, -i2, outcome)`` for completed contrasts, as floats or arrays.
+
+    The outcome is 0 for a win of ``treat_a``, 1 for a win of ``treat_b`` and 2 for a
+    tie. Inequalities against the ROE bounds are strict: values sitting exactly on a
+    bound never produce a win. For a harmful outcome the wins swap; ties do not.
+    """
+    upper, lower, null = roe.roe_upper, roe.roe_lower, roe.null_effect
+    i1 = (lo > upper) | ((y > upper) & (lo > null))
+    i2 = (hi < lower) | ((y < lower) & (hi < null))
+    return i1, i2, np.where(i1 == i2, 2, i2 if roe.direction == BENEFICIAL else i1)
+
+
 def tcc_decision(e: StudyEffect, roe: RoeConfig) -> TccDecision:
     """Evaluate the treatment-choice criterion for one completed contrast.
 
-    The effect is read as ``treat_a`` versus ``treat_b``. Inequalities against
-    the ROE bounds are strict: values sitting exactly on a bound never produce
-    a win. For a harmful outcome the win assignment is swapped; ties are
-    unaffected.
+    The effect is read as ``treat_a`` versus ``treat_b``; see :func:`_outcomes`.
     """
     if not e.has_intervals():
         raise DataError(
             f"study {e.study_id!r}: intervals absent; run complete_intervals first"
         )
-    y, lo, hi = e.effect, e.ci_lower, e.ci_upper
-    upper, lower, null = roe.roe_upper, roe.roe_lower, roe.null_effect
-    i1 = 1 if (lo > upper) or (y > upper and lo > null) else 0
-    i2 = -1 if (hi < lower) or (y < lower and hi < null) else 0
-    total = i1 + i2
-    if total == 0:
-        verdict = Verdict.TIE
-    elif total == 1:
-        verdict = Verdict.FIRST_WINS if roe.direction == BENEFICIAL else Verdict.SECOND_WINS
-    else:
-        verdict = Verdict.SECOND_WINS if roe.direction == BENEFICIAL else Verdict.FIRST_WINS
-    return TccDecision(i1=i1, i2=i2, verdict=verdict)
+    i1, i2, outcome = _outcomes(e.effect, e.ci_lower, e.ci_upper, roe)
+    return TccDecision(i1=int(i1), i2=-int(i2), verdict=_VERDICTS[int(outcome)])
 
 
 def apply_tcc(e: StudyEffect, roe: RoeConfig) -> PreferenceRecord:
@@ -235,31 +242,72 @@ class Tournament:
         return PairCounts(0, 0, 0)
 
 
-_OUTCOME = {Verdict.FIRST_WINS: 0, Verdict.SECOND_WINS: 1, Verdict.TIE: 2}
-_SWAPPED = np.array([1, 0, 2])  # the same outcome seen from the other pair member
+@dataclass(frozen=True)
+class _Preferences(_Studies):
+    """Preference records as columns: how the command line holds them, and the core that
+    the record-at-a-time functions below wrap. ``outcome[k]`` is record k's verdict as an
+    outcome code of :func:`_outcomes`."""
+
+    outcome: np.ndarray
+
+    @classmethod
+    def of(cls, records: Iterable[PreferenceRecord], treatments=(), covariate_names=()):
+        records = tuple(records)
+        study, t1, t2 = ([r.study_id for r in records], [r.treat_a for r in records],
+                         [r.treat_b for r in records])
+        covariates = {name: [r.covariates.get(name) for r in records] for name in covariate_names}
+        outcome = np.array([_OUTCOME[r.verdict] for r in records], dtype=np.intp)
+        return cls(study, t1, t2, tuple(treatments), covariates, {}, outcome)
+
+    def coded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The records as ``(pairs, codes)``, the one place verdicts meet pair order.
+
+        ``pairs[P, 2]`` holds the distinct treatment-index pairs ``(x, y)``,
+        ``x < y``, in ascending order; record k's code is ``3 * p + outcome``
+        for its pair ``p``, with outcome 0 a win for x, 1 a win for y, 2 a tie.
+        """
+        index = {t: k for k, t in enumerate(self.treatments)}
+        a, b = ([index.get(t, -1) for t in labels] for labels in (self.treat1, self.treat2))
+        if -1 in a or -1 in b:
+            k = min(side.index(-1) for side in (a, b) if -1 in side)
+            label = self.treat1[k] if a[k] < 0 else self.treat2[k]
+            raise DataError(f"record in study {self.study[k]!r} uses unknown treatment {label!r}")
+        a, b, n = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), len(index)
+        keys, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        pairs = np.stack(np.divmod(keys, n), axis=1)
+        return pairs, 3 * pair + np.where(a > b, _SWAPPED[self.outcome], self.outcome)
+
+    def tournament(self) -> Tournament:
+        pairs, codes = self.coded()
+        t, counts = self.treatments, _counts(codes, len(pairs))[0].tolist()
+        return Tournament(t, {(t[x], t[y]): PairCounts(*c)
+                              for (x, y), c in zip(pairs.tolist(), counts)})
+
+    def records(self) -> tuple[PreferenceRecord, ...]:
+        return tuple(map(PreferenceRecord, self.study, self.treat1, self.treat2,
+                         [_VERDICTS[o] for o in self.outcome.tolist()], self.rows()))
+
+    def dump(self, stream: IO[str]) -> None:
+        """Write the records as CSV: study, treat1, treat2, verdict, then covariates."""
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow([*_RECORD_COLUMNS, *self.covariates])
+        verdicts = [_VERDICTS[o].value for o in self.outcome.tolist()]
+        cells = (map(_covariate_cell, values) for values in self.covariates.values())
+        writer.writerows(zip(self.study, self.treat1, self.treat2, verdicts, *cells))
+
+
+def _judge(studies: _Studies, numbers: Mapping[str, np.ndarray], roe: RoeConfig) -> _Preferences:
+    """``apply_tcc(complete_intervals(e), roe)`` for every contrast of a table at once."""
+    lower, upper = _bounds(numbers)
+    outcome = _outcomes(numbers["effect"], lower, upper, roe)[2]
+    return _Preferences(**vars(studies), outcome=outcome)
 
 
 def _code_records(
     records: Iterable[PreferenceRecord], treatments: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Records as ``(pairs, codes)``, the one place verdicts meet pair order.
-
-    ``pairs[P, 2]`` holds the distinct treatment-index pairs ``(x, y)``,
-    ``x < y``, in ascending order; record k's code is ``3 * p + outcome``
-    for its pair ``p``, with outcome 0 a win for x, 1 a win for y, 2 a tie.
-    """
-    index = {t: k for k, t in enumerate(treatments)}
-    rows = []
-    for r in records:
-        for label in r.pair:
-            if label not in index:
-                raise DataError(f"record in study {r.study_id!r} uses unknown treatment {label!r}")
-        rows.append((index[r.treat_a], index[r.treat_b], _OUTCOME[r.verdict]))
-    a, b, outcome = np.asarray(rows, dtype=np.intp).reshape(-1, 3).T
-    n = len(treatments)
-    keys, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
-    pairs = np.stack(np.divmod(keys, n), axis=1)
-    return pairs, 3 * pair + np.where(a > b, _SWAPPED[outcome], outcome)
+    """Records as ``(pairs, codes)``; see :meth:`_Preferences.coded`."""
+    return _Preferences.of(records, treatments).coded()
 
 
 def _counts(codes: np.ndarray, n_pairs: int, group=0, n_groups: int = 1) -> np.ndarray:
@@ -288,15 +336,7 @@ def aggregate_tournament(
     records: Iterable[PreferenceRecord], treatments: Sequence[str]
 ) -> Tournament:
     """Tally preference records into a tournament over the given treatments."""
-    treatments = tuple(treatments)
-    pairs, codes = _code_records(records, treatments)
-    return Tournament(
-        treatments=treatments,
-        counts={
-            (treatments[x], treatments[y]): PairCounts(*c)
-            for (x, y), c in zip(pairs.tolist(), _counts(codes, len(pairs))[0].tolist())
-        },
-    )
+    return _Preferences.of(records, treatments).tournament()
 
 
 @dataclass(frozen=True)
@@ -308,21 +348,34 @@ class PreferenceData:
     covariate_schema: CovariateSchema = field(default_factory=dict)
 
 
-_RECORD_COLUMNS = ("study", "treat1", "treat2", "verdict")
-
-
 def dump_preference_records(
     records: Iterable[PreferenceRecord],
     stream: IO[str],
     covariate_names: Sequence[str] = (),
 ) -> None:
     """Write records as CSV: study, treat1, treat2, verdict, then covariates."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(_RECORD_COLUMNS) + list(covariate_names))
-    for r in records:
-        row = [r.study_id, r.treat_a, r.treat_b, r.verdict.value]
-        row.extend(_covariate_cell(r.covariates.get(name)) for name in covariate_names)
-        writer.writerow(row)
+    _Preferences.of(records, covariate_names=covariate_names).dump(stream)
+
+
+def _read_records(
+    source: IO[str] | Iterable[str], schema: CovariateSchema | None = None
+) -> _Preferences:
+    """The columnar core of :func:`parse_preference_records`."""
+    fields, rows = _read_rows(source, _RECORD_COLUMNS)
+    studies, columns = _study_columns(fields, rows, _RECORD_COLUMNS, schema)
+    outcome = {v.value: k for k, v in enumerate(_VERDICTS)}
+    seen: set[tuple[str, frozenset[str]]] = set()
+    for i, (study, t1, t2, verdict) in enumerate(zip(*map(columns.get, _RECORD_COLUMNS)), 2):
+        if verdict not in outcome:
+            raise DataError(f"row {i}: verdict must be one of {sorted(outcome)}, got {verdict!r}")
+        key = (study, frozenset((t1, t2)))
+        if key in seen:
+            raise DataError(f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}")
+        seen.add(key)
+        if t1 == t2:
+            raise DataError(f"study {study!r}: preference pair members must differ")
+    codes = np.array([outcome[v] for v in columns["verdict"]], dtype=np.intp)
+    return _Preferences(**vars(studies), outcome=codes)
 
 
 def parse_preference_records(
@@ -330,35 +383,5 @@ def parse_preference_records(
     schema: CovariateSchema | None = None,
 ) -> PreferenceData:
     """Read a preference-record CSV; the entry point for externally computed TCCs."""
-    fields, rows = _read_csv(source, _RECORD_COLUMNS)
-    schema, study_rows = _study_rows(fields, rows, _RECORD_COLUMNS, schema)
-
-    valid = {v.value for v in Verdict}
-    records = []
-    seen_pairs: set[tuple[str, frozenset[str]]] = set()
-    for i, row, (study, t1, t2), covariates in study_rows:
-        verdict_cell = row["verdict"]
-        if verdict_cell not in valid:
-            raise DataError(
-                f"row {i}: verdict must be one of {sorted(valid)}, got {verdict_cell!r}"
-            )
-        key = (study, frozenset((t1, t2)))
-        if key in seen_pairs:
-            raise DataError(
-                f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}"
-            )
-        seen_pairs.add(key)
-        records.append(
-            PreferenceRecord(
-                study_id=study,
-                treat_a=t1,
-                treat_b=t2,
-                verdict=Verdict(verdict_cell),
-                covariates=covariates,
-            )
-        )
-    return PreferenceData(
-        records=tuple(records),
-        treatments=_first_seen(r.pair for r in records),
-        covariate_schema=schema,
-    )
+    data = _read_records(source, schema)
+    return PreferenceData(data.records(), data.treatments, data.schema)

@@ -7,8 +7,11 @@ one call of numpy's multivariate normal sampler), gradients come from
 central finite differences, the log-likelihood and per-record scores are
 plain loops over the scalar contest probabilities, tournaments are
 tallied record by record, the preference graph's connectivity comes
-from a boolean transitive closure, and the no-finite-maximum verdict from
-Floyd-Warshall on a dense bound matrix. Agreement between
+from a boolean transitive closure, the no-finite-maximum verdict from
+Floyd-Warshall on a dense bound matrix, and the command line's preference
+input from a chain of per-row steps: one contrast row parsed at a time,
+completed, judged by a scalar copy of the TCC, tallied and written record
+by record. Agreement between
 these and the package is the point of the comparisons, so keep them
 decoupled. The exceptions are kept here in an earlier form of the
 package's own code, because the package must match them bit for bit, so
@@ -20,7 +23,9 @@ solver, and the split search that fits both sides of every candidate.
 
 from __future__ import annotations
 
+import csv
 import math
+import sys
 import warnings
 from itertools import compress
 
@@ -37,8 +42,27 @@ from treatrank.partition import (
     _read_covariate,
     score_contributions,
 )
-from treatrank.study_data import Categorical, Continuous, _first_seen
-from treatrank.tcc import PairCounts, PreferenceRecord, Tournament, Verdict, aggregate_tournament
+from treatrank.study_data import (
+    Categorical,
+    Continuous,
+    Network,
+    StudyEffect,
+    _first_seen,
+    _log_transform,
+    _parse_covariate,
+    _parse_float,
+    _read_csv,
+    complete_intervals,
+)
+from treatrank.tcc import (
+    BENEFICIAL,
+    PairCounts,
+    PreferenceRecord,
+    Tournament,
+    Verdict,
+    aggregate_tournament,
+    build_roe,
+)
 
 
 def _pair_arrays(t: Tournament):
@@ -571,3 +595,124 @@ def reference_best_split(records, covariate, kind=None, treatments=None, *, min_
         )
     (_, _, rule), loglik = min(candidates, key=lambda c: c[0])
     return rule, loglik
+
+
+# --- the command line's preference input, one row at a time -------------------------
+
+
+def per_row_parse(stream, scale: str) -> Network:
+    """A contrast table read the way ``parse_contrast_table`` read it before its
+    columnar core: the label and covariate checks over every row, then one row's
+    numbers at a time into a ``StudyEffect``."""
+    fields, rows = _read_csv(stream, ("study", "treat1", "treat2", "effect"))
+    has_bounds = "lower" in fields and "upper" in fields
+    if "se" not in fields and not has_bounds:
+        raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
+    reserved = {"study", "treat1", "treat2", "effect", "se", "lower", "upper", "ci_level"}
+    names = [f for f in fields if f not in reserved]
+    if "" in names:
+        raise DataError(
+            f"column {fields.index('') + 1} has no header name; name it, or drop it "
+            "(in R, write.csv(..., row.names = FALSE))"
+        )
+    schema = {}
+    for name in names:
+        cells = {row[name] for _, row in rows} - {""}
+        try:
+            numbers = [float(c) for c in cells - {"NA"}]
+        except ValueError:
+            numbers = None
+        schema[name] = Continuous() if numbers or not cells else Categorical(tuple(sorted(cells)))
+    covariates = []
+    for i, row in rows:
+        if not (row["study"] and row["treat1"] and row["treat2"]):
+            raise DataError(f"row {i}: study and both treatment labels are required")
+        covariates.append({n: _parse_covariate(n, schema[n], row[n], i) for n in names})
+    effects = []
+    for (i, row), values in zip(rows, covariates):
+        effect = _parse_float(row["effect"], "effect", i)
+        se = _parse_float(row.get("se"), "standard error", i, required=False)
+        lower = upper = None
+        if has_bounds:
+            lower = _parse_float(row["lower"], "lower bound", i, required=False)
+            upper = _parse_float(row["upper"], "upper bound", i, required=False)
+        if scale == "ratio":
+            effect = _log_transform(effect, "effect", i)
+            lower = _log_transform(lower, "lower bound", i)
+            upper = _log_transform(upper, "upper bound", i)
+        ci_level = _parse_float(row.get("ci_level"), "ci_level", i, required=False)
+        effects.append(StudyEffect(row["study"], row["treat1"], row["treat2"], effect, se, lower,
+                                   upper, 0.95 if ci_level is None else ci_level, values))
+    treatments = tuple(dict.fromkeys(label for e in effects for label in e.pair))
+    return Network(treatments, tuple(effects), schema)
+
+
+def per_row_warnings(network: Network) -> list[str]:
+    """The command line's warnings about a network, from loops over its contrasts."""
+    used = {label for e in network.effects for label in e.pair}
+    lines = [f"warning: treatment {t!r} appears in no contrast"
+             for t in network.treatments if t not in used]
+    studies: dict[str, list[StudyEffect]] = {}
+    for e in network.effects:
+        studies.setdefault(e.study_id, []).append(e)
+    for study, contrasts in studies.items():
+        arms = {label for e in contrasts for label in e.pair}
+        expected = len(arms) * (len(arms) - 1) // 2
+        if len(contrasts) < expected:
+            lines.append(f"warning: study {study!r} has {len(contrasts)} of {expected} "
+                         "pairwise contrasts")
+    lines.extend(f"warning: covariate {name!r} has missing values"
+                 for name in network.covariate_schema
+                 if any(e.covariates.get(name) is None for e in network.effects))
+    return lines
+
+
+def scalar_verdict(e: StudyEffect, roe) -> Verdict:
+    """The treatment-choice criterion for one completed contrast, in scalar arithmetic."""
+    y, lo, hi = e.effect, e.ci_lower, e.ci_upper
+    i1 = 1 if (lo > roe.roe_upper) or (y > roe.roe_upper and lo > roe.null_effect) else 0
+    i2 = -1 if (hi < roe.roe_lower) or (y < roe.roe_lower and hi < roe.null_effect) else 0
+    if i1 + i2 == 0:
+        return Verdict.TIE
+    first = (i1 + i2 == 1) == (roe.direction == BENEFICIAL)
+    return Verdict.FIRST_WINS if first else Verdict.SECOND_WINS
+
+
+class PerRowPreferences:
+    """The preference input that the command line reads, built record by record."""
+
+    def __init__(self, records, treatments, schema):
+        self._records, self.treatments, self.schema = tuple(records), treatments, schema
+        self.study = [r.study_id for r in self._records]
+
+    def records(self):
+        return self._records
+
+    def tournament(self) -> Tournament:
+        return Tournament(self.treatments, loop_tally(self._records, self.treatments))
+
+    def dump(self, stream) -> None:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["study", "treat1", "treat2", "verdict", *self.schema])
+        for r in self._records:
+            cells = [r.covariates.get(name) for name in self.schema]
+            writer.writerow([r.study_id, r.treat_a, r.treat_b, r.verdict.value]
+                            + ["" if v is None else repr(v) if isinstance(v, float) else v
+                               for v in cells])
+
+
+def per_row_read_preferences(config) -> PerRowPreferences:
+    """The command line's contrast input as a chain of per-row steps: parse, warn,
+    ``complete_intervals``, the scalar TCC, then records."""
+    with open(config.input, encoding="utf-8", newline="") as stream:
+        network = per_row_parse(stream, config.scale)
+    for line in per_row_warnings(network):
+        print(line, file=sys.stderr)
+    if config.mcid is None:
+        raise DataError("--mcid is required to derive preference records from contrasts")
+    roe = build_roe(config.mcid, config.roe_lower, config.roe_upper, config.direction)
+    records = []
+    for e in network.effects:
+        verdict = scalar_verdict(complete_intervals(e), roe)
+        records.append(PreferenceRecord(e.study_id, e.treat_a, e.treat_b, verdict, e.covariates))
+    return PerRowPreferences(records, network.treatments, network.covariate_schema)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,17 @@ LEAGUE = FIXTURES / "league.csv"
 
 def _run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def test_every_trace_point_of_the_benchmark_resolves():
+    # bench/tracing.py wraps the layer functions by the names they have in these modules.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    for module, attribute, _ in tracing.TRACE_POINTS:
+        assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
 
 
 def test_rank_on_the_bundled_fixture(tmp_path):
@@ -48,6 +61,14 @@ def _readme_names(readme: str, lead: str) -> list[str]:
     """The backquoted names of the README paragraph that starts with ``lead``."""
     paragraph = re.search(rf"^{re.escape(lead)}(.+?)\n\n", readme, re.M | re.S)
     return re.findall(r"`([^`]+)`", paragraph.group(1))
+
+
+def test_readme_library_quick_start_runs_as_written(monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(FIXTURES)  # the example reads contrasts.csv
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 6
 
 
 def test_readme_lists_what_each_subcommand_writes(tmp_path):
@@ -386,6 +407,23 @@ def test_compare_reads_a_quoted_header(tmp_path):
     assert (tmp_path / "quoted" / "scores.csv").read_bytes() == (
         tmp_path / "plain" / "scores.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("blank", ["\n", ",,,\n", "\n,,,\n"])
+@pytest.mark.parametrize("form", ["pairwise", "basic"])
+def test_compare_skips_blank_rows_before_the_header(tmp_path, form, blank):
+    # The parsers skip blank rows before the header, so the form sniffing must too.
+    plain = tmp_path / "plain.csv"
+    if form == "pairwise":
+        plain.write_text(LEAGUE.read_text())
+    else:
+        plain.write_text("treat,estimate_vs_ref,se\nref,0.0,0.0\nA,0.30,0.10\nB,0.10,0.12\n")
+    padded = tmp_path / "padded.csv"
+    padded.write_text(blank + plain.read_text())
+    for source, out in ((plain, tmp_path / "plain"), (padded, tmp_path / "padded")):
+        assert _run("compare", "--input", source, "--out-dir", out, "--nsim", "2000") == 0
+    for name in ("scores.csv", "scores.json"):
+        assert (tmp_path / "padded" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_compare_rejects_unrecognized_header(tmp_path):
