@@ -61,6 +61,10 @@ class LeagueTable:
             raise DataError("a league table needs at least two treatments")
         if (self.pairwise is None) == (self.basic is None):
             raise DataError("supply exactly one of the pairwise or basic forms")
+        if len(set(self.treatments)) < len(self.treatments):
+            raise DataError(f"league table treatments repeat: {list(self.treatments)}")
+        if self.basic is not None and set(self.basic) != set(self.treatments):
+            raise DataError("basic-form estimates must cover exactly the treatments")
         if self.covariance is not None:
             if self.basic is None:
                 raise DataError("a covariance matrix requires the basic form")
@@ -171,16 +175,47 @@ def _direction_sign(lt: LeagueTable) -> float:
     return 1.0 if lt.direction == BENEFICIAL else -1.0
 
 
-def _ordered_pairs(lt: LeagueTable):
+def _pair_table(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, estimate, se)`` of every pair i < j in row-major order, raising on the
+    first pair without a positive SE."""
     if lt.pairwise is None and lt.covariance is None:
         warnings.warn(
             "no covariance supplied; pairwise SEs assume independent basic estimates",
             UserWarning,
             stacklevel=3,
         )
-    for i, x in enumerate(lt.treatments):
-        for y in lt.treatments[i + 1 :]:
-            yield x, y, _pair_entry(lt, x, y)
+    labels = lt.treatments
+    i, j = np.triu_indices(len(labels), 1)
+    if lt.pairwise is not None:
+        entries = []
+        for a, b in zip(i.tolist(), j.tolist()):
+            estimate, se = _pair_entry(lt, labels[a], labels[b])
+            if se <= 0:
+                raise _se_error(lt, a, b, se)
+            entries.append((estimate, se))
+        return (i, j, *np.array(entries, dtype=float).T)
+    base, squares = np.array([(lt.basic[x][0], lt.basic[x][1] ** 2) for x in labels]).T
+    c = lt.covariance
+    var = squares[i] + squares[j] if c is None else c[i, i] + c[j, j] - 2.0 * c[i, j]
+    se = np.sqrt(np.where(0.0 > var, 0.0, var))  # max(var, 0.0), which keeps a -0.0
+    first = np.flatnonzero(se <= 0)[:1].tolist()
+    if first:
+        raise _se_error(lt, i[first[0]], j[first[0]], float(se[first[0]]))
+    return i, j, base[i] - base[j], se
+
+
+def _se_error(lt: LeagueTable, a: int, b: int, se) -> DataError:
+    x, y = lt.treatments[a], lt.treatments[b]
+    return DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
+
+
+def _row_means(lt: LeagueTable, i, j, ahead, behind) -> dict[str, float]:
+    """Each treatment's exact mean of ``ahead`` where it leads and ``behind`` where it trails."""
+    n = len(lt.treatments)
+    table = np.zeros((n, n))
+    table[i, j] = ahead
+    table[j, i] = behind
+    return {x: math.fsum(row) / (n - 1) for x, row in zip(lt.treatments, table.tolist())}
 
 
 def p_scores(lt: LeagueTable) -> dict[str, float]:
@@ -193,15 +228,9 @@ def p_scores(lt: LeagueTable) -> dict[str, float]:
     always average to one half.
     """
     d = _direction_sign(lt)
-    beats: dict[str, dict[str, float]] = {x: {} for x in lt.treatments}
-    for x, y, (estimate, se) in _ordered_pairs(lt):
-        if se <= 0:
-            raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
-        p = _normal_cdf(d * estimate / se)
-        beats[x][y] = p
-        beats[y][x] = 1.0 - p
-    n_rivals = len(lt.treatments) - 1
-    return {x: math.fsum(row.values()) / n_rivals for x, row in beats.items()}
+    i, j, estimate, se = _pair_table(lt)
+    p = np.array(list(map(_normal_cdf, (d * estimate / se).tolist())))
+    return _row_means(lt, i, j, p, 1.0 - p)
 
 
 def p_scores_civ(lt: LeagueTable, mcid: float) -> dict[str, float]:
@@ -215,14 +244,11 @@ def p_scores_civ(lt: LeagueTable, mcid: float) -> dict[str, float]:
         raise DataError(f"mcid must exceed 1 on the ratio scale, got {mcid}")
     d = _direction_sign(lt)
     shift = math.log(mcid)
-    scores: dict[str, list[float]] = {x: [] for x in lt.treatments}
-    for x, y, (estimate, se) in _ordered_pairs(lt):
-        if se <= 0:
-            raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
-        scores[x].append(_normal_cdf((d * estimate - shift) / se))
-        scores[y].append(_normal_cdf((-d * estimate - shift) / se))
-    n_rivals = len(lt.treatments) - 1
-    return {x: math.fsum(row) / n_rivals for x, row in scores.items()}
+    i, j, estimate, se = _pair_table(lt)
+    ahead, behind = (
+        list(map(_normal_cdf, ((sign * estimate - shift) / se).tolist())) for sign in (d, -d)
+    )
+    return _row_means(lt, i, j, ahead, behind)
 
 
 def _basic_parameters(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray]:
@@ -279,13 +305,17 @@ def prob_best(lt: LeagueTable, nsim: int = 100_000, seed: int = 0) -> dict[str, 
     # The factor and the draw order of numpy's multivariate_normal(method="eigh"),
     # taken in blocks of rows so memory stays bounded in nsim.
     factor = (eigenvectors * np.sqrt(np.abs(eigenvalues))).T
-    sign = _direction_sign(lt)
+    pick = np.argmax if lt.direction == BENEFICIAL else np.argmin
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(lt.treatments), dtype=np.int64)
+    noise = np.empty((min(_DRAW_BLOCK, nsim), len(means)))
+    draws = np.empty_like(noise)
     for start in range(0, nsim, _DRAW_BLOCK):
         rows = min(_DRAW_BLOCK, nsim - start)
-        draws = rng.standard_normal((rows, len(means))) @ factor + means
-        counts += np.bincount(np.argmax(sign * draws, axis=1), minlength=len(counts))
+        rng.standard_normal(out=noise[:rows])
+        np.matmul(noise[:rows], factor, out=draws[:rows])
+        draws[:rows] += means
+        counts += np.bincount(pick(draws[:rows], axis=1), minlength=len(counts))
     shares = counts / nsim
     top = int(np.argmax(counts))
     shares[top] = 1.0 - (shares.sum() - shares[top])

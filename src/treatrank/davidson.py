@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError, FordConditionError, ModelError, OnlyTiesError
+from .study_data import _UNUSABLE_LEVEL, _unusable_level
 from .tcc import Tournament
 
 __all__ = [
@@ -699,6 +700,8 @@ def _wald_intervals(
     """``(se_log, lower, upper)`` per estimate: a log-scale Wald interval, exponentiated."""
     if not (0.0 < ci_level < 1.0):
         raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
+    if _unusable_level(ci_level):
+        raise DataError(_UNUSABLE_LEVEL.format(ci_level))
     z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
     out = []
     for estimate, log_var in zip(estimates, log_variances):

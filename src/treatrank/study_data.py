@@ -81,6 +81,8 @@ class StudyEffect:
             )
         if not (0.0 < self.ci_level < 1.0):
             raise DataError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        if _unusable_level(self.ci_level):
+            raise DataError(f"study {self.study_id!r}: {_UNUSABLE_LEVEL.format(self.ci_level)}")
         if self.se is not None and self.se < 0:
             raise DataError(f"study {self.study_id!r}: negative standard error {self.se}")
         has_bounds = self.ci_lower is not None and self.ci_upper is not None
@@ -370,6 +372,8 @@ def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> Stu
         lower = _log_transform(lower, "lower bound", i)
         upper = _log_transform(upper, "upper bound", i)
     ci_level = _parse_float(cells["ci_level"][k], "ci_level", i, required=False)
+    if ci_level is not None and 0.0 < ci_level < 1.0 and _unusable_level(ci_level):
+        raise DataError(f"row {i}: {_UNUSABLE_LEVEL.format(ci_level)}")
     study, t1, t2 = (cells[c][k] for c in _LABELS)
     return StudyEffect(study, t1, t2, effect, se, lower, upper,
                        0.95 if ci_level is None else ci_level)
@@ -408,7 +412,7 @@ def _read_contrasts(
     effect, se, lower, upper, ci_level = numbers.values()
     same = np.array([a == b for a, b in zip(studies.treat1, studies.treat2)], dtype=bool)
     both = ~np.isnan(lower) & ~np.isnan(upper)
-    bad = (np.isnan(effect) | same | (ci_level <= 0) | (ci_level >= 1) | (se < 0)
+    bad = (np.isnan(effect) | same | _unusable_level(ci_level) | (se < 0)
            | (np.isnan(se) & ~both) | (both & ~((lower <= effect) & (effect <= upper))))
     for k in range(min(suspect + np.flatnonzero(bad)[:1].tolist()), n):
         _study_effect(cells, k, scale)
@@ -470,6 +474,18 @@ def dump_contrast_table(network: Network, stream: IO[str]) -> None:
         ]
         row.extend(_covariate_cell(e.covariates.get(name)) for name in covariate_names)
         writer.writerow(row)
+
+
+_UNUSABLE_LEVEL = "ci_level {!r} is too close to 0 or 1: its normal quantile is 0 or infinite"
+
+
+def _unusable_level(ci_level):
+    """Whether ``(1 + ci_level) / 2`` falls outside (0.5, 1), which makes the normal
+    quantile of a ``ci_level`` interval 0 or infinite: true of every level outside
+    (0, 1) and of those within 2**-53 of its ends. Takes a float or an array (NaN,
+    an absent level, counts as usable)."""
+    half = (1.0 + ci_level) / 2.0
+    return (half <= 0.5) | (half >= 1.0)
 
 
 @lru_cache(maxsize=64)  # a table has a few distinct levels; bounded for long processes

@@ -18,7 +18,8 @@ package's own code, because the package must match them bit for bit, so
 it is the arithmetic that is under test: the sup-LM stability test
 (full-length cumulative sums, blocks of 256 permutations) on the
 package's score rows, the one-tournament likelihood core and Newton
-solver, and the split search that fits both sides of every candidate.
+solver, the split search that fits both sides of every candidate, and the
+P-scores taken one league-table pair at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from treatrank.compare import _pair_entry
 from treatrank.davidson import fit_davidson, win_tie_probabilities
 from treatrank.errors import ConvergenceError, DataError, ModelError
 from treatrank.partition import (
@@ -234,6 +236,52 @@ def one_shot_best_counts(means, cov, sign: float, nsim: int, seed: int) -> list[
     for row in sign * draws:
         counts[int(np.argmax(row))] += 1
     return counts
+
+
+def _loop_normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _loop_pairs(lt):
+    if lt.pairwise is None and lt.covariance is None:
+        warnings.warn(
+            "no covariance supplied; pairwise SEs assume independent basic estimates",
+            UserWarning,
+            stacklevel=3,
+        )
+    for i, x in enumerate(lt.treatments):
+        for y in lt.treatments[i + 1 :]:
+            yield x, y, _pair_entry(lt, x, y)
+
+
+def loop_p_scores(lt) -> dict[str, float]:
+    """``compare.p_scores`` one pair at a time, each pair looked up on its own."""
+    d = 1.0 if lt.direction == BENEFICIAL else -1.0
+    beats: dict[str, dict[str, float]] = {x: {} for x in lt.treatments}
+    for x, y, (estimate, se) in _loop_pairs(lt):
+        if se <= 0:
+            raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
+        p = _loop_normal_cdf(d * estimate / se)
+        beats[x][y] = p
+        beats[y][x] = 1.0 - p
+    n_rivals = len(lt.treatments) - 1
+    return {x: math.fsum(row.values()) / n_rivals for x, row in beats.items()}
+
+
+def loop_p_scores_civ(lt, mcid: float) -> dict[str, float]:
+    """``compare.p_scores_civ`` one pair at a time, each pair looked up on its own."""
+    if mcid <= 1.0:
+        raise DataError(f"mcid must exceed 1 on the ratio scale, got {mcid}")
+    d = 1.0 if lt.direction == BENEFICIAL else -1.0
+    shift = math.log(mcid)
+    scores: dict[str, list[float]] = {x: [] for x in lt.treatments}
+    for x, y, (estimate, se) in _loop_pairs(lt):
+        if se <= 0:
+            raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
+        scores[x].append(_loop_normal_cdf((d * estimate - shift) / se))
+        scores[y].append(_loop_normal_cdf((-d * estimate - shift) / se))
+    n_rivals = len(lt.treatments) - 1
+    return {x: math.fsum(row) / n_rivals for x, row in scores.items()}
 
 
 def reachability(t: Tournament) -> list[list[bool]]:

@@ -139,6 +139,35 @@ def test_rank_rejects_a_degenerate_mcid(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("level", ["0.9999999999999999", "1e-17"])
+@pytest.mark.parametrize("subcommand", ["rank", "tcc-dump"])
+def test_a_ci_level_without_a_usable_quantile_is_a_data_error(tmp_path, subcommand, level):
+    # (1 + level) / 2 rounds to 1 or to 0.5: an infinite or a zero normal quantile
+    source = tmp_path / "contrasts.csv"
+    source.write_text(
+        "study,treat1,treat2,effect,lower,upper,ci_level\n"
+        f"s1,A,B,0.3,0.1,0.5,0.95\ns2,B,C,0.2,0.0,0.4,{level}\n"
+    )
+    out = tmp_path / "out"
+    assert _run(subcommand, "--input", source, "--out-dir", out, "--mcid", "1.2") == 1
+    document = json.loads((out / "error.json").read_text())
+    assert document["error"] == "DataError"
+    assert document["message"] == (
+        f"row 3: ci_level {level} is too close to 0 or 1: its normal quantile is 0 or infinite"
+    )
+
+
+@pytest.mark.parametrize("level", ["0.9999999999999999", "1e-17"])
+def test_a_report_ci_level_without_a_usable_quantile_is_a_data_error(tmp_path, level):
+    argv = ("rank", "--input", CONTRASTS, "--mcid", "1.2", "--ci-level", level)
+    assert _run(*argv, "--out-dir", tmp_path) == 1
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document["error"] == "DataError"
+    assert document["message"] == (
+        f"ci_level {level} is too close to 0 or 1: its normal quantile is 0 or infinite"
+    )
+
+
 def test_rank_only_ties_is_a_model_error(tmp_path):
     source = tmp_path / "ties.csv"
     source.write_text(

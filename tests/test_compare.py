@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatrank import (
     DataError,
@@ -20,7 +23,7 @@ from treatrank import (
 )
 from treatrank.compare import _DRAW_BLOCK
 
-from oracles import one_shot_best_counts, quad_prob_best
+from oracles import loop_p_scores, loop_p_scores_civ, one_shot_best_counts, quad_prob_best
 
 
 def _pairwise_three():
@@ -97,6 +100,10 @@ def test_league_table_rejects_bad_direction_and_small_sets():
         LeagueTable.from_pairwise({("A", "B"): (0.0, 0.1)}, direction="upwards")
     with pytest.raises(DataError, match="two treatments"):
         LeagueTable(treatments=("A",), basic={"A": (0.0, 0.1)})
+    with pytest.raises(DataError, match="repeat"):
+        LeagueTable(treatments=("A", "B", "A"), basic={"A": (0.0, 0.1), "B": (0.0, 0.1)})
+    with pytest.raises(DataError, match="cover exactly"):
+        LeagueTable(treatments=("A", "B"), basic={"A": (0.0, 0.1)})
 
 
 def test_pair_entry_errors():
@@ -215,6 +222,122 @@ def test_p_scores_civ_rejects_degenerate_mcid():
         p_scores_civ(_pairwise_three(), 1.0)
 
 
+# ---------------------------------------------------------------- against the per-pair loops
+
+
+_LABELS = ("A", "B", "C", "D", "E")
+_ESTIMATES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -1.5]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _se(draw, low=1e-3):
+    if draw(st.integers(0, 29)) == 0:
+        return draw(st.sampled_from([0.0, -0.0]))
+    return draw(st.floats(low, 2.0))
+
+
+@st.composite
+def _league_tables(draw):
+    """Pairwise tables (keys in either order, a pair now and then missing or with a
+    zero SE) and basic tables with or without a covariance, which may give one pair
+    a variance of exactly 0, one that rounds negative, or -0.0."""
+    n = draw(st.integers(2, len(_LABELS)))
+    labels = _LABELS[:n]
+    direction = draw(st.sampled_from(["beneficial", "harmful"]))
+    form = draw(st.sampled_from(["pairwise", "basic", "covariance"]))
+    if form == "pairwise":
+        pairwise = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                if draw(st.integers(0, 19)) == 0:
+                    continue
+                estimate, se = draw(_ESTIMATES), draw(_se())
+                if draw(st.booleans()):
+                    pairwise[(labels[b], labels[a])] = (-estimate, se)
+                else:
+                    pairwise[(labels[a], labels[b])] = (estimate, se)
+        return LeagueTable(treatments=labels, direction=direction, pairwise=pairwise)
+    estimates = {x: (draw(_ESTIMATES), abs(draw(_se(low=0.0)))) for x in labels}
+    covariance = None
+    if form == "covariance":
+        cells = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+        root = np.array(cells).reshape(n, n)
+        covariance = root @ root.T + 0.01 * np.eye(n)
+        a, b = draw(st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)]))
+        edge = draw(st.sampled_from([None, None, "zero", "negative", "minus zero"]))
+        if edge is not None:
+            diagonal, off = {
+                "zero": (covariance[a, a], covariance[a, a]),
+                "negative": (1.0, 1.0 + 2.0**-52),
+                "minus zero": (-0.0, 0.0),
+            }[edge]
+            covariance[a, a] = covariance[b, b] = diagonal
+            covariance[a, b] = covariance[b, a] = off
+    return LeagueTable.from_basic(estimates, covariance=covariance, direction=direction)
+
+
+def _outcome(fn, *args):
+    """The scores as exact bits in treatment order, or the first error's message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return [(x, v.hex()) for x, v in fn(*args).items()]
+        except DataError as error:
+            return str(error)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_league_tables(), st.floats(1.0, 3.0, exclude_min=True))
+def test_p_scores_match_the_per_pair_loops_bit_for_bit(lt, mcid):
+    assert _outcome(p_scores, lt) == _outcome(loop_p_scores, lt)
+    assert _outcome(p_scores_civ, lt, mcid) == _outcome(loop_p_scores_civ, lt, mcid)
+
+
+def _basic_three(cov_ab, var_a=1.0, var_b=1.0):
+    cov = np.eye(3)
+    cov[0, 0], cov[1, 1] = var_a, var_b
+    cov[0, 1] = cov[1, 0] = cov_ab
+    return LeagueTable.from_basic(
+        {"A": (0.1, 0.1), "B": (0.2, 0.1), "C": (0.3, 0.1)}, covariance=cov
+    )
+
+
+@pytest.mark.parametrize(
+    "lt, message",
+    [
+        (LeagueTable(treatments=("A", "B", "C"),
+                     pairwise={("A", "B"): (0.1, 0.2), ("C", "B"): (0.3, 0.2)}),
+         "league table is missing the pair ('A', 'C')"),
+        (LeagueTable(treatments=("A", "B", "C"),
+                     pairwise={("A", "B"): (0.1, 0), ("C", "B"): (0.3, 0.2)}),
+         "pair ('A', 'B') needs a positive SE, got 0"),
+        (_basic_three(0.25, 0.25, 0.25), "pair ('A', 'B') needs a positive SE, got 0.0"),
+        (_basic_three(1.0 + 2.0**-52), "pair ('A', 'B') needs a positive SE, got 0.0"),
+        (_basic_three(0.0, -0.0, -0.0), "pair ('A', 'B') needs a positive SE, got -0.0"),
+        (LeagueTable.from_basic({"A": (0.1, 0.1), "B": (0.2, -0.0), "C": (0.3, 0.0)}),
+         "pair ('B', 'C') needs a positive SE, got 0.0"),
+        # (A, D) comes before (B, C) in row-major order, after it column by column
+        (LeagueTable(treatments=tuple("ABCD"),
+                     pairwise={tuple(p): (0.1, 0.2) for p in ("AB", "AC", "BD", "CD")}),
+         "league table is missing the pair ('A', 'D')"),
+        (LeagueTable.from_basic({x: (0.1, 1.0) for x in "ABCD"},
+                                covariance=np.eye(4) + np.fliplr(np.eye(4))),
+         "pair ('A', 'D') needs a positive SE, got 0.0"),
+    ],
+)
+def test_p_scores_raise_the_first_error_of_the_per_pair_loops(lt, message):
+    assert _outcome(p_scores, lt) == _outcome(loop_p_scores, lt) == message
+    assert _outcome(p_scores_civ, lt, 1.2) == _outcome(loop_p_scores_civ, lt, 1.2) == message
+
+
+def test_p_scores_warn_once_per_call_at_the_caller():
+    lt = LeagueTable.from_basic({"A": (0.3, 0.1), "B": (0.0, 0.1), "C": (-0.2, 0.2)})
+    for score in (p_scores, lambda table: p_scores_civ(table, 1.2)):
+        with pytest.warns(UserWarning, match="independent") as record:
+            score(lt)
+        assert [w.filename for w in record] == [__file__]
+
+
 # ---------------------------------------------------------------- prob_best
 
 
@@ -280,6 +403,35 @@ def test_prob_best_blocks_draw_what_one_sampler_call_draws():
             result = prob_best(lt, nsim=nsim, seed=11)
             counts = one_shot_best_counts(means, cov, sign, nsim, 11)
             assert [round(result[x] * nsim) for x in labels] == counts
+
+
+@pytest.mark.parametrize("nsim", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1])
+def test_prob_best_buffer_edges_draw_what_one_sampler_call_draws(nsim):
+    rng = np.random.default_rng(47)
+    labels = ("A", "B", "C", "D")
+    root = rng.normal(size=(4, 4))
+    cov = root @ root.T / 40.0
+    means = rng.normal(0.0, 0.2, 4)
+    for direction, sign in (("beneficial", 1.0), ("harmful", -1.0)):
+        lt = LeagueTable.from_basic(
+            {x: (m, 0.1) for x, m in zip(labels, means)}, covariance=cov, direction=direction
+        )
+        result = prob_best(lt, nsim=nsim, seed=5)
+        counts = one_shot_best_counts(means, cov, sign, nsim, 5)
+        assert [round(result[x] * nsim) for x in labels] == counts
+
+
+def test_prob_best_harmful_tie_goes_to_the_first_treatment():
+    # B and C are drawn at exactly their common estimate, the smallest every time.
+    lt = LeagueTable.from_basic(
+        {"A": (0.5, 0.2), "B": (-0.5, 0.0), "C": (-0.5, 0.0)},
+        covariance=np.diag([0.04, 0.0, 0.0]),
+        direction="harmful",
+    )
+    result = prob_best(lt, nsim=3000, seed=2)
+    assert result == {"A": 0.0, "B": 1.0, "C": 0.0}
+    counts = one_shot_best_counts([0.5, -0.5, -0.5], np.diag([0.04, 0.0, 0.0]), -1.0, 3000, 2)
+    assert counts == [0, 3000, 0]
 
 
 def test_prob_best_rejects_a_negative_seed():

@@ -288,6 +288,13 @@ def test_complete_intervals_respects_ci_level():
     assert done.ci_upper == pytest.approx(1.6448536269514722, abs=1e-12)
 
 
+@pytest.mark.parametrize("level", [1.0 - 2.0**-53, 2.0**-53])
+def test_a_study_effect_rejects_a_level_without_a_usable_quantile(level):
+    # complete_intervals would raise StatisticsError (quantile at 1) or divide by 0
+    with pytest.raises(DataError, match="study 's1': ci_level .* too close to 0 or 1"):
+        StudyEffect("s1", "A", "B", 0.1, ci_lower=0.0, ci_upper=0.2, ci_level=level)
+
+
 def test_complete_intervals_is_idempotent_and_preserves_given_values():
     e = StudyEffect(
         study_id="s1",
