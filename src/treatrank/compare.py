@@ -19,8 +19,8 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .study_data import _first_seen, _parse_float, _read_csv
-from .tcc import BENEFICIAL, HARMFUL
+from .study_data import _first_seen, _parse_float, _read_columns
+from .tcc import BENEFICIAL, HARMFUL, _check_mcid
 
 __all__ = [
     "LeagueTable",
@@ -31,6 +31,9 @@ __all__ = [
     "parse_league_table",
     "prob_best",
 ]
+
+
+_LARGEST = 1e100  # an estimate or SE past this, or a covariance past its square, may overflow
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +77,11 @@ class LeagueTable:
                     f"covariance shape {self.covariance.shape} does not match "
                     f"{n} treatments"
                 )
+        sizes = np.abs([*(self.basic if self.pairwise is None else self.pairwise).values()])
+        squares = np.abs(() if self.covariance is None else self.covariance)
+        if not (np.all(sizes <= _LARGEST) and np.all(squares <= _LARGEST**2)):
+            raise DataError(f"estimates and SEs must be finite and at most {_LARGEST:g} in size, "
+                            f"and covariance entries at most {_LARGEST**2:g}")
         object.__setattr__(self, "_index", {x: k for k, x in enumerate(self.treatments)})
 
     @classmethod
@@ -229,7 +237,8 @@ def p_scores(lt: LeagueTable) -> dict[str, float]:
     """
     d = _direction_sign(lt)
     i, j, estimate, se = _pair_table(lt)
-    p = np.array(list(map(_normal_cdf, (d * estimate / se).tolist())))
+    with np.errstate(over="ignore"):  # a tiny SE gives z = +-inf, and Phi(z) = 1 or 0
+        p = np.array(list(map(_normal_cdf, (d * estimate / se).tolist())))
     return _row_means(lt, i, j, p, 1.0 - p)
 
 
@@ -240,14 +249,14 @@ def p_scores_civ(lt: LeagueTable, mcid: float) -> dict[str, float]:
     the probability that X's advantage over Y exceeds the threshold, not just
     zero. As mcid drops to 1 this recovers :func:`p_scores`.
     """
-    if mcid <= 1.0:
-        raise DataError(f"mcid must exceed 1 on the ratio scale, got {mcid}")
+    _check_mcid(mcid)
     d = _direction_sign(lt)
     shift = math.log(mcid)
     i, j, estimate, se = _pair_table(lt)
-    ahead, behind = (
-        list(map(_normal_cdf, ((sign * estimate - shift) / se).tolist())) for sign in (d, -d)
-    )
+    with np.errstate(over="ignore"):  # as in p_scores
+        ahead, behind = (
+            list(map(_normal_cdf, ((sign * estimate - shift) / se).tolist())) for sign in (d, -d)
+        )
     return _row_means(lt, i, j, ahead, behind)
 
 
@@ -326,17 +335,17 @@ def parse_league_table(
     source: IO[str] | Iterable[str], direction: str = BENEFICIAL
 ) -> LeagueTable:
     """Parse a pairwise league-table CSV: treat1, treat2, estimate, se (log scale)."""
-    _, rows = _read_csv(source, ("treat1", "treat2", "estimate", "se"))
+    names = ("treat1", "treat2", "estimate", "se")
+    columns = _read_columns(source, names)
     entries: dict[tuple[str, str], tuple[float, float]] = {}
     seen_pairs: set[frozenset[str]] = set()
-    for i, row in rows:
-        t1, t2 = row["treat1"], row["treat2"]
+    for i, (t1, t2, estimate, se) in enumerate(zip(*map(columns.get, names)), start=2):
         if not t1 or not t2:
             raise DataError(f"row {i}: both treatment labels are required")
         if t1 == t2:
             raise DataError(f"row {i}: pair compares {t1!r} with itself")
-        estimate = _parse_float(row["estimate"], "estimate", i)
-        se = _parse_float(row["se"], "se", i)
+        estimate = _parse_float(estimate, "estimate", i)
+        se = _parse_float(se, "se", i)
         key = frozenset((t1, t2))
         if key in seen_pairs:
             raise DataError(f"row {i}: pair ({t1!r}, {t2!r}) appears more than once")
@@ -353,62 +362,51 @@ def parse_basic_table(
     direction: str = BENEFICIAL,
 ) -> LeagueTable:
     """Parse a basic-form CSV: treat, estimate_vs_ref, se; optional covariance CSV."""
-    fields, rows = _read_csv(source)
-    estimate_column = next(
-        (c for c in ("estimate_vs_ref", "estimate") if c in fields), None
-    )
-    if "treat" not in fields or "se" not in fields or estimate_column is None:
+    columns = _read_columns(source)
+    estimate_column = next((c for c in ("estimate_vs_ref", "estimate") if c in columns), None)
+    if "treat" not in columns or "se" not in columns or estimate_column is None:
         raise DataError(
             "basic-form table needs columns: treat, estimate_vs_ref (or estimate), se"
         )
     estimates: dict[str, tuple[float, float]] = {}
-    for i, row in rows:
-        label = row["treat"]
+    rows = zip(columns["treat"], columns[estimate_column], columns["se"])
+    for i, (label, estimate, se) in enumerate(rows, start=2):
         if not label:
             raise DataError(f"row {i}: treatment label is required")
         if label in estimates:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
         estimates[label] = (
-            _parse_float(row[estimate_column], estimate_column, i),
-            _parse_float(row["se"], "se", i),
+            _parse_float(estimate, estimate_column, i),
+            _parse_float(se, "se", i),
         )
     if not estimates:
         raise DataError("basic-form table has no rows")
-    covariance = (
-        None
-        if covariance_source is None
-        else parse_covariance_table(covariance_source, tuple(estimates))
-    )
+    covariance = None
+    if covariance_source is not None:
+        covariance = parse_covariance_table(covariance_source, tuple(estimates))
     return LeagueTable.from_basic(estimates, covariance=covariance, direction=direction)
 
 
+@np.errstate(over="ignore")  # LeagueTable rejects a covariance that overflows
 def parse_covariance_table(
     source: IO[str] | Iterable[str], treatments: tuple[str, ...]
 ) -> np.ndarray:
     """Parse a labeled square covariance CSV and align it to treatment order."""
-    fields, rows = _read_csv(source)
-    header = fields[1:]
+    columns = _read_columns(source)
+    _, *header = columns
     if sorted(header) != sorted(treatments):
         raise DataError(
             "covariance columns do not match the treatments: "
             f"{header} vs {list(treatments)}"
         )
-    by_label: dict[str, dict[str, float]] = {}
-    for i, row in rows:
-        label = row[fields[0]]
-        if label in by_label:
+    rows: dict[str, list[float]] = {}  # each row label's cells, in row order
+    for i, (label, *cells) in enumerate(zip(*columns.values()), start=2):
+        if label in rows:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
-        by_label[label] = {
-            column: _parse_float(row[column], "covariance cell", i) for column in header
-        }
-    if sorted(by_label) != sorted(treatments):
-        raise DataError(
-            f"covariance rows do not match the treatments: {sorted(by_label)}"
-        )
-    matrix = np.asarray(
-        [[by_label[x][y] for y in treatments] for x in treatments], dtype=float
-    )
+        rows[label] = [_parse_float(cell, "covariance cell", i) for cell in cells]
+    if sorted(rows) != sorted(treatments):
+        raise DataError(f"covariance rows do not match the treatments: {sorted(rows)}")
+    matrix = np.array([rows[x] for x in treatments])[:, [header.index(y) for y in treatments]]
     if not np.allclose(matrix, matrix.T, rtol=1e-8, atol=1e-12):
         raise DataError("covariance table is not symmetric")
     return 0.5 * (matrix + matrix.T)
-

@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, FordConditionError, ModelError, OnlyTiesError
-from .study_data import _UNUSABLE_LEVEL, _unusable_level
+from .study_data import _z
 from .tcc import Tournament
 
 __all__ = [
@@ -698,11 +697,7 @@ def _wald_intervals(
     estimates: Sequence[float], log_variances: Sequence[float], ci_level: float
 ) -> list[tuple[float, float, float]]:
     """``(se_log, lower, upper)`` per estimate: a log-scale Wald interval, exponentiated."""
-    if not (0.0 < ci_level < 1.0):
-        raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
-    if _unusable_level(ci_level):
-        raise DataError(_UNUSABLE_LEVEL.format(ci_level))
-    z = NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
+    z = _z(ci_level)
     out = []
     for estimate, log_var in zip(estimates, log_variances):
         se_log = math.sqrt(max(log_var, 0.0))

@@ -131,13 +131,6 @@ class Network:
                 )
             seen_pairs.add(key)
 
-    def by_study(self) -> dict[str, list[StudyEffect]]:
-        """Group effects by study id, preserving row order within each study."""
-        grouped: dict[str, list[StudyEffect]] = {}
-        for e in self.effects:
-            grouped.setdefault(e.study_id, []).append(e)
-        return grouped
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -209,14 +202,15 @@ def _read_header(source: IO[str] | Iterable[str]) -> tuple[list[str], Iterator[l
     return fields, kept
 
 
-def _read_rows(
+def _read_columns(
     source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
-) -> tuple[list[str], list[list[str]]]:
+) -> dict[str, tuple[str, ...]]:
     """The one CSV-reading path for every input table, and the one place a cell is normalized.
 
-    Returns the names of :func:`_read_header` and every other kept row's cells, padded
-    with ``""`` to the header's width. Row numbers count the header as 1 and skip blank
-    rows, so data row ``k`` is row ``k + 2``. A row longer than the header is rejected.
+    Returns the table as columns: each name of :func:`_read_header`, in header order,
+    with the cells of every other kept row, a short row padded with ``""``. Row numbers
+    count the header as 1 and skip blank rows, so entry ``k`` of a column is from row
+    ``k + 2``. A row longer than the header is rejected.
     """
     fields, kept = _read_header(source)
     missing = [c for c in mandatory if c not in fields]
@@ -229,15 +223,7 @@ def _read_rows(
             raise DataError(f"row {row_num}: expected {width} cells, got {len(cells)}")
         cells += [""] * (width - len(cells))
         rows.append(cells)
-    return fields, rows
-
-
-def _read_csv(
-    source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
-) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """The rows of :func:`_read_rows` as ``(row_num, row)``, ``row`` mapping names to cells."""
-    fields, rows = _read_rows(source, mandatory)
-    return fields, [(i, dict(zip(fields, cells))) for i, cells in enumerate(rows, start=2)]
+    return dict(zip(fields, zip(*rows))) if rows else dict.fromkeys(fields, ())
 
 
 def _parse_float(
@@ -326,22 +312,23 @@ def _covariate_schema(
     return inferred
 
 
-def _study_columns(fields, rows, reserved, schema) -> tuple[_Studies, dict[str, tuple[str, ...]]]:
-    """The study columns of a study table, and all its cells by column.
+def _study_columns(columns: Mapping[str, Sequence[str]], reserved, schema) -> _Studies:
+    """The study columns of a table read by :func:`_read_columns`.
 
     Every column outside ``reserved`` is a covariate and needs a name; every row needs
     the study and both treatment labels. Each check runs over a whole column; from the
     first row one flags, the per-row checks run again and raise that row's message.
     """
+    fields = list(columns)
     names = [f for f in fields if f not in reserved]
     if "" in names:
         raise DataError(
             f"column {fields.index('') + 1} has no header name; name it, or drop it "
             "(in R, write.csv(..., row.names = FALSE))"
         )
-    columns = dict(zip(fields, zip(*rows))) if rows else dict.fromkeys(fields, ())
     schema = _covariate_schema(names, columns, schema)
-    suspect = [columns[c].index("") for c in _LABELS if "" in columns[c]]
+    study, t1, t2 = (columns[c] for c in _LABELS)
+    suspect = [labels.index("") for labels in (study, t1, t2) if "" in labels]
     covariates = {}
     for name in names:
         cells, kind = columns[name], schema[name]
@@ -351,13 +338,12 @@ def _study_columns(fields, rows, reserved, schema) -> tuple[_Studies, dict[str, 
             covariates[name] = [c or None for c in cells]
             first = min(map(cells.index, set(cells) - {""} - set(kind.levels)), default=len(cells))
         suspect.append(first)
-    for k in range(min(suspect, default=len(rows)), len(rows)):
-        if not all(columns[c][k] for c in _LABELS):
+    for k in range(min(suspect, default=len(study)), len(study)):
+        if not (study[k] and t1[k] and t2[k]):
             raise DataError(f"row {k + 2}: study and both treatment labels are required")
         for name in names:
             _parse_covariate(name, schema[name], columns[name][k], k + 2)
-    study, t1, t2 = (columns[c] for c in _LABELS)
-    return _Studies(study, t1, t2, _first_seen(zip(t1, t2)), covariates, schema), columns
+    return _Studies(study, t1, t2, _first_seen(zip(t1, t2)), covariates, schema)
 
 
 def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> StudyEffect:
@@ -390,13 +376,13 @@ def _read_contrasts(
     """
     if scale not in ("log", "ratio"):
         raise DataError(f"scale must be 'log' or 'ratio', got {scale!r}")
-    fields, rows = _read_rows(source, _MANDATORY)
-    has_bounds = "lower" in fields and "upper" in fields
-    if "se" not in fields and not has_bounds:
+    columns = _read_columns(source, _MANDATORY)
+    has_bounds = "lower" in columns and "upper" in columns
+    if "se" not in columns and not has_bounds:
         raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
     reserved = set(_MANDATORY) | {"se", "lower", "upper", "ci_level"}
-    studies, columns = _study_columns(fields, rows, reserved, schema)
-    n = len(rows)
+    studies = _study_columns(columns, reserved, schema)
+    n = len(studies.study)
     cells = {c: columns.get(c, ("",) * n) for c in (*_LABELS, *_NUMBERS)}
     if not has_bounds:
         cells["lower"] = cells["upper"] = ("",) * n
@@ -492,6 +478,10 @@ def _unusable_level(ci_level):
 def _z(ci_level: float) -> float:
     """The normal quantile at ``(1 + ci_level) / 2``: how many standard errors a
     ``ci_level`` interval reaches on either side of its estimate."""
+    if not (0.0 < ci_level < 1.0):
+        raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
+    if _unusable_level(ci_level):
+        raise DataError(_UNUSABLE_LEVEL.format(ci_level))
     return NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
 
 

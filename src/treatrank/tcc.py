@@ -25,7 +25,7 @@ from .study_data import (
     StudyEffect,
     _bounds,
     _covariate_cell,
-    _read_rows,
+    _read_columns,
     _study_columns,
     _Studies,
 )
@@ -86,6 +86,11 @@ class RoeConfig:
             )
 
 
+def _check_mcid(mcid: float) -> None:
+    if not 1.0 < mcid < math.inf:
+        raise DataError(f"mcid must be finite and exceed 1 on the ratio scale, got {mcid}")
+
+
 def build_roe(
     mcid: float,
     roe_lower: float | None = None,
@@ -97,11 +102,10 @@ def build_roe(
     Defaults are log(mcid) above the null and log(1/mcid) below; overrides,
     also on the ratio scale, replace either bound. The null effect is 0.
     """
-    if mcid <= 1.0:
-        raise DataError(f"mcid must exceed 1 on the ratio scale, got {mcid}")
+    _check_mcid(mcid)
     for name, bound in (("roe_lower", roe_lower), ("roe_upper", roe_upper)):
-        if bound is not None and bound <= 0:
-            raise DataError(f"{name} must be positive on the ratio scale, got {bound}")
+        if bound is not None and not 0.0 < bound < math.inf:
+            raise DataError(f"{name} must be positive and finite on the ratio scale, got {bound}")
     lower = -math.log(mcid) if roe_lower is None else math.log(roe_lower)
     upper = math.log(mcid) if roe_upper is None else math.log(roe_upper)
     return RoeConfig(mcid=mcid, roe_lower=lower, roe_upper=upper, direction=direction)
@@ -361,8 +365,8 @@ def _read_records(
     source: IO[str] | Iterable[str], schema: CovariateSchema | None = None
 ) -> _Preferences:
     """The columnar core of :func:`parse_preference_records`."""
-    fields, rows = _read_rows(source, _RECORD_COLUMNS)
-    studies, columns = _study_columns(fields, rows, _RECORD_COLUMNS, schema)
+    columns = _read_columns(source, _RECORD_COLUMNS)
+    studies = _study_columns(columns, _RECORD_COLUMNS, schema)
     outcome = {v.value: k for k, v in enumerate(_VERDICTS)}
     seen: set[tuple[str, frozenset[str]]] = set()
     for i, (study, t1, t2, verdict) in enumerate(zip(*map(columns.get, _RECORD_COLUMNS)), 2):

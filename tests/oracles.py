@@ -53,7 +53,7 @@ from treatrank.study_data import (
     _log_transform,
     _parse_covariate,
     _parse_float,
-    _read_csv,
+    _read_columns,
     complete_intervals,
 )
 from treatrank.tcc import (
@@ -652,7 +652,9 @@ def per_row_parse(stream, scale: str) -> Network:
     """A contrast table read the way ``parse_contrast_table`` read it before its
     columnar core: the label and covariate checks over every row, then one row's
     numbers at a time into a ``StudyEffect``."""
-    fields, rows = _read_csv(stream, ("study", "treat1", "treat2", "effect"))
+    columns = _read_columns(stream, ("study", "treat1", "treat2", "effect"))
+    fields = list(columns)
+    rows = [(i, dict(zip(fields, cells))) for i, cells in enumerate(zip(*columns.values()), 2)]
     has_bounds = "lower" in fields and "upper" in fields
     if "se" not in fields and not has_bounds:
         raise DataError("need an 'se' column or both 'lower' and 'upper' columns")

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 import math
 import re
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treatrank import build_ability_svg, emit_plot, fit_davidson
 from treatrank.cli import RunConfig, main, parse_args
@@ -137,6 +143,25 @@ def test_rank_rejects_a_degenerate_mcid(tmp_path):
     assert _run(
         "rank", "--input", CONTRASTS, "--out-dir", tmp_path, "--mcid", "0.9"
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("compare", "--input", LEAGUE, "--mcid", "nan"), "mcid must be finite"),
+        (("compare", "--input", LEAGUE, "--mcid", "inf"), "mcid must be finite"),
+        (("rank", "--input", CONTRASTS, "--mcid", "inf"), "mcid must be finite"),
+        (("rank", "--input", CONTRASTS, "--mcid", "nan"), "mcid must be finite"),
+        (("rank", "--input", CONTRASTS, "--mcid", "1.2", "--roe-upper", "inf"), "roe_upper"),
+        (("rank", "--input", CONTRASTS, "--mcid", "1.2", "--roe-lower", "nan"), "roe_lower"),
+    ],
+)
+def test_a_non_finite_mcid_or_roe_bound_is_a_data_error(tmp_path, argv, name):
+    assert _run(*argv, "--out-dir", tmp_path) == 1
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document["error"] == "DataError"
+    assert name in document["message"]
+    assert document["message"].endswith(f"got {argv[-1]}")
 
 
 @pytest.mark.parametrize("level", ["0.9999999999999999", "1e-17"])
@@ -497,3 +522,155 @@ def test_emit_plot_writes_the_same_bytes(tmp_path):
     path = tmp_path / "plot.svg"
     emit_plot(fit, path)
     assert path.read_text(encoding="utf-8") == build_ability_svg(fit)
+
+
+# ---------------------------------------------------------------- the command-line contract
+
+_POOL = ("A", "B", "C", "D")
+# Cells a table may hold where a valid value belongs: blank, missing, non-finite, no
+# number, out of range, and finite but huge or tiny.
+_ODD_CELLS = ("", "NA", "nan", "inf", "-inf", "x", "0", "-1", "1e308", "-1e308", "5e-324")
+_NUMBER = st.floats(-2.0, 2.0).map(repr)
+_SE = st.floats(0.01, 1.0).map(repr)
+
+
+@st.composite
+def _cells(draw, valid, faulty: bool):
+    """A cell of ``valid``; in a faulty table, now and then one of ``_ODD_CELLS``."""
+    if faulty and draw(st.integers(0, 5)) == 5:
+        return draw(st.sampled_from(_ODD_CELLS))
+    return draw(valid)
+
+
+@st.composite
+def _study_table(draw, records: bool, faulty: bool):
+    """A contrast or record table over one to four treatments, with a numeric covariate
+    ``x`` (constant in some tables, blank or ``NA`` now and then) and a categorical
+    ``arm``. A contrast has an SE, interval bounds or both. A faulty table may hold odd
+    cells and contrasts of a treatment with itself."""
+    labels = _POOL[: draw(st.sampled_from([3, 4, 2, 1]))]
+    constant = draw(st.booleans())
+    numbers = ["verdict"] if records else ["effect", "se", "lower", "upper", "ci_level"]
+    rows = [["study", "treat1", "treat2", *numbers, "x", "arm"]]
+    for k in range(draw(st.sampled_from([8, 14, 4, 2, 1, 0]))):
+        a = draw(st.sampled_from(labels))
+        others = [b for b in labels if b != a] or [a]
+        row = [f"s{k}", a, draw(st.sampled_from(labels if faulty else others))]
+        if records:
+            row.append(draw(st.sampled_from(["first_wins", "second_wins", "tie"])))
+        else:
+            effect, half = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 2.0))
+            se, bounds = draw(_SE), [repr(effect - half), repr(effect + half)]
+            se, bounds = draw(st.sampled_from([(se, ["", ""]), (se, bounds), ("", bounds)]))
+            row += [repr(effect), se, *bounds, draw(st.sampled_from(["", "0.95", "0.5"]))]
+        x = draw(st.sampled_from(["NA", ""])) if draw(st.integers(0, 7)) == 7 else draw(_NUMBER)
+        row += ["3.0" if constant else x, draw(st.sampled_from(["u", "v"]))]
+        rows.append([draw(_cells(st.just(cell), faulty)) for cell in row])
+    return rows
+
+
+@st.composite
+def _league(draw, faulty: bool):
+    """A pairwise league table, or a basic-form one with or without a covariance table."""
+    labels = _POOL[: draw(st.sampled_from([3, 4, 2, 1]))]
+    form = draw(st.sampled_from(["pairwise", "basic", "covariance"]))
+    if form == "pairwise":
+        rows = [["treat1", "treat2", "estimate", "se"]]
+        rows += [[a, b, draw(_cells(_NUMBER, faulty)), draw(_cells(_SE, faulty))]
+                 for k, a in enumerate(labels) for b in labels[k + 1:]
+                 if not faulty or draw(st.integers(0, 5)) < 5]
+        return rows, None
+    rows = [["treat", "estimate_vs_ref", "se"]]
+    rows += [[x, draw(_cells(_NUMBER, faulty)), draw(_cells(_SE, faulty))] for x in labels]
+    if form == "basic":
+        return rows, None
+    root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))).reshape(4, 4)
+    matrix = (root @ root.T)[: len(labels), : len(labels)]
+    covariance = [["", *labels]]
+    covariance += [[x, *(draw(_cells(st.just(repr(v)), faulty)) for v in values)]
+                   for x, values in zip(labels, matrix.tolist())]
+    return rows, covariance
+
+
+# Valid values of the numeric flags, then odd ones: out of range, non-finite, at the edge.
+_FLAGS = {
+    "--mcid": (["1.2", "1.5"], ["1", "0.8", "nan", "inf", "1e308"]),
+    "--roe-lower": ([None, "0.8"], ["0.99", "1.5", "0", "-1", "nan", "inf", "-inf", "1e-300"]),
+    "--roe-upper": ([None, "1.25"], ["1.01", "0.5", "nan", "inf", "1e300"]),
+    "--ci-level": ([None, "0.9"], ["0.5", "0", "1", "nan", "inf", "1e-17",
+                                   "0.9999999999999999"]),
+}
+
+
+@st.composite
+def _invocations(draw, subcommand: str):
+    """``(argv, flags, tables)``: the subcommand's arguments, its flags and the CSV tables
+    it reads. Odd values may go into the tables, into one numeric flag, or into both."""
+    faulty, odd_flag = (draw(st.integers(0, 2)) == 2 for _ in range(2))
+    records = subcommand in ("rank", "partition") and draw(st.booleans())
+    names = ["--ci-level"] + ([] if records else ["--mcid"])
+    names += [] if records or subcommand == "compare" else ["--roe-lower", "--roe-upper"]
+    flags = {name: draw(st.sampled_from(_FLAGS[name][0])) for name in names}
+    if odd_flag:
+        odd = draw(st.sampled_from(names))
+        flags[odd] = draw(st.sampled_from(_FLAGS[odd][1]))
+    flags["--direction"] = draw(st.sampled_from([None, "beneficial", "harmful"]))
+    if subcommand == "compare":
+        table, covariance = draw(_league(faulty))
+        flags.update({"--mcid": draw(st.sampled_from([None, flags["--mcid"]])), "--nsim": "300"})
+        return [subcommand], flags, {"input": table, "covariance": covariance}
+    if subcommand == "partition":
+        flags.update({"--min-node-size": "2", "--permutations": "19", "--max-depth": "2"})
+    argv = [subcommand] + (["--records"] if records else [])
+    return argv, flags, {"input": draw(_study_table(records, faulty))}
+
+
+def _finite_numbers(path: Path) -> bool:
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
+    return all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+
+
+def _check_contract(argv, flags, tables):
+    """Run one invocation in-process; check its exit code, error document and numbers."""
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        flags = dict(flags)
+        for name, rows in tables.items():
+            if rows is not None:
+                with open(folder / f"{name}.csv", "w", newline="") as stream:
+                    csv.writer(stream).writerows(rows)
+                flags[f"--{name}"] = folder / f"{name}.csv"
+        out = folder / "out"
+        # Valid flag syntax throughout; values, tables and cells may be anything.
+        options = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = main([*argv, *options, f"--out-dir={out}"])
+        assert code in (0, 1, 2)
+        assert (out / "error.json").exists() == (code != 0)
+        if code == 0:
+            for name in ("rank.csv", "scores.csv"):
+                if (out / name).exists():
+                    assert _finite_numbers(out / name), name
+
+
+@pytest.mark.parametrize("subcommand", ["rank", "partition", "tcc-dump", "compare"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_invocation_ends_in_a_result_or_an_error_document(subcommand, data):
+    _check_contract(*data.draw(_invocations(subcommand)))
+
+
+@pytest.mark.parametrize(
+    "invocation",
+    [
+        # A NaN threshold gave exit 0 and NaN adjusted P-scores.
+        (["compare"], {"--mcid": "nan", "--nsim": "300"},
+         {"input": [["treat1", "treat2", "estimate", "se"], ["A", "B", "0.3", "0.1"]]}),
+        # An SE whose square overflows ended in a traceback.
+        (["compare"], {"--nsim": "300"},
+         {"input": [["treat", "estimate", "se"], ["A", "0.0", "0.1"], ["B", "0.3", "1e308"]]}),
+    ],
+)
+def test_known_invocations_end_in_a_result_or_an_error_document(invocation):
+    _check_contract(*invocation)

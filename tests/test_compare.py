@@ -106,6 +106,30 @@ def test_league_table_rejects_bad_direction_and_small_sets():
         LeagueTable(treatments=("A", "B"), basic={"A": (0.0, 0.1)})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LeagueTable.from_basic({"A": (0.0, 0.1), "B": (0.0, 1e308)}),
+        lambda: LeagueTable.from_basic({"A": (-1e101, 0.1), "B": (0.0, 0.1)}),
+        lambda: LeagueTable.from_pairwise({("A", "B"): (1e308, 0.1)}),
+        lambda: LeagueTable.from_pairwise({("A", "B"): (0.3, 1e154)}),
+        lambda: LeagueTable(treatments=("A", "B"), pairwise={("A", "B"): (math.nan, 0.1)}),
+        lambda: LeagueTable.from_basic({"A": (0.0, 0.1), "B": (0.0, 0.1)},
+                                       covariance=np.array([[1e308, 0.0], [0.0, 1.0]])),
+    ],
+)
+def test_league_table_rejects_numbers_that_overflow_the_metrics(build):
+    with pytest.raises(DataError, match="at most 1e\\+100 in size"):
+        build()
+
+
+def test_a_tiny_se_gives_scores_of_zero_and_one():
+    # estimate / se overflows to inf, whose normal probability is exactly 1
+    lt = LeagueTable.from_pairwise({("A", "B"): (2.0, 1e-308)})
+    assert p_scores(lt) == {"A": 1.0, "B": 0.0}
+    assert p_scores_civ(lt, 1.2) == {"A": 1.0, "B": 0.0}
+
+
 def test_pair_entry_errors():
     lt = _pairwise_three()
     with pytest.raises(DataError, match="unknown"):
@@ -555,3 +579,41 @@ def test_parse_covariance_table_checks():
         parse_covariance_table(io.StringIO(",A,B\nA,x,0.01\nB,0.01,0.09\n"), ("A", "B"))
     with pytest.raises(DataError, match="expected 3 cells, got 4"):
         parse_covariance_table(io.StringIO(",A,B\nA,0.04,0.01,0\nB,0.01,0.09\n"), ("A", "B"))
+
+
+# Five data rows (rows 2 to 6) of each table; a fault replaces one row's cells.
+_ROW_ORDER_TABLES = {
+    "league": ("treat1,treat2,estimate,se",
+               ["A,B,0.1,0.2", "A,C,0.1,0.2", "A,D,0.1,0.2", "B,C,0.1,0.2", "B,D,0.1,0.2"],
+               "A,C,x,0.2", "B,A,0.1,0.2",
+               ("non-numeric estimate 'x'", "pair ('B', 'A') appears more than once")),
+    "basic": ("treat,estimate_vs_ref,se",
+              ["A,0.0,0.1", "B,0.1,0.2", "C,0.1,0.2", "D,0.1,0.2", "E,0.1,0.2"],
+              "B,0.1,x", "A,0.1,0.2",
+              ("non-numeric se 'x'", "treatment 'A' appears more than once")),
+    "covariance": (",A,B,C,D,E",
+                   [f"{x},{','.join('1.0' if x == y else '0.0' for y in 'ABCDE')}"
+                    for x in "ABCDE"],
+                   "B,0.0,x,0.0,0.0,0.0", "A,1.0,0.0,0.0,0.0,0.0",
+                   ("non-numeric covariance cell 'x'", "treatment 'A' appears more than once")),
+}
+
+
+def _parse(kind: str, text: str):
+    if kind == "league":
+        return parse_league_table(io.StringIO(text))
+    if kind == "basic":
+        return parse_basic_table(io.StringIO(text))
+    return parse_covariance_table(io.StringIO(text), tuple("ABCDE"))
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_ORDER_TABLES))
+@pytest.mark.parametrize("bad_row, repeat_row", [(3, 5), (5, 3)])
+def test_compare_parsers_raise_the_first_error_in_row_order(kind, bad_row, repeat_row):
+    header, rows, bad, repeat, (bad_message, repeat_message) = _ROW_ORDER_TABLES[kind]
+    rows = list(rows)
+    rows[bad_row - 2], rows[repeat_row - 2] = bad, repeat
+    with pytest.raises(DataError) as raised:
+        _parse(kind, "\n".join([header, *rows]) + "\n")
+    first = min((bad_row, bad_message), (repeat_row, repeat_message))
+    assert str(raised.value) == f"row {first[0]}: {first[1]}"
