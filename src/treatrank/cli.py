@@ -370,11 +370,23 @@ def _write_error(out_dir: Path, error: Exception, exit_code: int) -> None:
         pass  # the console message is all we can leave behind
 
 
+def _usage_out_dir(argv) -> Path | None:
+    """The ``--out-dir`` of a command line that failed to parse, if it names one."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--out-dir", type=Path)
+    try:
+        return parser.parse_known_args(argv)[0].out_dir
+    except DataError:
+        return None
+
+
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
     except DataError as error:
         print(f"error: {error}", file=sys.stderr)
+        if (out_dir := _usage_out_dir(argv)) is not None:
+            _write_error(out_dir, error, 1)
         return 1
     try:
         run(config)

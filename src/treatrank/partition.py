@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ MAX_SPLIT_LEVELS = 10
 # terms over P pairs and (n + 1)^2 of dense Hessian for n treatments; a
 # chunk of candidates keeps one batch of sides at or under this many.
 _BATCH_FLOATS = 2**20
+# A block of permutations tiles the whitened score columns once per
+# permutation in it, in at most this many floats.
+_TILE_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,70 @@ def _sup_lm(
     return np.max(quad * weights, axis=-1)
 
 
+class _Covariate(NamedTuple):
+    """A covariate that passed every check of its stability test at a node.
+
+    ``order`` and ``cut_sizes`` are set for a continuous covariate only: the
+    stable sort of the records by value, and the record counts left of the
+    admissible cuts inside the trim range.
+    """
+
+    kind: CovariateKind
+    values: np.ndarray
+    order: np.ndarray | None = None
+    cut_sizes: np.ndarray | None = None
+
+
+class _Scores(NamedTuple):
+    """A node's score rows and what every stability test there reads of them."""
+
+    rows: np.ndarray
+    info_inv: np.ndarray  # pseudo-inverse of the information matrix
+    whitened: np.ndarray  # rows @ L, where info_inv = L L^T
+
+
+def _prepare(
+    records: tuple[PreferenceRecord, ...],
+    covariate: str,
+    kind: CovariateKind | None,
+    trim: float,
+    min_records: int,
+) -> _Covariate:
+    """Every check of a stability test that raises ``DataError``: too few
+    records, a missing or constant covariate, no cutpoint inside the trim."""
+    if len(records) < min_records:
+        raise DataError(
+            f"too few records to test stability: {len(records)} < {min_records}"
+        )
+    kind, values = _read_covariate(records, covariate, kind)
+    if isinstance(kind, Categorical):
+        return _Covariate(kind, values)
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    ordered_values = values[order]
+    lo = max(1, math.ceil(trim * n))
+    hi = min(n - 1, math.floor((1.0 - trim) * n))
+    cut_sizes = np.asarray(
+        [j for j in range(lo, hi + 1) if ordered_values[j - 1] < ordered_values[j]],
+        dtype=np.intp,
+    )
+    if cut_sizes.size == 0:
+        raise DataError(
+            f"covariate {covariate!r} has no admissible cutpoint inside the trim range"
+        )
+    return _Covariate(kind, values, order, cut_sizes)
+
+
+def _node_scores(records: Sequence[PreferenceRecord], fit: AbilityFit) -> _Scores:
+    """The score rows of the records at the fit, their inverse information and
+    their whitened columns."""
+    scores = score_contributions(records, fit)
+    info = scores.T @ scores / len(scores)
+    info_inv = np.linalg.pinv(info)
+    w, v = np.linalg.eigh(info_inv)
+    return _Scores(scores, info_inv, scores @ (v * np.sqrt(np.clip(w, 0.0, None))))
+
+
 def stability_test(
     records: Sequence[PreferenceRecord],
     covariate: str,
@@ -224,7 +291,8 @@ def stability_test(
     p-value taken from a seeded permutation distribution: the observed
     statistic is ranked among ``permutations`` reshuffles of the covariate,
     so under the null the p-value is uniform up to 1/(permutations+1)
-    resolution.
+    resolution. Every permutation runs; only :func:`grow_tree` stops a test
+    early, once it can no longer split the node.
 
     Each permutation's statistic is taken from the sums of whitened score
     rows per segment between consecutive cuts. One within a relative 1e-9
@@ -234,17 +302,29 @@ def stability_test(
     Returns ``(statistic, p_value)``.
     """
     records = tuple(records)
-    if len(records) < min_records:
-        raise DataError(
-            f"too few records to test stability: {len(records)} < {min_records}"
-        )
-    kind, values = _read_covariate(records, covariate, kind)
-    scores = score_contributions(records, fit)
-    n, p_dim = scores.shape
-    info = scores.T @ scores / n
-    info_inv = np.linalg.pinv(info)
+    prepared = _prepare(records, covariate, kind, trim, min_records)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return _run(prepared, _node_scores(records, fit), permutations, rng)
 
-    if isinstance(kind, Categorical):
+
+def _run(
+    covariate: _Covariate,
+    node: _Scores,
+    permutations: int,
+    rng: np.random.Generator,
+    stop: Callable[[float], bool] | None = None,
+) -> tuple[float, float]:
+    """``(statistic, p_value)`` of a prepared test on a node's scores.
+
+    Before each block of permutations, ``stop`` (when given) is called with
+    the smallest p-value the test can still reach; if it returns true, no
+    more permutations run and that bound is returned as the p-value.
+    """
+    scores, info_inv, whitened = node
+    n, p_dim = scores.shape
+    values = covariate.values
+    if isinstance(covariate.kind, Categorical):
         labels = np.unique(values)
         statistic = 0.0
         for level in labels:
@@ -254,18 +334,7 @@ def stability_test(
         df = p_dim * (len(labels) - 1)
         return statistic, _chi2_sf(statistic, df)
 
-    order = np.argsort(values, kind="stable")
-    ordered_values = values[order]
-    lo = max(1, math.ceil(trim * n))
-    hi = min(n - 1, math.floor((1.0 - trim) * n))
-    cut_sizes = np.asarray(
-        [j for j in range(lo, hi + 1) if ordered_values[j - 1] < ordered_values[j]],
-        dtype=np.intp,
-    )
-    if cut_sizes.size == 0:
-        raise DataError(
-            f"covariate {covariate!r} has no admissible cutpoint inside the trim range"
-        )
+    order, cut_sizes = covariate.order, covariate.cut_sizes
     weights = n / (cut_sizes * (n - cut_sizes))
     # Rows past the last cut never reach a cut's partial sum.
     last = int(cut_sizes[-1])
@@ -275,22 +344,19 @@ def stability_test(
     # L L^T they are the cumulative sums over segments (the rows between
     # consecutive cuts; the last segment, past every cut, is dropped) of the
     # segment sums of whitened rows, and each quadratic form is a square norm.
-    w, v = np.linalg.eigh(info_inv)
-    whitened = scores @ (v * np.sqrt(np.clip(w, 0.0, None)))
     n_seg = cut_sizes.size + 1
     segment = np.repeat(np.arange(n_seg), np.diff(cut_sizes, prepend=0, append=n))
     # The two formulas differ by rounding only, far inside this band, so only
     # a fast statistic within it can compare otherwise; those are rechecked.
     band = 1e-9 * max(1.0, abs(statistic))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # At most 2^18 floats of tiled whitened columns; the draws of
-    # rng.random((block, n)) follow one stream whatever the block.
-    block = min(permutations, 256, max(1, 2**18 // (n * p_dim)))
+    # The draws of rng.random((block, n)) follow one stream whatever the block.
+    block = min(permutations, 256, max(1, _TILE_FLOATS // (n * p_dim)))
     tiled = np.tile(whitened.T, (1, block))
     exceed = 0
     remaining = permutations
     while remaining > 0:
+        if stop is not None and stop((1 + exceed) / (permutations + 1)):
+            break
         block = min(remaining, block)
         shuffles = np.argsort(rng.random((block, n)), axis=1)
         # ids[b, r]: the segment of record r under permutation b, plus b * n_seg.
@@ -424,8 +490,14 @@ def grow_tree(
     At each node the stability test runs for every non-constant covariate in
     the schema, p-values are Bonferroni-adjusted across the covariates
     tested, and the node splits on the smallest adjusted p-value below
-    ``config.alpha`` via :func:`best_split`. Guards (minimum node size,
-    maximum depth, unfittable children) produce a leaf rather than an error.
+    ``config.alpha`` via :func:`best_split`. Every covariate is checked
+    before any permutation runs, so the number of tests is known, and a
+    continuous test stops drawing permutations once its adjusted p-value
+    cannot fall below ``config.alpha``. This is exact: only the winning
+    test is kept, and a stopped test can neither win nor make the node
+    split, so the tree is the one that running every permutation gives.
+    Guards (minimum node size, maximum depth, unfittable children) produce
+    a leaf rather than an error.
     Records missing a value for any schema covariate are excluded up front
     with a warning, so the leaves always partition the retained record set.
     Growth is deterministic given the record order and ``config.seed``.
@@ -458,30 +530,33 @@ def _grow(records, treatments, schema, config, path, depth):
     if len(records) < 2 * config.min_node_size:
         return node
 
-    tests = []
+    prepared = []
     for cov_index, name in enumerate(schema):
+        try:
+            covariate = _prepare(records, name, schema[name], config.trim, config.min_node_size)
+        except DataError:
+            continue  # constant or untestable here; not a candidate at this node
+        prepared.append((cov_index, name, covariate))
+    if not prepared:
+        return node
+
+    def adjusted(p_value):  # Bonferroni across the covariates tested here
+        return min(1.0, p_value * len(prepared))
+
+    # A permutation test's exceedance count only grows. Once its adjusted
+    # p-value cannot fall below alpha, it can neither win nor split the node.
+    def cannot_split(p_floor):
+        return adjusted(p_floor) >= config.alpha
+
+    scores = _node_scores(records, fit)
+    tests = []
+    for cov_index, name, covariate in prepared:
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(*path, cov_index))
         )
-        try:
-            statistic, p_value = stability_test(
-                records,
-                name,
-                fit,
-                schema[name],
-                permutations=config.permutations,
-                rng=rng,
-                trim=config.trim,
-                min_records=config.min_node_size,
-            )
-        except DataError:
-            continue  # constant or untestable here; not a candidate at this node
-        tests.append((p_value, cov_index, name, statistic))
-    if not tests:
-        return node
-
-    adjusted = [(min(1.0, p * len(tests)), cov_index, name, stat) for p, cov_index, name, stat in tests]
-    p_value, _, name, statistic = min(adjusted, key=lambda t: (t[0], t[1]))
+        statistic, p_value = _run(covariate, scores, config.permutations, rng, cannot_split)
+        tests.append((adjusted(p_value), cov_index, name, statistic, covariate.values))
+    p_value, _, name, statistic, values = min(tests, key=lambda t: (t[0], t[1]))
     if p_value >= config.alpha:
         return node
 
@@ -492,7 +567,7 @@ def _grow(records, treatments, schema, config, path, depth):
     except (DataError, ModelError):
         return node
 
-    left = _goes_left(rule, _read_covariate(records, name, schema[name])[1])
+    left = _goes_left(rule, values)
     children = tuple(
         _grow(tuple(compress(records, side)), treatments, schema, config, (*path, k), depth + 1)
         for k, side in enumerate((left, ~left))

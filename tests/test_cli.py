@@ -264,6 +264,31 @@ def test_unknown_subcommand_is_rejected():
     assert _run("describe", "--input", CONTRASTS) == 1
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--mcid"], "argument --mcid: expected one argument"),
+        (["--mcid", "1.2", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        # argparse reads "-inf" as an option, so --mcid has no value
+        (["--mcid", "-inf"], "argument --mcid: expected one argument"),
+    ],
+    ids=["missing-value", "unknown-flag", "value-like-an-option"],
+)
+def test_usage_errors_write_error_json_into_the_out_dir(tmp_path, options, message):
+    out = tmp_path / "o1"
+    assert _run("rank", "--input", CONTRASTS, "--out-dir", out, *options) == 1
+    document = json.loads((out / "error.json").read_text())
+    assert document == {"error": "DataError", "exit_code": 1, "message": message}
+
+
+def test_usage_errors_without_an_out_dir_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run("rank", "--input", CONTRASTS, "--mcid", "-inf") == 1
+    assert _run("rank", "--input", CONTRASTS, "--mcid", "1.2", "--out-dir") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_parse_args_builds_a_run_config():
     config = parse_args(
         [

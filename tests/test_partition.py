@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import tracemalloc
@@ -588,6 +589,88 @@ def test_grow_tree_is_deterministic():
     first = tree_to_dict(grow_tree(records, schema, config))
     second = tree_to_dict(grow_tree(records, schema, config))
     assert first == second
+
+
+# x carries a planted shift (or none); g is noise; c is constant; z has one
+# distinct value at the end, so no cut inside a trim of 10 % or more.
+_STOP_SCHEMA = {
+    "x": Continuous(),
+    "g": Categorical(levels=("hi", "lo")),
+    "c": Continuous(),
+    "z": Continuous(),
+}
+MILD = {"A": 8.0, "B": 2.0, "C": 4.0, "D": 1.0}
+
+
+@st.composite
+def _stop_cases(draw):
+    """Records with 1-3 of the covariates above, and a config whose alpha and
+    permutation count put the tests' adjusted p-values near alpha."""
+    names = draw(st.permutations(list(_STOP_SCHEMA)))[: draw(st.integers(1, 3))]
+    after = draw(st.sampled_from([STEEP, MILD, REVERSED]))
+
+    def record(rng):
+        x = float(np.round(rng.uniform(0.0, 20.0) * 2.0) / 2.0)
+        g = "lo" if rng.random() < 0.5 else "hi"
+        return {"x": x, "g": g, "c": 3.0, "z": 0.0}, (STEEP if x <= 10.0 else after)
+
+    n = draw(st.integers(40, 160))
+    records = simulate_records(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n,
+                               record, 1.0)
+    records[-1] = replace(records[-1], covariates={**records[-1].covariates, "z": 1.0})
+    config = PartitionConfig(
+        alpha=draw(st.sampled_from([0.0, 0.01, 0.05, 1.0])),
+        permutations=draw(st.sampled_from([1, 9, 19, 49, 99])),
+        seed=draw(st.integers(0, 2**16)),
+        trim=draw(st.sampled_from([0.1, 0.25])),
+        min_node_size=draw(st.sampled_from([5, 10])),
+        max_depth=2,
+    )
+    # Small tiles make blocks of a few permutations, so a test can stop midway.
+    tile = draw(st.sampled_from([2**18, 1, 400]))
+    return records, {name: _STOP_SCHEMA[name] for name in names}, config, tile
+
+
+def _grown(records, schema, config) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return json.dumps(tree_to_dict(grow_tree(records, schema, config)))
+        except (DataError, ModelError) as error:
+            return f"{type(error).__name__}: {error}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stop_cases())
+def test_stopped_permutation_tests_grow_the_tree_of_every_permutation(case):
+    records, schema, config, tile = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition, "_TILE_FLOATS", tile)
+        stopped = _grown(records, schema, config)
+        run = partition._run
+        # The oracle: every permutation of every test runs.
+        patch.setattr(partition, "_run", lambda *args: run(*args[:4]))
+        assert stopped == _grown(records, schema, config)
+
+
+def test_grow_tree_stops_tests_that_cannot_split(monkeypatch):
+    records = simulate_records(np.random.default_rng(70), 600, _null_draw, 1.0)
+    schema = {"age": Continuous(), "group": Categorical(levels=("hi", "lo"))}
+    run, stops = partition._run, []
+
+    def spied(covariate, scores, permutations, rng, stop):
+        def recorded(p_floor):
+            stops.append(stop(p_floor))
+            return stops[-1]
+
+        return run(covariate, scores, permutations, rng, recorded)
+
+    monkeypatch.setattr(partition, "_run", spied)
+    tree = grow_tree(records, schema, PartitionConfig(seed=0))
+    assert tree.is_leaf
+    # 600 records and 3 score columns make 7 blocks of at most 145 of the 1000
+    # permutations; the test of age stopped before its last block.
+    assert stops[-1] and len(stops) < 7
 
 
 def test_tree_serialization_and_rendering():
