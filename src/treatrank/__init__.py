@@ -8,6 +8,17 @@ from external league tables (`compare`). `cli` wires it all into a batch
 command, `plot` renders the ranking as SVG.
 """
 
+import os as _os
+import sys as _sys
+
+# A threaded BLAS sums in an order that depends on its thread count, so a large
+# fit's last digits, and the artifacts' bytes, would depend on the machine.
+# The count is read once, when numpy first loads, and one set explicitly is kept.
+if "numpy" not in _sys.modules:
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_name, "1")
+    del _name
+
 from .compare import (
     LeagueTable,
     p_scores,

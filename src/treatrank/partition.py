@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +25,8 @@ from .davidson import AbilityFit, _fittable, _log_nu, _log_probabilities, _max_l
 from .davidson import _pair_credit, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import Categorical, Continuous, CovariateKind, CovariateSchema, _first_seen
-from .tcc import PreferenceRecord, _code_records, _counts, _running_counts, aggregate_tournament
+from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _tally
+from .tcc import aggregate_tournament  # noqa: F401  (bench/tracing.py rebinds this name)
 
 __all__ = [
     "PartitionConfig",
@@ -118,13 +118,15 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
     the rows of the full record set sum to (numerically) zero, which is what
     makes cumulative sums of them usable as fluctuation processes.
     """
-    index = {x: k for k, x in enumerate(fit.treatments)}
-    outside = [r for r in records if r.treat_a not in index or r.treat_b not in index]
-    if outside:
-        raise DataError(
-            f"record in study {outside[0].study_id!r} uses a treatment outside the fit"
-        )
-    pairs, codes = _code_records(records, fit.treatments)
+    try:
+        pairs, codes = _Preferences.of(records, fit.treatments).coded()
+    except DataError as error:  # the first record with a treatment outside the fit
+        raise DataError(f"{error}, a treatment outside the fit") from None
+    return _score_rows(pairs, codes, fit)
+
+
+def _score_rows(pairs: np.ndarray, codes: np.ndarray, fit: AbilityFit) -> np.ndarray:
+    """:func:`score_contributions` of records coded over ``fit.treatments``."""
     pair, outcome = np.divmod(codes, 3)
     i, j = pairs[pair].T
     # Each record is a pair with a single count, on its observed outcome.
@@ -134,8 +136,8 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
     observed, expected = _pair_credit(counts, p)
     scores = observed - expected
     n_t = len(fit.treatments)
-    rows = np.zeros((len(records), n_t + 1))
-    at = np.arange(len(records))
+    rows = np.zeros((len(codes), n_t + 1))
+    at = np.arange(len(codes))
     rows[at, i], rows[at, j], rows[:, n_t] = scores.T
     return rows[:, 1 : len(fit.param_names) + 1]
 
@@ -228,20 +230,11 @@ class _Scores(NamedTuple):
     whitened: np.ndarray  # rows @ L, where info_inv = L L^T
 
 
-def _prepare(
-    records: tuple[PreferenceRecord, ...],
-    covariate: str,
-    kind: CovariateKind | None,
-    trim: float,
-    min_records: int,
-) -> _Covariate:
-    """Every check of a stability test that raises ``DataError``: too few
-    records, a missing or constant covariate, no cutpoint inside the trim."""
-    if len(records) < min_records:
-        raise DataError(
-            f"too few records to test stability: {len(records)} < {min_records}"
-        )
-    kind, values = _read_covariate(records, covariate, kind)
+def _prepare(covariate: str, kind: CovariateKind, values: np.ndarray, trim: float) -> _Covariate:
+    """Every check of a stability test on a node's covariate values that
+    raises ``DataError``: a constant covariate, no cutpoint inside the trim."""
+    if np.unique(values).size < 2:
+        raise DataError(f"covariate {covariate!r} is constant on these records")
     if isinstance(kind, Categorical):
         return _Covariate(kind, values)
     n = len(values)
@@ -249,10 +242,8 @@ def _prepare(
     ordered_values = values[order]
     lo = max(1, math.ceil(trim * n))
     hi = min(n - 1, math.floor((1.0 - trim) * n))
-    cut_sizes = np.asarray(
-        [j for j in range(lo, hi + 1) if ordered_values[j - 1] < ordered_values[j]],
-        dtype=np.intp,
-    )
+    sizes = np.arange(lo, hi + 1)
+    cut_sizes = sizes[ordered_values[sizes - 1] < ordered_values[sizes]]
     if cut_sizes.size == 0:
         raise DataError(
             f"covariate {covariate!r} has no admissible cutpoint inside the trim range"
@@ -260,10 +251,8 @@ def _prepare(
     return _Covariate(kind, values, order, cut_sizes)
 
 
-def _node_scores(records: Sequence[PreferenceRecord], fit: AbilityFit) -> _Scores:
-    """The score rows of the records at the fit, their inverse information and
-    their whitened columns."""
-    scores = score_contributions(records, fit)
+def _node_scores(scores: np.ndarray) -> _Scores:
+    """A node's score rows, their inverse information and their whitened columns."""
     info = scores.T @ scores / len(scores)
     info_inv = np.linalg.pinv(info)
     w, v = np.linalg.eigh(info_inv)
@@ -302,10 +291,14 @@ def stability_test(
     Returns ``(statistic, p_value)``.
     """
     records = tuple(records)
-    prepared = _prepare(records, covariate, kind, trim, min_records)
+    if len(records) < min_records:
+        raise DataError(
+            f"too few records to test stability: {len(records)} < {min_records}"
+        )
+    prepared = _prepare(covariate, *_read_covariate(records, covariate, kind), trim)
     if rng is None:
         rng = np.random.default_rng(0)
-    return _run(prepared, _node_scores(records, fit), permutations, rng)
+    return _run(prepared, _node_scores(score_contributions(records, fit)), permutations, rng)
 
 
 def _run(
@@ -413,14 +406,19 @@ def best_split(
     """
     records = tuple(records)
     kind, values = _read_covariate(records, covariate, kind)
+    if treatments is None:
+        treatments = _first_seen(r.pair for r in records)
+    pairs, codes = _Preferences.of(records, treatments).coded()
+    return _best_split(covariate, kind, values, pairs, codes, treatments, min_node_size)
+
+
+def _best_split(covariate, kind, values, pairs, codes, treatments, min_node_size):
+    """:func:`best_split` of records coded as ``(pairs, codes)`` over ``treatments``."""
     if isinstance(kind, Categorical) and (levels := np.unique(values).size) > MAX_SPLIT_LEVELS:
         raise DataError(
             f"covariate {covariate!r} has {levels} levels; the split search "
             f"takes at most {MAX_SPLIT_LEVELS}"
         )
-    if treatments is None:
-        treatments = _first_seen(r.pair for r in records)
-    pairs, codes = _code_records(records, treatments)
     rules, totals = _split_logliks(kind, values, pairs, codes, treatments, min_node_size)
     best = np.max(totals, initial=-np.inf, where=~np.isnan(totals))
     i, j = pairs.T
@@ -431,7 +429,7 @@ def best_split(
         loglik = sum(float(_max_logliks(treatments, i, j, side)[0]) for side in sides)
         if math.isnan(loglik):
             continue  # a side hit the iteration cap
-        imbalance = abs(len(records) - 2 * int(left.sum()))
+        imbalance = abs(len(codes) - 2 * int(left.sum()))
         candidates.append(((-loglik, imbalance, rules[c]), loglik))
     if not candidates:
         raise ModelError(
@@ -500,14 +498,15 @@ def grow_tree(
     a leaf rather than an error.
     Records missing a value for any schema covariate are excluded up front
     with a warning, so the leaves always partition the retained record set.
+    The retained records and their covariate values are coded once per tree;
+    each node is an index array into them, and its children split that array.
     Growth is deterministic given the record order and ``config.seed``.
     """
     if config is None:
         config = PartitionConfig()
     records = tuple(records)
-    names = list(covariate_schema)
     usable = tuple(
-        r for r in records if all(r.covariates.get(n) is not None for n in names)
+        r for r in records if all(r.covariates.get(n) is not None for n in covariate_schema)
     )
     if len(usable) < len(records):
         warnings.warn(
@@ -519,21 +518,34 @@ def grow_tree(
     if not usable:
         raise DataError("no records with complete covariate values")
     treatments = _first_seen(r.pair for r in usable)
-    return _grow(usable, treatments, covariate_schema, config, path=(), depth=0)
+    pairs, codes = _Preferences.of(usable, treatments).coded()
+    covariates = []
+    for cov_index, (name, kind) in enumerate(covariate_schema.items()):
+        try:
+            covariates.append((cov_index, name, *_read_covariate(usable, name, kind)))
+        except DataError:
+            continue  # constant on every record, so at every node
+    table = (usable, treatments, pairs, codes, covariates)
+    return _grow(table, config, np.arange(len(usable)), path=())
 
 
-def _grow(records, treatments, schema, config, path, depth):
-    fit = fit_davidson(aggregate_tournament(records, treatments))
-    node = PartitionNode(records=records, fit=fit, split=None, depth=depth)
-    if config.max_depth is not None and depth >= config.max_depth:
+def _grow(table, config: PartitionConfig, idx: np.ndarray, path: tuple[int, ...]):
+    records, treatments, tree_pairs, tree_codes, covariates = table
+    # The tree's pairs ascend, so this is what _Preferences.coded() gives for the node.
+    used, pair = np.unique(tree_codes[idx] // 3, return_inverse=True)
+    pairs, codes = tree_pairs[used], 3 * pair + tree_codes[idx] % 3
+    fit = fit_davidson(_tally(treatments, pairs, codes))
+    node_records = tuple(map(records.__getitem__, idx.tolist()))
+    node = PartitionNode(records=node_records, fit=fit, split=None, depth=len(path))
+    if config.max_depth is not None and len(path) >= config.max_depth:
         return node
-    if len(records) < 2 * config.min_node_size:
+    if len(idx) < 2 * config.min_node_size:
         return node
 
     prepared = []
-    for cov_index, name in enumerate(schema):
+    for cov_index, name, kind, values in covariates:
         try:
-            covariate = _prepare(records, name, schema[name], config.trim, config.min_node_size)
+            covariate = _prepare(name, kind, values[idx], config.trim)
         except DataError:
             continue  # constant or untestable here; not a candidate at this node
         prepared.append((cov_index, name, covariate))
@@ -548,29 +560,27 @@ def _grow(records, treatments, schema, config, path, depth):
     def cannot_split(p_floor):
         return adjusted(p_floor) >= config.alpha
 
-    scores = _node_scores(records, fit)
+    scores = _node_scores(_score_rows(pairs, codes, fit))
     tests = []
     for cov_index, name, covariate in prepared:
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(*path, cov_index))
         )
         statistic, p_value = _run(covariate, scores, config.permutations, rng, cannot_split)
-        tests.append((adjusted(p_value), cov_index, name, statistic, covariate.values))
-    p_value, _, name, statistic, values = min(tests, key=lambda t: (t[0], t[1]))
+        tests.append((adjusted(p_value), cov_index, name, statistic, covariate))
+    p_value, _, name, statistic, covariate = min(tests, key=lambda t: (t[0], t[1]))
     if p_value >= config.alpha:
         return node
 
+    kind, values = covariate.kind, covariate.values
     try:
-        rule, _ = best_split(
-            records, name, schema[name], treatments, min_node_size=config.min_node_size
-        )
+        rule, _ = _best_split(name, kind, values, pairs, codes, treatments, config.min_node_size)
     except (DataError, ModelError):
         return node
 
     left = _goes_left(rule, values)
     children = tuple(
-        _grow(tuple(compress(records, side)), treatments, schema, config, (*path, k), depth + 1)
-        for k, side in enumerate((left, ~left))
+        _grow(table, config, side, (*path, k)) for k, side in enumerate((idx[left], idx[~left]))
     )
     split = Split(
         covariate=name,

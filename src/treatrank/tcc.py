@@ -282,10 +282,7 @@ class _Preferences(_Studies):
         return pairs, 3 * pair + np.where(a > b, _SWAPPED[self.outcome], self.outcome)
 
     def tournament(self) -> Tournament:
-        pairs, codes = self.coded()
-        t, counts = self.treatments, _counts(codes, len(pairs))[0].tolist()
-        return Tournament(t, {(t[x], t[y]): PairCounts(*c)
-                              for (x, y), c in zip(pairs.tolist(), counts)})
+        return _tally(self.treatments, *self.coded())
 
     def records(self) -> tuple[PreferenceRecord, ...]:
         return tuple(map(PreferenceRecord, self.study, self.treat1, self.treat2,
@@ -307,11 +304,11 @@ def _judge(studies: _Studies, numbers: Mapping[str, np.ndarray], roe: RoeConfig)
     return _Preferences(**vars(studies), outcome=outcome)
 
 
-def _code_records(
-    records: Iterable[PreferenceRecord], treatments: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Records as ``(pairs, codes)``; see :meth:`_Preferences.coded`."""
-    return _Preferences.of(records, treatments).coded()
+def _tally(treatments: tuple[str, ...], pairs: np.ndarray, codes: np.ndarray) -> Tournament:
+    """The tournament of records coded as ``(pairs, codes)``; see :meth:`_Preferences.coded`."""
+    t, counts = treatments, _counts(codes, len(pairs))[0].tolist()
+    return Tournament(t, {(t[x], t[y]): PairCounts(*c)
+                          for (x, y), c in zip(pairs.tolist(), counts)})
 
 
 def _counts(codes: np.ndarray, n_pairs: int, group=0, n_groups: int = 1) -> np.ndarray:

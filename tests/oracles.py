@@ -175,6 +175,56 @@ def grid_search_mle(
         half = margin * step
 
 
+def separable_grid_search_mle(
+    t: Tournament,
+    *,
+    box: float = 5.0,
+    points: int = 5,
+    margin: float = 1.25,
+    final_step: float = 1e-3,
+) -> np.ndarray:
+    """:func:`grid_search_mle` with each lattice's log-likelihood summed from
+    per-pair tables.
+
+    A pair's term depends on three coordinates only: its two log-abilities
+    (the first treatment's is 0) and log nu. So it is evaluated on its own
+    ``points``^3 sub-lattice and broadcast-added into the ``points``^dim
+    array. The lattices, the argmax and the recentring and shrinking rule
+    are those of :func:`grid_search_mle`; only the order of the sum differs.
+    """
+    n_t = len(t.treatments)
+    dim = n_t  # n_t - 1 free log-abilities plus log nu
+    pairs = list(zip(*_pair_arrays(t)))
+    center = np.zeros(dim)
+    half = float(box)
+    while True:
+        step = 2.0 * half / (points - 1)
+        low = np.clip(center, -box + half, box - half) - half
+        axes = [low[k] + step * np.arange(points) for k in range(dim)]
+
+        def along(axis):  # the lattice values of one coordinate, laid along its axis
+            shape = [1] * dim
+            shape[axis] = points
+            return axes[axis].reshape(shape)
+
+        def log_ability(k):  # treatment k's; the first treatment's is 0
+            return np.zeros([1] * dim) if k == 0 else along(k - 1)
+
+        log_nu = along(dim - 1)
+        values = np.zeros((points,) * dim)
+        for i, j, r_ij, r_ji, ties in pairs:
+            l_i, l_j = log_ability(i), log_ability(j)
+            l_tie = log_nu + 0.5 * (l_i + l_j)
+            log_d = np.logaddexp(np.logaddexp(l_i, l_j), l_tie)
+            values += l_i * r_ij + l_j * r_ji + l_tie * ties - log_d * (r_ij + r_ji + ties)
+        # The flat argmax of grid_search_mle's lattice, whose rows are in C order.
+        best = np.unravel_index(np.argmax(values), values.shape)
+        center = np.array([axes[k][c] for k, c in enumerate(best)])
+        if step <= final_step:
+            return center
+        half = margin * step
+
+
 def is_interior(theta: np.ndarray, box: float = 5.0, edge: float = 0.1) -> bool:
     return bool(np.all(np.abs(theta) < box - edge))
 

@@ -9,6 +9,7 @@ they are deterministic across runs of this suite.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -45,7 +46,13 @@ from treatrank.cli import main as cli_main
 from treatrank.davidson import DavidsonObjective
 from treatrank.tcc import StudyEffect
 
-from oracles import fd_gradient, grid_search_mle, random_tournament, simulate_records
+from oracles import (
+    fd_gradient,
+    grid_search_mle,
+    random_tournament,
+    separable_grid_search_mle,
+    simulate_records,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,29 +124,38 @@ def test_criterion_02_normalized_abilities_sum_to_one(acceptance):
         )
 
 
+def _criterion_03_tournaments():
+    """Criterion 3's random tournaments, with their fits, in order."""
+    rng = np.random.default_rng(20260815)
+    while True:
+        t = random_tournament(rng, int(rng.integers(3, 7)))
+        ties = sum(c.ties for c in t.counts.values())
+        wins = sum(c.wins_first + c.wins_second for c in t.counts.values())
+        if ties == 0 or wins == 0 or check_ford(t) is not None:
+            continue
+        fit = fit_davidson(t)
+        if np.max(np.abs(fit.log_params)) >= 4.0:
+            # keep the optimum well inside the oracle's [-5, 5] lattice box
+            continue
+        yield t, fit
+
+
 def test_criterion_03_oracle_equivalence(acceptance):
     with acceptance(3, "fit matches a grid-search oracle on 1000 tournaments") as note:
         t0 = time.perf_counter()
-        rng = np.random.default_rng(20260815)
-        kept = 0
         worst = 0.0
-        while kept < 1000:
-            t = random_tournament(rng, int(rng.integers(3, 7)))
-            ties = sum(c.ties for c in t.counts.values())
-            wins = sum(c.wins_first + c.wins_second for c in t.counts.values())
-            if ties == 0 or wins == 0 or check_ford(t) is not None:
-                continue
-            fit = fit_davidson(t)
-            if np.max(np.abs(fit.log_params)) >= 4.0:
-                # keep the optimum well inside the oracle's [-5, 5] lattice box
-                continue
-            oracle = grid_search_mle(t)
+        for t, fit in itertools.islice(_criterion_03_tournaments(), 1000):
+            oracle = separable_grid_search_mle(t)
             worst = max(worst, float(np.max(np.abs(fit.log_params - oracle))))
-            kept += 1
         elapsed = time.perf_counter() - t0
         assert worst < 5e-3
         assert elapsed < 300.0
         note["detail"] = f"worst per-parameter gap {worst:.1e}, {elapsed:.0f}s"
+
+
+def test_separable_lattice_search_finds_the_full_lattice_centre():
+    for t, _ in itertools.islice(_criterion_03_tournaments(), 40):
+        assert np.array_equal(separable_grid_search_mle(t), grid_search_mle(t))
 
 
 def test_criterion_04_analytic_gradient_matches_finite_differences(acceptance):

@@ -6,7 +6,9 @@ import csv
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treatrank
 from treatrank import build_ability_svg, emit_plot, fit_davidson
 from treatrank.cli import RunConfig, main, parse_args
 from treatrank.tcc import PairCounts, Tournament
@@ -699,3 +702,39 @@ def test_every_invocation_ends_in_a_result_or_an_error_document(subcommand, data
 )
 def test_known_invocations_end_in_a_result_or_an_error_document(invocation):
     _check_contract(*invocation)
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: BLAS runs one thread anyway")
+def test_fit_json_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Every pair of 100 treatments at cycle distance up to 50, decided by the
+    # gap of rising abilities plus noise. A fit of 100 parameters is large
+    # enough for OpenBLAS to thread its solves on two cores (95 is not).
+    n = 100
+    rng = np.random.default_rng(8)
+    lam = np.linspace(0.0, 1.5, n)
+    rows = [["study", "treat1", "treat2", "verdict"]]
+    for i in range(n):
+        for offset in range(1, n // 2 + 1):
+            j = (i + offset) % n
+            gap = lam[i] - lam[j] + rng.normal(0.0, 0.3)
+            verdict = "tie" if abs(gap) < 0.15 else ("first_wins" if gap > 0 else "second_wins")
+            rows.append([f"s{len(rows)}", f"T{i:03d}", f"T{j:03d}", verdict])
+    records = tmp_path / "records.csv"
+    with records.open("w", newline="") as stream:
+        csv.writer(stream).writerows(rows)
+    src = str(Path(treatrank.__file__).resolve().parents[1])
+    fits = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+        env.update(threads, PYTHONPATH=src)
+        out = tmp_path / f"out{len(fits)}"
+        subprocess.run(
+            [sys.executable, "-m", "treatrank.cli", "rank", "--records", "--input",
+             str(records), "--out-dir", str(out), "--format", "json"],
+            env=env, capture_output=True, check=True,
+        )
+        fits.append((out / "fit.json").read_bytes())
+    assert fits[0] == fits[1]

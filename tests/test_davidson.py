@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treatrank import (
@@ -19,8 +19,11 @@ from treatrank import (
     ModelError,
     OnlyTiesError,
     PairCounts,
+    PreferenceRecord,
     Tournament,
+    Verdict,
     ability_ratios,
+    aggregate_tournament,
     check_ford,
     fit_davidson,
     log_likelihood,
@@ -613,6 +616,66 @@ def test_fit_relabeling_permutes_abilities():
     for old, new in mapping.items():
         assert other.pi[new] == pytest.approx(base.pi[old], abs=1e-8)
     assert other.nu == pytest.approx(base.nu, abs=1e-8)
+
+
+_SWAP = {
+    Verdict.FIRST_WINS: Verdict.SECOND_WINS,
+    Verdict.SECOND_WINS: Verdict.FIRST_WINS,
+    Verdict.TIE: Verdict.TIE,
+}
+
+
+@st.composite
+def _relabelled_records(draw):
+    """Preference records among 3-6 treatments, and the same records under
+    new labels in another row order, with each record's pair members in a
+    random order."""
+    n_t = draw(st.integers(3, 6))
+    every_pair = [(a, b) for a in range(n_t) for b in range(a + 1, n_t)]
+    rows = []
+    for a, b in draw(st.lists(st.sampled_from(every_pair), min_size=1, unique=True)):
+        for verdict, count in zip(Verdict, draw(st.tuples(*[st.integers(0, 4)] * 3))):
+            rows += [(a, b, verdict)] * count
+    assume(rows)
+    names = draw(st.permutations([f"R{k}" for k in range(n_t)]))
+
+    def records(order, label):
+        out = []
+        for k in order:
+            a, b, verdict = rows[k]
+            if draw(st.booleans()):
+                a, b, verdict = b, a, _SWAP[verdict]
+            out.append(PreferenceRecord(f"s{k}", label[a], label[b], verdict))
+        return out
+
+    base = records(range(len(rows)), [f"T{k}" for k in range(n_t)])
+    other = records(draw(st.permutations(range(len(rows)))), names)
+    return base, other, {f"T{k}": names[k] for k in range(n_t)}
+
+
+def _fit_or_error(records):
+    treatments = tuple(dict.fromkeys(t for r in records for t in r.pair))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the tie-free fit warns
+        try:
+            return fit_davidson(aggregate_tournament(records, treatments))
+        except (DataError, ModelError) as error:
+            return type(error)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_relabelled_records())
+def test_relabelling_and_reordering_leave_each_label_pi_unchanged(case):
+    base, other, mapping = case
+    want, got = _fit_or_error(base), _fit_or_error(other)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type)
+    assert set(got.pi) == {mapping[old] for old in want.pi}
+    for old, pi in want.pi.items():
+        assert got.pi[mapping[old]] == pytest.approx(pi, rel=0, abs=1e-8)
+    assert got.nu == pytest.approx(want.nu, rel=0, abs=1e-8)
 
 
 def test_fit_three_treatment_example_matches_grid_oracle():

@@ -33,7 +33,7 @@ from treatrank import (
     tree_to_dict,
 )
 
-from treatrank.tcc import _code_records
+from treatrank.tcc import _Preferences
 
 from oracles import (
     loop_scores,
@@ -443,7 +443,7 @@ def test_batched_split_search_matches_the_per_candidate_fits(case):
             best_split(records, "x", None, labels, **kwargs)
         return
     kind, values = partition._read_covariate(records, "x", None)
-    pairs, codes = _code_records(records, labels)
+    pairs, codes = _Preferences.of(records, labels).coded()
     rules, totals = partition._split_logliks(kind, values, pairs, codes, labels, min_node_size)
     batched = {rule: total for rule, total in zip(rules, totals.tolist()) if math.isfinite(total)}
     assert batched.keys() == {rule for (_, _, rule), _ in reference}
@@ -589,6 +589,50 @@ def test_grow_tree_is_deterministic():
     first = tree_to_dict(grow_tree(records, schema, config))
     second = tree_to_dict(grow_tree(records, schema, config))
     assert first == second
+
+
+class _Tallied(Exception):
+    """Raised by a spy to stop a node once its tally is seen."""
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_split_cases(), st.data())
+def test_a_node_recodes_its_records_as_the_coder_does(case, data):
+    records, labels, _ = case
+    idx = np.array(data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, unique=True)))
+    table = (tuple(records), labels, *_Preferences.of(records, labels).coded(), [])
+    seen = []
+
+    def tally(treatments, pairs, codes):
+        seen.append((pairs, codes))
+        raise _Tallied
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition, "_tally", tally)
+        with pytest.raises(_Tallied):
+            partition._grow(table, PartitionConfig(), idx, ())
+    want = _Preferences.of([records[k] for k in idx.tolist()], labels).coded()
+    for got, expected in zip(seen[0], want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def _nodes(node):
+    return [node] + ([] if node.is_leaf else [n for c in node.split.children for n in _nodes(c)])
+
+
+def test_grow_tree_codes_the_records_once(monkeypatch):
+    records = simulate_records(np.random.default_rng(505), 240, _planted_group, 1.0)
+    schema = {"group": Categorical(levels=("hi", "lo")), "age": Continuous()}
+    records = [replace(r, covariates={**r.covariates, "age": float(k % 17)})
+               for k, r in enumerate(records)]
+    codings, fits = [], []
+    coded, fit = _Preferences.coded, partition.fit_davidson
+    monkeypatch.setattr(_Preferences, "coded", lambda self: codings.append(1) or coded(self))
+    monkeypatch.setattr(partition, "fit_davidson", lambda t: fits.append(1) or fit(t))
+    tree = grow_tree(records, schema, PartitionConfig(seed=1, permutations=99))
+    assert len(_nodes(tree)) >= 3
+    assert len(codings) == 1
+    assert len(fits) == len(_nodes(tree))
 
 
 # x carries a planted shift (or none); g is noise; c is constant; z has one

@@ -405,9 +405,9 @@ def test_tables_list_treatments_in_first_seen_order(seed, monkeypatch):
     assert data.treatments == first_seen(table, (1, 2))
 
     orders = []
-    code = partition._code_records
+    search = partition._best_split
     monkeypatch.setattr(
-        partition, "_code_records", lambda records, t: orders.append(tuple(t)) or code(records, t)
+        partition, "_best_split", lambda *args: orders.append(tuple(args[5])) or search(*args)
     )
     split = best_split(data.records, "age", min_node_size=5)
     assert orders == [data.treatments]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treatrank import (
@@ -108,6 +109,44 @@ def test_decision_second_wins_mirrors_first():
     d = tcc_decision(_effect(-0.30, -0.40, -0.20), roe)
     assert (d.i1, d.i2) == (0, -1)
     assert d.verdict is Verdict.SECOND_WINS
+
+
+_MIRRORED = {
+    Verdict.FIRST_WINS: Verdict.SECOND_WINS,
+    Verdict.SECOND_WINS: Verdict.FIRST_WINS,
+    Verdict.TIE: Verdict.TIE,
+}
+_BOUND = st.one_of(st.none(), st.floats(0.5, 2.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.floats(1.01, 3.0),
+    _BOUND,
+    _BOUND,
+    st.sampled_from(["beneficial", "harmful"]),
+)
+def test_mirrored_contrasts_get_mirrored_verdicts(y, below, above, mcid, lower, upper, direction):
+    assume(lower is None or lower < 1.0)
+    assume(upper is None or upper > 1.0)
+    roe = build_roe(mcid, lower, upper, direction)
+    # Negating the effect, its interval and the equivalence range mirrors the contrast.
+    mirror = replace(roe, roe_lower=-roe.roe_upper, roe_upper=-roe.roe_lower)
+    d = tcc_decision(_effect(y, y - below, y + above), roe)
+    m = tcc_decision(_effect(-y, -(y + above), -(y - below)), mirror)
+    assert (m.i1, m.i2) == (-d.i2, -d.i1)
+    assert m.verdict is _MIRRORED[d.verdict]
+    # The same contrast read from the other arm is the same preference.
+    flipped = apply_tcc(_effect(-y, -(y + above), -(y - below), a="B", b="A"), mirror)
+    assert (flipped.treat_a, flipped.treat_b, _MIRRORED[flipped.verdict]) == ("B", "A", d.verdict)
+    # A harmful outcome swaps the wins and keeps the ties.
+    other = replace(roe, direction="harmful" if direction == "beneficial" else "beneficial")
+    swapped = tcc_decision(_effect(y, y - below, y + above), other)
+    assert (swapped.i1, swapped.i2) == (d.i1, d.i2)
+    assert swapped.verdict is _MIRRORED[d.verdict]
 
 
 def test_decision_boundary_values_do_not_win():
