@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .study_data import _first_seen, _parse_float, _read_columns
+from .study_data import _BLOCK_FLOATS, _first_seen, _parse_float, _read_columns
 from .tcc import BENEFICIAL, HARMFUL, _check_mcid
 
 __all__ = [
@@ -288,9 +288,6 @@ def _basic_parameters(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray]:
     return means, np.diag(variances)
 
 
-_DRAW_BLOCK = 8192  # rows of draws held at once by prob_best
-
-
 def prob_best(lt: LeagueTable, nsim: int = 100_000, seed: int = 0) -> dict[str, float]:
     """Simulated probability of each treatment having the best value.
 
@@ -312,15 +309,18 @@ def prob_best(lt: LeagueTable, nsim: int = 100_000, seed: int = 0) -> dict[str, 
             f"covariance is not positive semi-definite (min eigenvalue {eigenvalues[0]:.3g})"
         )
     # The factor and the draw order of numpy's multivariate_normal(method="eigh"),
-    # taken in blocks of rows so memory stays bounded in nsim.
+    # taken in blocks of rows whose two buffers hold at most _BLOCK_FLOATS floats
+    # each (one row when a row alone is larger), so they stay bounded in nsim
+    # and in the number of treatments.
     factor = (eigenvectors * np.sqrt(np.abs(eigenvalues))).T
     pick = np.argmax if lt.direction == BENEFICIAL else np.argmin
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(lt.treatments), dtype=np.int64)
-    noise = np.empty((min(_DRAW_BLOCK, nsim), len(means)))
+    block = max(1, _BLOCK_FLOATS // len(means))  # rows of draws per buffer
+    noise = np.empty((min(block, nsim), len(means)))
     draws = np.empty_like(noise)
-    for start in range(0, nsim, _DRAW_BLOCK):
-        rows = min(_DRAW_BLOCK, nsim - start)
+    for start in range(0, nsim, block):
+        rows = min(block, nsim - start)
         rng.standard_normal(out=noise[:rows])
         np.matmul(noise[:rows], factor, out=draws[:rows])
         draws[:rows] += means

@@ -24,7 +24,8 @@ import numpy as np
 from .davidson import AbilityFit, _fittable, _log_nu, _log_probabilities, _max_logliks
 from .davidson import _pair_credit, fit_davidson
 from .errors import DataError, ModelError
-from .study_data import Categorical, Continuous, CovariateKind, CovariateSchema, _first_seen
+from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
+from .study_data import _first_seen
 from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _tally
 from .tcc import aggregate_tournament  # noqa: F401  (bench/tracing.py rebinds this name)
 
@@ -47,9 +48,6 @@ MAX_SPLIT_LEVELS = 10
 # terms over P pairs and (n + 1)^2 of dense Hessian for n treatments; a
 # chunk of candidates keeps one batch of sides at or under this many.
 _BATCH_FLOATS = 2**20
-# A block of permutations tiles the whitened score columns once per
-# permutation in it, in at most this many floats.
-_TILE_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -342,8 +340,10 @@ def _run(
     # The two formulas differ by rounding only, far inside this band, so only
     # a fast statistic within it can compare otherwise; those are rechecked.
     band = 1e-9 * max(1.0, abs(statistic))
-    # The draws of rng.random((block, n)) follow one stream whatever the block.
-    block = min(permutations, 256, max(1, _TILE_FLOATS // (n * p_dim)))
+    # A block of permutations tiles the whitened score columns once per
+    # permutation in it. The draws of rng.random((block, n)) follow one stream
+    # whatever the block.
+    block = min(permutations, 256, max(1, _BLOCK_FLOATS // (n * p_dim)))
     tiled = np.tile(whitened.T, (1, block))
     exceed = 0
     remaining = permutations

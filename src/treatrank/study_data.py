@@ -36,6 +36,13 @@ __all__ = [
     "validate_network",
 ]
 
+# The streaming kernels, the permutation blocks of a stability test and the
+# draw buffers of prob_best, size each working array to at most this many
+# floats (512 KiB), so a block and its index arrays stay in a 2 MiB L2 cache
+# instead of streaming through memory. Their results do not depend on the
+# block size, and smaller blocks let a permutation test stop sooner.
+_BLOCK_FLOATS = 2**16
+
 
 @dataclass(frozen=True)
 class Continuous:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from treatrank import (
     parse_league_table,
     prob_best,
 )
-from treatrank.compare import _DRAW_BLOCK
+from treatrank import compare
 
 from oracles import loop_p_scores, loop_p_scores_civ, one_shot_best_counts, quad_prob_best
 
@@ -416,7 +417,8 @@ def test_prob_best_blocks_draw_what_one_sampler_call_draws():
     singular = full_rank.copy()
     singular[0, :] = singular[:, 0] = 0.0  # a reference fixed at its estimate
     means = rng.normal(0.0, 0.2, 5)
-    nsim = 2 * _DRAW_BLOCK + 123  # two full blocks and a remainder
+    # Two full blocks of draws for five treatments and a remainder.
+    nsim = 2 * (compare._BLOCK_FLOATS // len(labels)) + 123
     for cov in (full_rank, singular):
         for direction, sign in (("beneficial", 1.0), ("harmful", -1.0)):
             lt = LeagueTable.from_basic(
@@ -429,13 +431,17 @@ def test_prob_best_blocks_draw_what_one_sampler_call_draws():
             assert [round(result[x] * nsim) for x in labels] == counts
 
 
-@pytest.mark.parametrize("nsim", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1])
+_EDGE_LABELS = tuple("ABCDEFGH")
+_EDGE_ROWS = compare._BLOCK_FLOATS // len(_EDGE_LABELS)  # rows of draws per buffer for this table
+
+
+@pytest.mark.parametrize("nsim", [1, _EDGE_ROWS - 1, _EDGE_ROWS, _EDGE_ROWS + 1])
 def test_prob_best_buffer_edges_draw_what_one_sampler_call_draws(nsim):
     rng = np.random.default_rng(47)
-    labels = ("A", "B", "C", "D")
-    root = rng.normal(size=(4, 4))
-    cov = root @ root.T / 40.0
-    means = rng.normal(0.0, 0.2, 4)
+    labels = _EDGE_LABELS
+    root = rng.normal(size=(8, 8))
+    cov = root @ root.T / 80.0
+    means = rng.normal(0.0, 0.2, 8)
     for direction, sign in (("beneficial", 1.0), ("harmful", -1.0)):
         lt = LeagueTable.from_basic(
             {x: (m, 0.1) for x, m in zip(labels, means)}, covariance=cov, direction=direction
@@ -443,6 +449,39 @@ def test_prob_best_buffer_edges_draw_what_one_sampler_call_draws(nsim):
         result = prob_best(lt, nsim=nsim, seed=5)
         counts = one_shot_best_counts(means, cov, sign, nsim, 5)
         assert [round(result[x] * nsim) for x in labels] == counts
+
+
+def test_prob_best_one_row_blocks_draw_what_one_sampler_call_draws(monkeypatch):
+    monkeypatch.setattr(compare, "_BLOCK_FLOATS", 1)
+    rng = np.random.default_rng(53)
+    labels = ("A", "B", "C")
+    root = rng.normal(size=(3, 3))
+    cov = root @ root.T / 30.0
+    means = rng.normal(0.0, 0.2, 3)
+    for direction, sign in (("beneficial", 1.0), ("harmful", -1.0)):
+        lt = LeagueTable.from_basic(
+            {x: (m, 0.1) for x, m in zip(labels, means)}, covariance=cov, direction=direction
+        )
+        result = prob_best(lt, nsim=301, seed=9)
+        counts = one_shot_best_counts(means, cov, sign, 301, 9)
+        assert [round(result[x] * 301) for x in labels] == counts
+
+
+def test_prob_best_memory_is_bounded_in_treatments_and_draws():
+    # Whole-run buffers would be 2 x 10 000 x 500 floats (80 MB).
+    labels = [f"T{k:03d}" for k in range(500)]
+    sds = np.linspace(0.1, 0.3, 500)
+    lt = LeagueTable.from_basic(
+        {x: (0.001 * k, s) for k, (x, s) in enumerate(zip(labels, sds))},
+        covariance=np.diag(np.square(sds)),
+    )
+    tracemalloc.start()
+    try:
+        prob_best(lt, nsim=10_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_prob_best_harmful_tie_goes_to_the_first_treatment():

@@ -671,7 +671,7 @@ def _stop_cases(draw):
         max_depth=2,
     )
     # Small tiles make blocks of a few permutations, so a test can stop midway.
-    tile = draw(st.sampled_from([2**18, 1, 400]))
+    tile = draw(st.sampled_from([partition._BLOCK_FLOATS, 1, 400]))
     return records, {name: _STOP_SCHEMA[name] for name in names}, config, tile
 
 
@@ -689,7 +689,7 @@ def _grown(records, schema, config) -> str:
 def test_stopped_permutation_tests_grow_the_tree_of_every_permutation(case):
     records, schema, config, tile = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(partition, "_TILE_FLOATS", tile)
+        patch.setattr(partition, "_BLOCK_FLOATS", tile)
         stopped = _grown(records, schema, config)
         run = partition._run
         # The oracle: every permutation of every test runs.
@@ -712,9 +712,10 @@ def test_grow_tree_stops_tests_that_cannot_split(monkeypatch):
     monkeypatch.setattr(partition, "_run", spied)
     tree = grow_tree(records, schema, PartitionConfig(seed=0))
     assert tree.is_leaf
-    # 600 records and 3 score columns make 7 blocks of at most 145 of the 1000
-    # permutations; the test of age stopped before its last block.
-    assert stops[-1] and len(stops) < 7
+    # 600 records and 3 score columns split the 1000 permutations into blocks of
+    # at most _BLOCK_FLOATS // 1800; the test of age stopped before its last block.
+    blocks = math.ceil(1000 / min(256, partition._BLOCK_FLOATS // (600 * 3)))
+    assert stops[-1] and len(stops) < blocks
 
 
 def test_tree_serialization_and_rendering():
