@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .study_data import _BLOCK_FLOATS, _first_seen, _parse_float, _read_columns
+from .study_data import _BLOCK_FLOATS, _first_seen, _floats, _parse_float, _read_columns
 from .tcc import BENEFICIAL, HARMFUL, _check_mcid
 
 __all__ = [
@@ -403,7 +403,10 @@ def parse_covariance_table(
     for i, (label, *cells) in enumerate(zip(*columns.values()), start=2):
         if label in rows:
             raise DataError(f"row {i}: treatment {label!r} appears more than once")
-        rows[label] = [_parse_float(cell, "covariance cell", i) for cell in cells]
+        values, first = _floats(cells, absent=())
+        if first < len(cells):  # _parse_float raises on the row's first bad cell
+            values = [_parse_float(cell, "covariance cell", i) for cell in cells]
+        rows[label] = values
     if sorted(rows) != sorted(treatments):
         raise DataError(f"covariance rows do not match the treatments: {sorted(rows)}")
     matrix = np.array([rows[x] for x in treatments])[:, [header.index(y) for y in treatments]]

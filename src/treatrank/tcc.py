@@ -197,6 +197,7 @@ class Tournament:
     reads the same tallies as arrays, built once here: ``_i``, ``_j`` hold
     the treatment indices of the pairs with records, in key order, and
     ``_counts[P, 3]`` their (wins for ``_i``, wins for ``_j``, ties).
+    :meth:`_of_counts` builds a tournament from those arrays instead.
     """
 
     treatments: tuple[str, ...]
@@ -207,8 +208,7 @@ class Tournament:
 
     def __post_init__(self):
         index = {t: i for i, t in enumerate(self.treatments)}
-        counts = MappingProxyType(dict(self.counts))
-        rows = []
+        counts, rows = dict(self.counts), []
         for (x, y), c in counts.items():
             if x not in index or y not in index:
                 raise DataError(f"pair ({x!r}, {y!r}) uses an unknown treatment")
@@ -219,10 +219,27 @@ class Tournament:
             if any(c):
                 rows.append((index[x], index[y], *c))
         table = np.asarray(rows, dtype=np.intp).reshape(-1, 5)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_i", table[:, 0])
-        object.__setattr__(self, "_j", table[:, 1])
-        object.__setattr__(self, "_counts", table[:, 2:].astype(float))
+        self._bind(counts, table[:, 0], table[:, 1], table[:, 2:])
+
+    @classmethod
+    def _of_counts(cls, treatments: tuple[str, ...], pairs: np.ndarray,
+                   counts: np.ndarray) -> "Tournament":
+        """The tournament with ``counts[p]`` for the pair of treatment indices
+        ``pairs[p]``, with no checks: the pairs are distinct, each in
+        treatment order, ascending, and each with a record, as
+        :meth:`_Preferences.coded` gives them; the counts are non-negative."""
+        self, t = cls.__new__(cls), treatments
+        object.__setattr__(self, "treatments", t)
+        keys = [(t[x], t[y]) for x, y in pairs.tolist()]
+        self._bind(dict(zip(keys, map(PairCounts._make, counts.tolist()))),
+                   pairs[:, 0], pairs[:, 1], counts)
+        return self
+
+    def _bind(self, counts: dict, i: np.ndarray, j: np.ndarray, table: np.ndarray) -> None:
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        object.__setattr__(self, "_i", i)
+        object.__setattr__(self, "_j", j)
+        object.__setattr__(self, "_counts", table.astype(float))
 
     @property
     def total_records(self) -> int:
@@ -306,9 +323,7 @@ def _judge(studies: _Studies, numbers: Mapping[str, np.ndarray], roe: RoeConfig)
 
 def _tally(treatments: tuple[str, ...], pairs: np.ndarray, codes: np.ndarray) -> Tournament:
     """The tournament of records coded as ``(pairs, codes)``; see :meth:`_Preferences.coded`."""
-    t, counts = treatments, _counts(codes, len(pairs))[0].tolist()
-    return Tournament(t, {(t[x], t[y]): PairCounts(*c)
-                          for (x, y), c in zip(pairs.tolist(), counts)})
+    return Tournament._of_counts(treatments, pairs, _counts(codes, len(pairs))[0])
 
 
 def _counts(codes: np.ndarray, n_pairs: int, group=0, n_groups: int = 1) -> np.ndarray:

@@ -28,7 +28,7 @@ import csv
 import math
 import sys
 import warnings
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 from scipy.integrate import quad
@@ -696,6 +696,33 @@ def reference_best_split(records, covariate, kind=None, treatments=None, *, min_
 
 
 # --- the command line's preference input, one row at a time -------------------------
+
+
+def reference_read_columns(source, mandatory=()) -> dict[str, tuple[str, ...]]:
+    """``study_data._read_columns`` as it read a table one row at a time: every kept
+    row's stripped, padded cells in one list of rows, transposed at the end."""
+    lines = iter(source)
+    first = next(lines, "")
+    reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
+    stripped = (list(map(str.strip, cells)) for cells in reader)
+    kept = (cells for cells in stripped if any(cells))
+    fields = next(kept, None)
+    if fields is None:
+        raise DataError("empty input: no header row")
+    if len(set(fields)) < len(fields):
+        repeated = next(name for k, name in enumerate(fields) if name in fields[:k])
+        raise DataError(f"column {repeated!r} appears more than once in the header")
+    missing = [c for c in mandatory if c not in fields]
+    if missing:
+        raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
+    width = len(fields)
+    rows = []
+    for row_num, cells in enumerate(kept, start=2):
+        if len(cells) > width:
+            raise DataError(f"row {row_num}: expected {width} cells, got {len(cells)}")
+        cells += [""] * (width - len(cells))
+        rows.append(cells)
+    return dict(zip(fields, zip(*rows))) if rows else dict.fromkeys(fields, ())
 
 
 def per_row_parse(stream, scale: str) -> Network:

@@ -659,14 +659,18 @@ def _finite_numbers(path: Path) -> bool:
 
 
 def _check_contract(argv, flags, tables):
-    """Run one invocation in-process; check its exit code, error document and numbers."""
+    """Run one invocation in-process; check its exit code, error document and numbers.
+    A table is a list of rows or raw bytes. Returns the error document, if any."""
     with tempfile.TemporaryDirectory() as folder:
         folder = Path(folder)
         flags = dict(flags)
         for name, rows in tables.items():
-            if rows is not None:
+            if isinstance(rows, bytes):
+                (folder / f"{name}.csv").write_bytes(rows)
+            elif rows is not None:
                 with open(folder / f"{name}.csv", "w", newline="") as stream:
                     csv.writer(stream).writerows(rows)
+            if rows is not None:
                 flags[f"--{name}"] = folder / f"{name}.csv"
         out = folder / "out"
         # Valid flag syntax throughout; values, tables and cells may be anything.
@@ -680,6 +684,8 @@ def _check_contract(argv, flags, tables):
             for name in ("rank.csv", "scores.csv"):
                 if (out / name).exists():
                     assert _finite_numbers(out / name), name
+            return None
+        return json.loads((out / "error.json").read_text())
 
 
 @pytest.mark.parametrize("subcommand", ["rank", "partition", "tcc-dump", "compare"])
@@ -702,6 +708,42 @@ def test_every_invocation_ends_in_a_result_or_an_error_document(subcommand, data
 )
 def test_known_invocations_end_in_a_result_or_an_error_document(invocation):
     _check_contract(*invocation)
+
+
+_CONTRASTS = b"study,treat1,treat2,effect,se\ns1,A,B,0.3,0.1\ns2,B,C,0.1,0.2\n"
+_LEAGUE = b"treat,estimate,se\nA,0.0,0.1\nB,0.3,0.1\n"
+_COVARIANCE = b",A,B\nA,0.01,0.0\nB,0.0,0.01\n"
+_HUGE_CELL = b"x" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        *(([subcommand], {"input": _CONTRASTS.replace(b"B,C", bad)})
+          for subcommand in ("rank", "tcc-dump", "partition")
+          for bad in (b"B,\xffC", b"B," + _HUGE_CELL)),
+        (["rank", "--records"], {"input": b"study,treat1,treat2,verdict\ns1,A,\xe9,tie\n"}),
+        (["compare"], {"input": _LEAGUE.replace(b"B,", b"\xff,"), "covariance": None}),
+        (["compare"], {"input": _LEAGUE.replace(b"B,", _HUGE_CELL + b","), "covariance": None}),
+        (["compare"], {"input": _LEAGUE, "covariance": _COVARIANCE.replace(b",B", b",\xff")}),
+    ],
+)
+def test_unreadable_bytes_end_in_a_data_error_document(argv, tables):
+    # Text that is not UTF-8 and an over-long cell ended in a traceback.
+    document = _check_contract(argv, {} if "--records" in argv else {"--mcid": "1.2"}, tables)
+    assert document["error"] == "DataError"
+    assert "UTF-8" in document["message"] or "field limit" in document["message"]
+
+
+def test_a_cold_partition_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique's masked-array check imports numpy.ma, about 17 ms of a cold process.
+    script = ("import sys; from treatrank.cli import main; "
+              f"code = main(['partition', '--input', {str(CONTRASTS)!r}, '--mcid', '1.2', "
+              f"'--out-dir', {str(tmp_path)!r}]); print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(treatrank.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.split() == ["0", "False"]
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ from treatrank import (
     partition,
     validate_network,
 )
+
+from treatrank import study_data
+from treatrank.study_data import _read_columns, _read_contrasts
+
+from oracles import reference_read_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -608,3 +615,137 @@ def test_padding_blank_lines_and_short_rows_parse_like_the_plain_table(table, da
         lines.append(",".join(f'"{c}"' if q else c for c, q in zip(padded, quoted)))
         lines.extend([""] * data.draw(st.integers(0, 2)))
     assert _parse(table, "\n".join(lines) + "\n") == _parse(table, plain)
+
+
+# --- the block-wise column reader ---------------------------------------------------
+
+_CELL = st.text(alphabet="aZ0 ,\t\"\n.é", max_size=4)
+
+
+@st.composite
+def _raw_tables(draw):
+    """CSV text with what the reader has to normalize: a byte order mark, blank lines
+    and comma-only or space-only rows (before the header too), padded and quoted cells
+    (holding commas, quotes or line breaks), short rows, now and then an over-long row
+    or a header name given twice, and mandatory columns, one of which may be missing."""
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "d"]), min_size=1, max_size=4,
+                          unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        names.append(f" {names[0]}")
+
+    def line(cells):
+        quoted = ('"' + c.replace('"', '""') + '"' if draw(st.booleans()) or any(
+            x in c for x in ',"\n') else c for c in cells)
+        return ",".join(quoted)
+
+    blank = st.sampled_from(["", ",", ",,,", " ", " \t ,  ", '""', '" ",,'])
+    lines = [draw(blank) for _ in range(draw(st.integers(0, 2)))] + [line(names)]
+    width = len(names)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "short", "blank"]))
+        if kind == "blank":
+            lines.append(draw(blank))
+        else:
+            size = width if kind == "row" else draw(st.integers(0, width - 1))
+            lines.append(line(draw(st.lists(_CELL, min_size=size, max_size=size))))
+    if draw(st.integers(0, 3)) == 0:
+        cells = draw(st.lists(_CELL, min_size=width + 1, max_size=width + 2))
+        lines.insert(draw(st.integers(1, len(lines))), line(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ("\ufeff" if draw(st.booleans()) else "") + end.join(lines) + end
+    mandatory = draw(st.lists(st.sampled_from([*map(str.strip, names), "x"]), max_size=2))
+    return text, tuple(mandatory)
+
+
+def _columns_or_error(read, text, mandatory):
+    try:
+        return {name: list(cells) for name, cells in read(io.StringIO(text), mandatory).items()}
+    except DataError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_raw_tables())
+def test_the_block_wise_reader_reads_like_the_row_wise_reader(case):
+    text, mandatory = case
+    expected = _columns_or_error(reference_read_columns, text, mandatory)
+    for size in (1, 2, 3, study_data._BLOCK_ROWS):
+        with mock.patch.object(study_data, "_BLOCK_ROWS", size):
+            assert _columns_or_error(_read_columns, text, mandatory) == expected, size
+
+
+@pytest.mark.parametrize("fault", [None, "long", "blank"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_rows_at_the_default_block_edges_read_like_the_row_wise_reader(offset, fault):
+    # A blank row shifts the row numbers of every later block.
+    size = study_data._BLOCK_ROWS
+    rows = [f"s{k},{k % 7}" for k in range(2 * size + 2)]
+    rows[size // 2] = ",,"
+    for edge in (size, 2 * size):
+        if fault == "long":
+            rows[edge + offset] += ",extra"
+        elif fault == "blank":
+            rows[edge + offset] = "  "
+    text = "study,x\n" + "\n".join(rows) + "\n"
+    expected = _columns_or_error(reference_read_columns, text, ())
+    assert _columns_or_error(_read_columns, text, ()) == expected
+    if fault == "long":
+        assert expected == f"row {size + offset + 1}: expected 2 cells, got 3"
+
+
+def test_input_that_is_not_utf8_text_is_a_data_error():
+    text = io.TextIOWrapper(io.BytesIO(b"study,treat1\ns1,\xffA\n"), encoding="utf-8")
+    with pytest.raises(DataError, match=r"not UTF-8 text \(byte 0xff"):
+        _read_columns(text)
+
+
+def test_a_cell_over_the_csv_size_limit_is_a_data_error():
+    text = "study,treat1\ns1,A\ns2," + "B" * (csv.field_size_limit() + 1) + "\n"
+    with pytest.raises(DataError, match=r"line 3: field larger than field limit"):
+        _read_columns(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["s1,A,B", "s1,B,A"], "('B', 'A') in study 's1'"),
+        (["s1,A,B", "s2,A,B", "s1,C,A", "s2,B,A", "s1,A,B"], "('B', 'A') in study 's2'"),
+        (["s1,A,B", "s1,A,C", "s2,A,C", "s1,B,C", "s1,C,A", "s2,A,C"],
+         "('C', 'A') in study 's1'"),
+        (["x,A,B", "y,A,B", "A,x,y", "B,A,x", "A,y,x"], "('y', 'x') in study 'A'"),
+    ],
+    ids=["reversed", "reversed-not-adjacent", "first-in-row-order", "labels-shared"],
+)
+def test_the_first_repeated_study_pair_is_rejected(rows, message):
+    text = "study,treat1,treat2,effect,se\n" + "".join(f"{row},0.1,0.2\n" for row in rows)
+    with pytest.raises(DataError) as raised:
+        parse_contrast_table(io.StringIO(text))
+    assert str(raised.value) == f"duplicate contrast for pair {message}"
+
+
+def _network_table(n_rows: int, n_treatments: int = 100) -> str:
+    """A contrast table like the benchmark's network: half the rows with an SE, half
+    with interval bounds, a numeric and a categorical covariate."""
+    rng = np.random.default_rng(3)
+    lines = ["study,treat1,treat2,effect,se,lower,upper,year,region"]
+    for k in range(n_rows):
+        i = k % n_treatments
+        j = (i + 1 + (k // n_treatments) % (n_treatments // 2)) % n_treatments
+        effect, se = float(rng.normal(0, 0.3)), float(rng.uniform(0.08, 0.25))
+        cells = [repr(se), "", ""] if k % 2 else ["", repr(effect - 2 * se), repr(effect + 2 * se)]
+        lines.append(",".join([f"s{k:05d}", f"T{i:03d}", f"T{j:03d}", repr(effect), *cells,
+                               str(rng.integers(1990, 2024)), f"region{rng.integers(4)}"]))
+    return "\n".join(lines) + "\n"
+
+
+def test_reading_a_large_contrast_table_holds_it_about_once():
+    # The row-wise reader, with a (study, frozenset) key per row for the duplicate
+    # check, peaked at about 9.2 MB on this table.
+    source = io.StringIO(_network_table(10_000))
+    tracemalloc.start()
+    try:
+        _read_contrasts(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak

@@ -27,6 +27,7 @@ from treatrank import (
     parse_preference_records,
     tcc_decision,
 )
+from treatrank.tcc import _Preferences, _tally
 
 from oracles import loop_tally
 
@@ -296,6 +297,25 @@ def test_aggregate_matches_a_record_by_record_tally(case):
     assert t.treatments == tuple(order)
     assert t.counts == expected
     assert list(t.counts) == list(expected)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_records_and_order())
+def test_a_tally_is_the_tournament_of_its_count_arrays(case):
+    # _tally builds the Tournament from its arrays, without the checks of __post_init__.
+    records, order = case
+    t = _tally(tuple(order), *_Preferences.of(records, order).coded())
+    expected = Tournament(tuple(order), loop_tally(records, order))
+    assert t == expected
+    assert list(t.counts) == list(expected.counts)
+    assert all(type(c) is PairCounts and all(type(x) is int for x in c)
+               for c in t.counts.values())
+    for name in ("_i", "_j", "_counts"):
+        got, want = getattr(t, name), getattr(expected, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
+    with pytest.raises(TypeError):
+        t.counts[("A", "B")] = PairCounts(0, 0, 0)
 
 
 def test_aggregate_rejects_unknown_treatment():
