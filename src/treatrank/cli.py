@@ -140,6 +140,8 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv=None) -> RunConfig:
     options = vars(_build_parser().parse_args(argv))
+    if options.get("seed", 0) < 0:
+        raise DataError(f"seed must be non-negative, got {options['seed']}")
     if "format" in options:
         formats = frozenset(f.strip() for f in options.pop("format").split(",") if f.strip())
         unknown = formats - set(_FORMATS)
@@ -162,16 +164,13 @@ def _read_preferences(config: RunConfig) -> _Preferences:
             return _read_records(stream)
         studies, numbers = _read_contrasts(stream, scale=config.scale)
     report = _report(studies)
-    if not report.is_clean():
-        for item in report.isolated_treatments:
-            print(f"warning: treatment {item!r} appears in no contrast", file=sys.stderr)
-        for study, observed, expected in report.incomplete_studies:
-            print(
-                f"warning: study {study!r} has {observed} of {expected} pairwise contrasts",
-                file=sys.stderr,
-            )
-        for name in report.covariates_with_missing:
-            print(f"warning: covariate {name!r} has missing values", file=sys.stderr)
+    for study, observed, expected in report.incomplete_studies:
+        print(
+            f"warning: study {study!r} has {observed} of {expected} pairwise contrasts",
+            file=sys.stderr,
+        )
+    for name in report.covariates_with_missing:
+        print(f"warning: covariate {name!r} has missing values", file=sys.stderr)
     if config.mcid is None:
         raise DataError("--mcid is required to derive preference records from contrasts")
     roe = build_roe(

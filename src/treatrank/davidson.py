@@ -147,6 +147,7 @@ def _pair_credit(counts: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _scatter_rows(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """Sum the (..., m) ``weights`` into ``size`` bins by ``index``, row by row.
 
+    ``index`` is (m,), shared by every row, or broadcasts against ``weights``.
     One ``bincount`` over all rows, each offset into its own bins; within a
     row it adds in the order of ``index``, as a bincount of that row would.
     """
@@ -663,6 +664,20 @@ def _max_logliks(treatments, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -
             theta, iterations = _maximize(obj, obj._start(), _MAX_ITERATIONS, _GRAD_TOL, _STEP_TOL)
             logliks[rows] = np.where(iterations >= 0, obj.value(theta), np.nan)
     return logliks
+
+
+def _record_scores(fit: AbilityFit, i: np.ndarray, j: np.ndarray, outcome: np.ndarray):
+    """Score rows of records at the abilities and nu of ``fit``, over ``fit.param_names``.
+
+    Record r is outcome ``outcome[r]`` (i wins, j wins, tie) of treatments
+    ``i[r]`` and ``j[r]``; its row is its observed minus expected credit.
+    """
+    lam = np.log([fit.psi[x] for x in fit.treatments])
+    p = np.exp(_log_probabilities(lam, _log_nu(fit.nu), i, j))
+    observed, expected = _pair_credit(np.eye(3)[outcome], p)  # one count per record
+    n = len(fit.treatments)
+    slots = np.stack((i, j, np.full_like(i, n)), axis=-1)  # _bind's _slots, one row per record
+    return _scatter_rows(slots, observed - expected, n + 1)[:, 1 : len(fit.param_names) + 1]
 
 
 def pairwise_probabilities(f: AbilityFit, x: str, y: str) -> tuple[float, float, float]:

@@ -21,8 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .davidson import AbilityFit, _fittable, _log_nu, _log_probabilities, _max_logliks
-from .davidson import _pair_credit, fit_davidson
+from .davidson import AbilityFit, _fittable, _max_logliks, _record_scores, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
 from .study_data import _first_seen
@@ -120,24 +119,7 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
         pairs, codes = _Preferences.of(records, fit.treatments).coded()
     except DataError as error:  # the first record with a treatment outside the fit
         raise DataError(f"{error}, a treatment outside the fit") from None
-    return _score_rows(pairs, codes, fit)
-
-
-def _score_rows(pairs: np.ndarray, codes: np.ndarray, fit: AbilityFit) -> np.ndarray:
-    """:func:`score_contributions` of records coded over ``fit.treatments``."""
-    pair, outcome = np.divmod(codes, 3)
-    i, j = pairs[pair].T
-    # Each record is a pair with a single count, on its observed outcome.
-    counts = np.eye(3)[outcome]
-    lam = np.log([fit.psi[x] for x in fit.treatments])
-    p = np.exp(_log_probabilities(lam, _log_nu(fit.nu), i, j))
-    observed, expected = _pair_credit(counts, p)
-    scores = observed - expected
-    n_t = len(fit.treatments)
-    rows = np.zeros((len(codes), n_t + 1))
-    at = np.arange(len(codes))
-    rows[at, i], rows[at, j], rows[:, n_t] = scores.T
-    return rows[:, 1 : len(fit.param_names) + 1]
+    return _record_scores(fit, *pairs[codes // 3].T, codes % 3)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -566,7 +548,7 @@ def _grow(table, config: PartitionConfig, idx: np.ndarray, path: tuple[int, ...]
     def cannot_split(p_floor):
         return adjusted(p_floor) >= config.alpha
 
-    scores = _node_scores(_score_rows(pairs, codes, fit))
+    scores = _node_scores(_record_scores(fit, *pairs[pair].T, codes % 3))
     tests = []
     for cov_index, name, covariate in prepared:
         rng = np.random.default_rng(

@@ -136,10 +136,13 @@ def test_rank_records_route_matches_contrast_route(tmp_path):
 
 
 def test_rank_requires_an_mcid_for_contrast_input(tmp_path):
-    assert _run("rank", "--input", CONTRASTS, "--out-dir", tmp_path) == 1
-    document = json.loads((tmp_path / "error.json").read_text())
-    assert document["exit_code"] == 1
-    assert "mcid" in document["message"]
+    # The equivalence bounds replace those derived from --mcid; they do not stand for it.
+    for k, bounds in enumerate(((), ("--roe-lower", "0.8", "--roe-upper", "1.25"))):
+        out_dir = tmp_path / str(k)
+        assert _run("rank", "--input", CONTRASTS, *bounds, "--out-dir", out_dir) == 1
+        document = json.loads((out_dir / "error.json").read_text())
+        assert document["exit_code"] == 1
+        assert "--mcid is required" in document["message"]
 
 
 def test_rank_rejects_a_degenerate_mcid(tmp_path):
@@ -316,7 +319,12 @@ def test_parse_args_leaves_unset_options_at_the_run_config_defaults():
 
 @pytest.mark.parametrize(
     "argv",
-    [("compare", "--input", LEAGUE), ("partition", "--input", CONTRASTS, "--mcid", "1.2")],
+    [
+        ("compare", "--input", LEAGUE),
+        ("partition", "--input", CONTRASTS, "--mcid", "1.2"),
+        ("rank", "--input", CONTRASTS, "--mcid", "1.2"),
+        ("tcc-dump", "--input", CONTRASTS, "--mcid", "1.2"),
+    ],
 )
 def test_negative_seed_is_a_data_error(tmp_path, argv):
     assert _run(*argv, "--out-dir", tmp_path, "--seed", "-1") == 1

@@ -33,6 +33,7 @@ from treatrank import (
     tree_to_dict,
 )
 
+from treatrank.davidson import DavidsonObjective
 from treatrank.tcc import _Preferences
 
 from oracles import (
@@ -110,11 +111,18 @@ def test_score_contributions_match_the_record_loop_reference(seed, nu):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the nu = 0 case fits the tie-free model
         fit = _pooled_fit(records)
+    objective = DavidsonObjective(aggregate_tournament(records, fit.treatments))
+    assert objective.param_names == fit.param_names
     # The rows hold at any abilities, not only at the estimate.
     shifted = replace(fit, psi={x: v * (1.5 + k) for k, (x, v) in enumerate(fit.psi.items())})
     for at in (fit, shifted):
+        rows = score_contributions(records, at)
+        np.testing.assert_allclose(rows, loop_scores(records, at), rtol=0, atol=1e-12)
+        # Their sum is the objective's gradient at the same log parameters.
+        lam = np.log([at.psi[x] for x in at.treatments])
+        theta = np.append(lam[1:] - lam[0], [math.log(at.nu)] if at.nu > 0 else [])
         np.testing.assert_allclose(
-            score_contributions(records, at), loop_scores(records, at), rtol=0, atol=1e-12
+            rows.sum(axis=0), objective.gradient(theta), rtol=0, atol=1e-9
         )
 
 
