@@ -276,6 +276,7 @@ def stability_test(
 
     Returns ``(statistic, p_value)``.
     """
+    PartitionConfig(permutations=permutations, trim=trim)  # the same checks as grow_tree's
     records = tuple(records)
     if len(records) < min_records:
         raise DataError(

@@ -23,7 +23,7 @@ _MARK = "#1f4e8c"
 def _nice_step(span: float) -> float:
     raw = span / 5.0
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * magnitude >= raw:
             return mult * magnitude
     return 10.0 * magnitude

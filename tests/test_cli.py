@@ -260,10 +260,27 @@ def test_format_selection_limits_artifacts(tmp_path):
     assert (tmp_path / "fit.json").exists()
     assert not (tmp_path / "rank.csv").exists()
     assert not (tmp_path / "ability_plot.svg").exists()
+    # tree.txt and tcc-dump's records.csv are written whatever the subset.
+    for command, formats, written in [
+        ("partition", "csv", ["tree.txt"]),
+        ("tcc-dump", "json", ["records.csv"]),
+    ]:
+        out = tmp_path / command
+        code = _run(command, "--input", CONTRASTS, "--out-dir", out, "--mcid", "1.2",
+                    "--format", formats)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == written, command
 
 
 def test_unknown_format_is_rejected():
     assert _run("rank", "--input", CONTRASTS, "--mcid", "1.2", "--format", "csv,pdf") == 1
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"treatrank {treatrank.__version__}\n"
 
 
 def test_unknown_subcommand_is_rejected():
@@ -277,8 +294,9 @@ def test_unknown_subcommand_is_rejected():
         (["--mcid", "1.2", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
         # argparse reads "-inf" as an option, so --mcid has no value
         (["--mcid", "-inf"], "argument --mcid: expected one argument"),
+        (["--mcid", "1.2", "--format", ""], "at least one output format is required"),
     ],
-    ids=["missing-value", "unknown-flag", "value-like-an-option"],
+    ids=["missing-value", "unknown-flag", "value-like-an-option", "no-format"],
 )
 def test_usage_errors_write_error_json_into_the_out_dir(tmp_path, options, message):
     out = tmp_path / "o1"

@@ -570,6 +570,8 @@ def test_parse_league_table_errors():
         )
     with pytest.raises(DataError, match="itself"):
         parse_league_table(io.StringIO("treat1,treat2,estimate,se\nA,A,0.3,0.1\n"))
+    with pytest.raises(DataError, match="row 2: both treatment labels are required"):
+        parse_league_table(io.StringIO("treat1,treat2,estimate,se\nA,,0.3,0.1\n"))
     with pytest.raises(DataError, match="no rows"):
         parse_league_table(io.StringIO("treat1,treat2,estimate,se\n"))
     with pytest.raises(DataError, match="non-numeric"):
@@ -600,6 +602,12 @@ def test_parse_basic_table_errors():
         parse_basic_table(
             io.StringIO("treat,estimate,se\nA,0.3,0.1\nA,0.4,0.1\n")
         )
+    with pytest.raises(DataError, match="row 3: treatment label is required"):
+        parse_basic_table(io.StringIO("treat,estimate,se\nA,0.3,0.1\n,0.4,0.1\n"))
+    with pytest.raises(DataError, match="no rows"):
+        parse_basic_table(io.StringIO("treat,estimate,se\n"))
+    with pytest.raises(DataError, match="treatment 'B' has negative SE -0.1"):
+        parse_basic_table(io.StringIO("treat,estimate,se\nA,0.3,0.1\nB,0.4,-0.1\n"))
 
 
 def test_parse_covariance_table_checks():
@@ -614,6 +622,8 @@ def test_parse_covariance_table_checks():
         parse_covariance_table(io.StringIO(",A,B\nA,0.04,0.01\nB,0.02,0.09\n"), ("A", "B"))
     with pytest.raises(DataError, match="do not match"):
         parse_covariance_table(io.StringIO(",A,C\nA,0.04,0.0\nC,0.0,0.09\n"), ("A", "B"))
+    with pytest.raises(DataError, match="covariance rows do not match"):
+        parse_covariance_table(io.StringIO(",A,B\nA,0.04,0.01\nC,0.01,0.09\n"), ("A", "B"))
     with pytest.raises(DataError, match="non-numeric"):
         parse_covariance_table(io.StringIO(",A,B\nA,x,0.01\nB,0.01,0.09\n"), ("A", "B"))
     with pytest.raises(DataError, match="expected 3 cells, got 4"):

@@ -68,6 +68,16 @@ def test_probabilities_equal_abilities_no_ties():
     assert win_tie_probabilities(1.0, 1.0, 0.0) == (0.5, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("psi_x, psi_y, nu, message", [
+    (0.0, 1.0, 0.0, "abilities must be positive"),
+    (1.0, -1.0, 0.0, "abilities must be positive"),
+    (1.0, 1.0, -0.5, "tie prevalence must be non-negative"),
+])
+def test_probabilities_reject_bad_parameters(psi_x, psi_y, nu, message):
+    with pytest.raises(DataError, match=message):
+        win_tie_probabilities(psi_x, psi_y, nu)
+
+
 def test_probabilities_tie_prevalence_spot_check():
     # Two near-equal abilities with a large tie parameter: the model puts most
     # mass on the tie outcome.
@@ -123,6 +133,10 @@ def test_loglik_accepts_sequences_and_checks_length():
         log_likelihood(t, [1.0, 1.0, 1.0], 0.0)
     with pytest.raises(DataError):
         log_likelihood(t, {"A": 1.0}, 0.0)
+    with pytest.raises(DataError, match="positive componentwise"):
+        log_likelihood(t, [1.0, 0.0], 0.0)
+    with pytest.raises(DataError, match="tie prevalence must be non-negative"):
+        log_likelihood(t, [1.0, 1.0], -0.5)
 
 
 def test_loglik_impossible_outcome_is_minus_infinity():

@@ -1,0 +1,86 @@
+"""Tests of the package namespace: the public names and what `import treatrank` loads."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import treatrank
+
+SUBMODULES = ("compare", "davidson", "errors", "partition", "plot", "study_data", "tcc")
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_all_lists_57_names_in_sorted_order():
+    assert len(treatrank.__all__) == 57
+    assert treatrank.__all__ == sorted(set(treatrank.__all__))
+    assert "DavidsonObjective" not in treatrank.__all__
+    assert "CovariateSchema" not in treatrank.__all__
+
+
+def test_every_public_name_is_its_defining_modules_object(monkeypatch):
+    # Forget the names already resolved, so each one goes through the first-use path.
+    for name in (*treatrank.__all__, *SUBMODULES):
+        monkeypatch.delitem(vars(treatrank), name, raising=False)
+    for name in treatrank.__all__:
+        value = getattr(treatrank, name)
+        owner = sys.modules[value.__module__]
+        assert owner.__name__ in {f"treatrank.{module}" for module in SUBMODULES}, name
+        assert value is getattr(owner, name), name
+        namespace = {}
+        exec(f"from treatrank import {name}", namespace)
+        assert namespace[name] is value, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from treatrank import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(treatrank.__all__)
+
+
+def test_submodules_resolve_as_attributes(monkeypatch):
+    for module in SUBMODULES:
+        monkeypatch.delitem(vars(treatrank), module, raising=False)
+    for module in SUBMODULES:
+        assert getattr(treatrank, module) is sys.modules[f"treatrank.{module}"]
+    assert set(treatrank.__all__) | set(SUBMODULES) <= set(dir(treatrank))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'treatrank' has no attribute 'rank'"):
+        treatrank.rank
+    with pytest.raises(ImportError, match="cannot import name 'DavidsonObjective'"):
+        exec("from treatrank import DavidsonObjective", {})
+
+
+def _fresh_process(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter with no BLAS variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env["PYTHONPATH"] = str(Path(treatrank.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    return result.stdout
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    loaded, blas = json.loads(_fresh_process(
+        "import json, os, sys, treatrank; print(json.dumps(["
+        "sorted(m for m in sys.modules if m.startswith(('treatrank.', 'numpy'))), "
+        f"[os.environ.get(v) for v in {_BLAS_THREADS!r}]]))"
+    ))
+    assert loaded == []
+    assert blas == ["1", "1", "1"]
+
+
+def test_a_public_name_loads_only_the_modules_it_needs():
+    loaded = _fresh_process(
+        "import sys; from treatrank import fit_davidson; "
+        "print(' '.join(m for m in sys.modules if m.startswith('treatrank.')))"
+    ).split()
+    assert "treatrank.davidson" in loaded
+    assert not {"treatrank.partition", "treatrank.compare", "treatrank.plot"} & set(loaded)

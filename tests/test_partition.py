@@ -202,6 +202,21 @@ def test_stability_rejects_too_few_records():
         stability_test(records[:5], "age", _pooled_fit(records))
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"permutations": 0}, "permutations must be positive"),
+        ({"permutations": -1}, "permutations must be positive"),
+        ({"trim": math.nan}, "trim must be in"),
+    ],
+)
+def test_stability_rejects_the_options_partition_config_rejects(options, message):
+    # permutations=0 returned p = 1.0; -1 and a nan trim raised numpy's ValueError.
+    records = simulate_records(np.random.default_rng(67), 30, _null_draw, 1.0)
+    with pytest.raises(DataError, match=message):
+        stability_test(records, "age", _pooled_fit(records), **options)
+
+
 def test_stability_rejects_missing_covariate_values():
     records = simulate_records(np.random.default_rng(68), 60, _null_draw, 1.0)
     broken = list(records)
@@ -740,6 +755,13 @@ def test_tree_serialization_and_rendering():
     assert "split on group" in text
     assert text.endswith("\n")
     assert format_tree(tree) == text
+
+    records = simulate_records(np.random.default_rng(202), 200, _planted_cut, 1.0)
+    tree = grow_tree(records, {"x": Continuous()}, PartitionConfig(seed=1, permutations=99))
+    split = tree_to_dict(tree)["split"]
+    assert split["kind"] == "continuous"
+    cut = f"{split['threshold']:.6g}"
+    assert re.findall(r"\[(.*?)\]", format_tree(tree)) == [f"x <= {cut}", f"x > {cut}"]
 
 
 def test_partition_config_validation():

@@ -41,6 +41,8 @@ def test_chi2_upper_tail_matches_scipy():
             if expected < 1e-300:
                 continue
             assert _chi2_sf(float(x), df) == pytest.approx(expected, rel=1e-12, abs=0), (x, df)
+        for x in (-1.0, 0.0):
+            assert _chi2_sf(x, df) == chi2.sf(x, df) == 1.0
 
 
 def test_chi2_upper_tail_is_finite_for_large_df():

@@ -237,6 +237,11 @@ def test_apply_tcc_carries_identity_and_covariates():
     assert r.pair == ("X", "Y")
 
 
+def test_preference_record_rejects_a_self_pair():
+    with pytest.raises(DataError, match="study 's1': preference pair members must differ"):
+        PreferenceRecord(study_id="s1", treat_a="A", treat_b="A", verdict=Verdict.TIE)
+
+
 def test_aggregate_counts_by_pair():
     records = [
         PreferenceRecord(study_id="s1", treat_a="A", treat_b="B", verdict=Verdict.FIRST_WINS),
