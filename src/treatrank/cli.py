@@ -380,23 +380,16 @@ def _usage_out_dir(argv) -> Path | None:
 
 
 def main(argv=None) -> int:
+    config = None
     try:
         config = parse_args(argv)
-    except DataError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if (out_dir := _usage_out_dir(argv)) is not None:
-            _write_error(out_dir, error, 1)
-        return 1
-    try:
         run(config)
-    except (DataError, OSError) as error:
+    except (DataError, OSError, ModelError) as error:
+        exit_code = 2 if isinstance(error, ModelError) else 1
         print(f"error: {error}", file=sys.stderr)
-        _write_error(config.out_dir, error, 1)
-        return 1
-    except ModelError as error:
-        print(f"error: {error}", file=sys.stderr)
-        _write_error(config.out_dir, error, 2)
-        return 2
+        if (out_dir := _usage_out_dir(argv) if config is None else config.out_dir) is not None:
+            _write_error(out_dir, error, exit_code)
+        return exit_code
     return 0
 
 

@@ -129,13 +129,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _read_covariate(
-    records: Sequence[PreferenceRecord], covariate: str, kind: CovariateKind | None
+    records: Sequence[PreferenceRecord], covariate: str, kind: CovariateKind | None,
+    allow_constant: bool = False,
 ) -> tuple[CovariateKind, np.ndarray]:
     """The covariate's kind and its values on the records, as floats or strings.
 
     ``kind=None`` infers the kind from the parsed values: continuous when
     every value is a number, categorical otherwise (so a string level such
-    as ``"1"`` stays categorical).
+    as ``"1"`` stays categorical). A missing value, a continuous value that
+    is no number, and a constant covariate unless ``allow_constant``, are ``DataError``s.
     """
     values = [r.covariates.get(covariate) for r in records]
     missing = sum(v is None for v in values)
@@ -148,10 +150,13 @@ def _read_covariate(
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
         kind = Continuous() if numeric else Categorical(tuple(sorted({str(v) for v in values})))
     if isinstance(kind, Continuous):
-        array = np.asarray(values, dtype=float)
+        try:
+            array = np.asarray(values, dtype=float)
+        except ValueError as error:  # numpy names the first value that is no number
+            raise DataError(f"continuous covariate {covariate!r}: {error}") from None
     else:
         array = np.asarray([str(v) for v in values])
-    if _distinct(array).size < 2:
+    if not allow_constant and _distinct(array).size < 2:
         raise DataError(f"covariate {covariate!r} is constant on these records")
     return kind, array
 
@@ -508,12 +513,9 @@ def grow_tree(
         raise DataError("no records with complete covariate values")
     treatments = _first_seen(r.pair for r in usable)
     pairs, codes = _Preferences.of(usable, treatments).coded()
-    covariates = []
-    for cov_index, (name, kind) in enumerate(covariate_schema.items()):
-        try:
-            covariates.append((cov_index, name, *_read_covariate(usable, name, kind)))
-        except DataError:
-            continue  # constant on every record, so at every node
+    # A covariate constant on every record is constant at every node, where _grow skips it.
+    covariates = [(cov_index, name, *_read_covariate(usable, name, kind, allow_constant=True))
+                  for cov_index, (name, kind) in enumerate(covariate_schema.items())]
     table = (usable, treatments, pairs, codes, covariates)
     return _grow(table, config, np.arange(len(usable)), path=())
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from statistics import NormalDist
@@ -125,18 +125,17 @@ class Network:
     covariate_schema: CovariateSchema = field(default_factory=dict)
 
     def __post_init__(self):
-        known = set(self.treatments)
-        seen_pairs: set[tuple[str, frozenset[str]]] = set()
-        for e in self.effects:
-            for label in (e.treat_a, e.treat_b):
-                if label not in known:
-                    raise DataError(f"treatment {label!r} missing from the treatment set")
-            key = (e.study_id, frozenset(e.pair))
-            if key in seen_pairs:
-                raise DataError(
-                    f"duplicate contrast for pair {e.pair} in study {e.study_id!r}"
-                )
-            seen_pairs.add(key)
+        e = self.effects
+        study, t1, t2 = [x.study_id for x in e], [x.treat_a for x in e], [x.treat_b for x in e]
+        a, b = _codes(self.treatments, t1, t2)
+        unknown = (a < 0) | (b < 0)
+        flagged = unknown | _repeats(study, a, b, len(self.treatments))
+        if flagged.any():  # the first flagged row's error, its checks in the row-wise order
+            k = int(np.argmax(flagged))
+            if unknown[k]:
+                label = t1[k] if a[k] < 0 else t2[k]
+                raise DataError(f"treatment {label!r} missing from the treatment set")
+            raise DataError(f"duplicate contrast for pair {e[k].pair} in study {study[k]!r}")
 
 
 @dataclass(frozen=True)
@@ -385,9 +384,18 @@ def _study_columns(columns: Mapping[str, Sequence[str]], reserved, schema) -> _S
 
 
 def _codes(distinct: Iterable[str], *columns: Sequence[str]) -> list[np.ndarray]:
-    """Each column's labels as their positions in ``distinct``, which holds each once."""
-    index = dict(zip(distinct, itertools.count()))
+    """Each column's labels as positions in ``distinct``, which holds each once; -1 if absent."""
+    index = defaultdict(lambda: -1, zip(distinct, itertools.count()))
     return [np.fromiter(map(index.__getitem__, c), dtype=np.intp, count=len(c)) for c in columns]
+
+
+def _repeats(study: Sequence[str], a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row's study and unordered pair of treatment codes ``a``, ``b``
+    (-1 to ``n - 1``, from :func:`_codes`) appeared on an earlier row."""
+    (code,) = _codes(dict.fromkeys(study), study)
+    key = (code.astype(np.int64) * (n + 1) + np.minimum(a, b) + 1) * (n + 1) + np.maximum(a, b) + 1
+    first = np.unique(key, return_index=True)[1]  # the row of each key's first appearance
+    return np.bincount(first, minlength=len(key)) == 0
 
 
 def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> StudyEffect:
@@ -441,22 +449,15 @@ def _read_contrasts(
         suspect.append(first)
     effect, se, lower, upper, ci_level = numbers.values()
     a, b = _codes(studies.treatments, studies.treat1, studies.treat2)
-    same = a == b
     both = ~np.isnan(lower) & ~np.isnan(upper)
-    bad = (np.isnan(effect) | same | _unusable_level(ci_level) | (se < 0)
+    bad = (np.isnan(effect) | (a == b) | _unusable_level(ci_level) | (se < 0)
            | (np.isnan(se) & ~both) | (both & ~((lower <= effect) & (effect <= upper))))
     for k in range(min(suspect + np.flatnonzero(bad)[:1].tolist()), n):
         _study_effect(cells, k, scale)
     del columns, cells  # every number cell is read: free them before the duplicate check
-    # A contrast's key codes its study and its unordered pair of arms.
-    _, pair = np.unique(np.minimum(a, b) * len(studies.treatments) + np.maximum(a, b),
-                        return_inverse=True)
-    (study,) = _codes(dict.fromkeys(studies.study), studies.study)
-    key = study * (n + 1) + pair
-    first = np.zeros(n, dtype=bool)
-    first[np.unique(key, return_index=True)[1]] = True
-    if not first.all():
-        k = int(np.argmin(first))
+    repeat = _repeats(studies.study, a, b, len(studies.treatments))
+    if repeat.any():
+        k = int(np.argmax(repeat))
         pair = (studies.treat1[k], studies.treat2[k])
         raise DataError(f"duplicate contrast for pair {pair} in study {studies.study[k]!r}")
     numbers["ci_level"] = np.where(np.isnan(ci_level), 0.95, ci_level)

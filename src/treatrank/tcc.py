@@ -24,8 +24,10 @@ from .study_data import (
     CovariateValue,
     StudyEffect,
     _bounds,
+    _codes,
     _covariate_cell,
     _read_columns,
+    _repeats,
     _study_columns,
     _Studies,
 )
@@ -287,13 +289,13 @@ class _Preferences(_Studies):
         ``x < y``, in ascending order; record k's code is ``3 * p + outcome``
         for its pair ``p``, with outcome 0 a win for x, 1 a win for y, 2 a tie.
         """
-        index = {t: k for k, t in enumerate(self.treatments)}
-        a, b = ([index.get(t, -1) for t in labels] for labels in (self.treat1, self.treat2))
-        if -1 in a or -1 in b:
-            k = min(side.index(-1) for side in (a, b) if -1 in side)
+        a, b = _codes(self.treatments, self.treat1, self.treat2)
+        unknown = (a < 0) | (b < 0)
+        if unknown.any():
+            k = int(np.argmax(unknown))
             label = self.treat1[k] if a[k] < 0 else self.treat2[k]
             raise DataError(f"record in study {self.study[k]!r} uses unknown treatment {label!r}")
-        a, b, n = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), len(index)
+        n = len(self.treatments)
         keys, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
         pairs = np.stack(np.divmod(keys, n), axis=1)
         return pairs, 3 * pair + np.where(a > b, _SWAPPED[self.outcome], self.outcome)
@@ -379,19 +381,20 @@ def _read_records(
     """The columnar core of :func:`parse_preference_records`."""
     columns = _read_columns(source, _RECORD_COLUMNS)
     studies = _study_columns(columns, _RECORD_COLUMNS, schema)
-    outcome = {v.value: k for k, v in enumerate(_VERDICTS)}
-    seen: set[tuple[str, frozenset[str]]] = set()
-    for i, (study, t1, t2, verdict) in enumerate(zip(*map(columns.get, _RECORD_COLUMNS)), 2):
-        if verdict not in outcome:
-            raise DataError(f"row {i}: verdict must be one of {sorted(outcome)}, got {verdict!r}")
-        key = (study, frozenset((t1, t2)))
-        if key in seen:
+    verdicts = [v.value for v in _VERDICTS]
+    (outcome,) = _codes(verdicts, columns["verdict"])
+    a, b = _codes(studies.treatments, studies.treat1, studies.treat2)
+    bad, repeat = outcome < 0, _repeats(studies.study, a, b, len(studies.treatments))
+    flagged = bad | repeat | (a == b)
+    if flagged.any():  # the first flagged row's error, its checks in the row-wise order
+        k = int(np.argmax(flagged))
+        i, study, t1, t2, verdict = k + 2, *(columns[c][k] for c in _RECORD_COLUMNS)
+        if bad[k]:
+            raise DataError(f"row {i}: verdict must be one of {sorted(verdicts)}, got {verdict!r}")
+        if repeat[k]:
             raise DataError(f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}")
-        seen.add(key)
-        if t1 == t2:
-            raise DataError(f"study {study!r}: preference pair members must differ")
-    codes = np.array([outcome[v] for v in columns["verdict"]], dtype=np.intp)
-    return _Preferences(**vars(studies), outcome=codes)
+        raise DataError(f"study {study!r}: preference pair members must differ")
+    return _Preferences(**vars(studies), outcome=outcome)
 
 
 def parse_preference_records(

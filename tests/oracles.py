@@ -19,7 +19,9 @@ it is the arithmetic that is under test: the sup-LM stability test
 (full-length cumulative sums, blocks of 256 permutations) on the
 package's score rows, the one-tournament likelihood core and Newton
 solver, the split search that fits both sides of every candidate, and the
-P-scores taken one league-table pair at a time.
+P-scores taken one league-table pair at a time, and the repeated-row
+checks of a network and of a record table, one row at a time with a
+``(study, frozenset)`` key per row.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from treatrank.study_data import (
     _parse_covariate,
     _parse_float,
     _read_columns,
+    _study_columns,
     complete_intervals,
 )
 from treatrank.tcc import (
@@ -62,6 +65,9 @@ from treatrank.tcc import (
     PreferenceRecord,
     Tournament,
     Verdict,
+    _Preferences,
+    _RECORD_COLUMNS,
+    _VERDICTS,
     aggregate_tournament,
     build_roe,
 )
@@ -843,3 +849,41 @@ def per_row_read_preferences(config) -> PerRowPreferences:
         verdict = scalar_verdict(complete_intervals(e), roe)
         records.append(PreferenceRecord(e.study_id, e.treat_a, e.treat_b, verdict, e.covariates))
     return PerRowPreferences(records, network.treatments, network.covariate_schema)
+
+
+# --- the repeated-row rule, one row at a time ----------------------------------------
+
+
+def per_row_network_checks(treatments, effects) -> None:
+    """``Network.__post_init__`` as it checked a network: one effect at a time."""
+    known = set(treatments)
+    seen_pairs: set[tuple[str, frozenset[str]]] = set()
+    for e in effects:
+        for label in (e.treat_a, e.treat_b):
+            if label not in known:
+                raise DataError(f"treatment {label!r} missing from the treatment set")
+        key = (e.study_id, frozenset(e.pair))
+        if key in seen_pairs:
+            raise DataError(
+                f"duplicate contrast for pair {e.pair} in study {e.study_id!r}"
+            )
+        seen_pairs.add(key)
+
+
+def per_row_read_records(source, schema=None) -> _Preferences:
+    """``tcc._read_records`` as it checked a record table: one row at a time."""
+    columns = _read_columns(source, _RECORD_COLUMNS)
+    studies = _study_columns(columns, _RECORD_COLUMNS, schema)
+    outcome = {v.value: k for k, v in enumerate(_VERDICTS)}
+    seen: set[tuple[str, frozenset[str]]] = set()
+    for i, (study, t1, t2, verdict) in enumerate(zip(*map(columns.get, _RECORD_COLUMNS)), 2):
+        if verdict not in outcome:
+            raise DataError(f"row {i}: verdict must be one of {sorted(outcome)}, got {verdict!r}")
+        key = (study, frozenset((t1, t2)))
+        if key in seen:
+            raise DataError(f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}")
+        seen.add(key)
+        if t1 == t2:
+            raise DataError(f"study {study!r}: preference pair members must differ")
+    codes = np.array([outcome[v] for v in columns["verdict"]], dtype=np.intp)
+    return _Preferences(**vars(studies), outcome=codes)

@@ -251,6 +251,15 @@ def test_rank_unreadable_input_writes_error_json(tmp_path):
     assert document["exit_code"] == 1
 
 
+def test_an_out_dir_that_is_a_file_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    assert _run("rank", "--input", CONTRASTS, "--out-dir", out, "--mcid", "1.2") == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert out.read_text() == "a file\n"
+
+
 def test_format_selection_limits_artifacts(tmp_path):
     code = _run(
         "rank", "--input", CONTRASTS, "--out-dir", tmp_path,

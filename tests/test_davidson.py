@@ -239,6 +239,10 @@ def test_scaling_counts_keeps_abilities_and_divides_the_covariance(case):
 # ---------------------------------------------------------------- Ford condition
 
 
+def test_ford_passes_a_tournament_without_treatments():
+    assert check_ford(Tournament((), {})) is None
+
+
 def test_ford_two_cycle_passes():
     t = _tournament({("A", "B"): (1, 1, 0)})
     assert check_ford(t) is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,12 @@ def test_a_public_name_loads_only_the_modules_it_needs():
     ).split()
     assert "treatrank.davidson" in loaded
     assert not {"treatrank.partition", "treatrank.compare", "treatrank.plot"} & set(loaded)
+
+
+def test_the_readme_layout_lists_every_module():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Layout\n\n```\n(.*?)```", readme, re.M | re.S).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = [p.name for p in (root / "src" / "treatrank").glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)

@@ -418,6 +418,52 @@ def test_best_split_fails_when_no_candidate_is_admissible():
         best_split(records, "age", min_node_size=20)
 
 
+def _mirrored_records():
+    """Records at x = 0, 1, 2 whose x = 0 and x = 2 groups hold the same outcomes, so
+    the cuts at 0.5 and 1.5 have sides of equal counts: two finalists of equal loglik."""
+    ends = simulate_records(np.random.default_rng(81), 40, lambda rng: ({}, STEEP), 1.0)
+    middle = simulate_records(np.random.default_rng(82), 40, lambda rng: ({}, REVERSED), 1.0)
+    return [replace(r, covariates={"x": float(x)})
+            for x, group in ((0, ends), (1, middle), (2, ends)) for r in group]
+
+
+@pytest.mark.parametrize("capped", [1, None], ids=["first-finalist", "every-finalist"])
+def test_best_split_skips_a_finalist_whose_side_hits_the_iteration_cap(monkeypatch, capped):
+    records = _mirrored_records()
+    rule, loglik = best_split(records, "x")
+    assert rule == 0.5
+    solve, calls = partition._max_logliks, []
+
+    def cap(treatments, i, j, counts):  # the one-side re-solves of the capped finalists
+        if len(counts) == 1:
+            calls.append(None)
+            if capped is None or len(calls) <= capped:
+                return np.full(1, np.nan)
+        return solve(treatments, i, j, counts)
+
+    monkeypatch.setattr(partition, "_max_logliks", cap)
+    if capped is None:
+        with pytest.raises(ModelError, match="no admissible split on covariate 'x'"):
+            best_split(records, "x")
+    else:
+        assert best_split(records, "x") == (1.5, loglik)
+
+
+@pytest.mark.parametrize("call", [
+    lambda records, fit: best_split(records, "s", Continuous()),
+    lambda records, fit: stability_test(records, "s", fit, Continuous()),
+    lambda records, fit: grow_tree(records, {"s": Continuous()}),
+], ids=["best_split", "stability_test", "grow_tree"])
+def test_a_continuous_covariate_with_a_word_is_a_data_error(call):
+    records = simulate_records(np.random.default_rng(83), 60, _null_draw, 1.0)
+    # s is a number on even records and a word on odd ones.
+    worded = [replace(r, covariates={"s": float(k) if k % 2 == 0 else f"lvl{k}"})
+              for k, r in enumerate(records)]
+    message = "continuous covariate 's': could not convert string to float: 'lvl1'"
+    with pytest.raises(DataError, match=message):
+        call(worded, _pooled_fit(records))
+
+
 _VERDICT_SETS = (
     (Verdict.FIRST_WINS, Verdict.SECOND_WINS, Verdict.TIE),
     (Verdict.FIRST_WINS, Verdict.SECOND_WINS),

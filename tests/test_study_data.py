@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -38,10 +39,10 @@ from treatrank import (
     validate_network,
 )
 
-from treatrank import study_data
+from treatrank import study_data, tcc
 from treatrank.study_data import _read_columns, _read_contrasts
 
-from oracles import reference_read_columns
+from oracles import per_row_network_checks, per_row_read_records, reference_read_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -706,21 +707,95 @@ def test_a_cell_over_the_csv_size_limit_is_a_data_error():
 
 
 @pytest.mark.parametrize(
-    "rows, message",
+    "rows, row_num, message",
     [
-        (["s1,A,B", "s1,B,A"], "('B', 'A') in study 's1'"),
-        (["s1,A,B", "s2,A,B", "s1,C,A", "s2,B,A", "s1,A,B"], "('B', 'A') in study 's2'"),
-        (["s1,A,B", "s1,A,C", "s2,A,C", "s1,B,C", "s1,C,A", "s2,A,C"],
+        (["s1,A,B", "s1,B,A"], 3, "('B', 'A') in study 's1'"),
+        (["s1,A,B", "s2,A,B", "s1,C,A", "s2,B,A", "s1,A,B"], 5, "('B', 'A') in study 's2'"),
+        (["s1,A,B", "s1,A,C", "s2,A,C", "s1,B,C", "s1,C,A", "s2,A,C"], 6,
          "('C', 'A') in study 's1'"),
-        (["x,A,B", "y,A,B", "A,x,y", "B,A,x", "A,y,x"], "('y', 'x') in study 'A'"),
+        (["x,A,B", "y,A,B", "A,x,y", "B,A,x", "A,y,x"], 6, "('y', 'x') in study 'A'"),
     ],
     ids=["reversed", "reversed-not-adjacent", "first-in-row-order", "labels-shared"],
 )
-def test_the_first_repeated_study_pair_is_rejected(rows, message):
+def test_the_first_repeated_study_pair_is_rejected(rows, row_num, message):
     text = "study,treat1,treat2,effect,se\n" + "".join(f"{row},0.1,0.2\n" for row in rows)
     with pytest.raises(DataError) as raised:
         parse_contrast_table(io.StringIO(text))
     assert str(raised.value) == f"duplicate contrast for pair {message}"
+    # The same row, as a preference record and as an effect of a Network.
+    cells = [row.split(",") for row in rows]
+    study, t1, t2 = cells[row_num - 2]
+    text = "study,treat1,treat2,verdict\n" + "".join(f"{row},tie\n" for row in rows)
+    with pytest.raises(DataError) as raised:
+        parse_preference_records(io.StringIO(text))
+    expected = f"row {row_num}: duplicate record for pair ({t1}, {t2}) in study {study!r}"
+    assert str(raised.value) == expected
+    effects = [StudyEffect(*labels, 0.1, 0.2) for labels in cells]
+    with pytest.raises(DataError) as raised:
+        Network(study_data._first_seen(e.pair for e in effects), tuple(effects))
+    assert str(raised.value) == f"duplicate contrast for pair {message}"
+
+
+_VERDICT_CELLS = tuple(v.value for v in Verdict)
+
+
+@st.composite
+def _faulty_rows(draw):
+    """Rows ``[study, treat1, treat2, verdict]``, one per study and unordered pair, with
+    0-3 faults put in at drawn rows: a bad verdict, a repeat of an earlier row's pair in
+    either order, a self-pair, or a label outside the treatments (``Z``). Returns the
+    treatments, in a drawn order, and the rows."""
+    labels = ["A", "B", "C", "D", "E"][: draw(st.integers(2, 5))]
+    keys = [(s, x, y) for s in ("s1", "s2", "s3") for x, y in itertools.combinations(labels, 2)]
+    rows = [[s, *draw(st.permutations((x, y))), draw(st.sampled_from(_VERDICT_CELLS))]
+            for s, x, y in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=10,
+                                         unique=True))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["verdict", "repeat", "self", "unknown"]))
+        if fault == "verdict":
+            rows[k][3] = draw(st.sampled_from(["", "draw", "Tie", "first"]))
+        elif fault == "repeat":
+            study, x, y, _ = rows[draw(st.integers(0, k))]
+            verdict = draw(st.sampled_from(_VERDICT_CELLS))
+            rows.insert(k + 1, [study, *draw(st.permutations((x, y))), verdict])
+        elif fault == "self":
+            rows[k][2] = rows[k][1]
+        else:
+            rows[k][draw(st.integers(1, 2))] = "Z"
+    return tuple(draw(st.permutations(labels))), rows
+
+
+def _error_or(read, *args):
+    """What ``read(*args)`` returns, or the class and message of the error it raises."""
+    try:
+        return read(*args)
+    except DataError as error:
+        return type(error), str(error)
+
+
+def _effect(study, t1, t2):
+    """The StudyEffect of one row, also for a self-pair, which StudyEffect refuses."""
+    e = StudyEffect(study, t1, t1 + "'", 0.1, 0.2)
+    object.__setattr__(e, "treat_b", t2)
+    return e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_faulty_rows())
+def test_records_and_networks_are_checked_like_the_row_wise_loops(case):
+    treatments, rows = case
+    text = "study,treat1,treat2,verdict\n" + "".join(",".join(row) + "\n" for row in rows)
+    got = _error_or(tcc._read_records, io.StringIO(text))
+    expected = _error_or(per_row_read_records, io.StringIO(text))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert (got.records(), got.treatments) == (expected.records(), expected.treatments)
+    effects = tuple(_effect(*row[:3]) for row in rows)
+    expected = _error_or(per_row_network_checks, treatments, effects)
+    got = _error_or(Network, treatments, effects)
+    assert got == expected or expected is None and isinstance(got, Network)
 
 
 def _network_table(n_rows: int, n_treatments: int = 100) -> str:
