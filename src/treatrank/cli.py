@@ -26,7 +26,7 @@ from .davidson import fit_davidson, normalized_abilities
 from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
-from .study_data import _read_contrasts, _read_header, _report
+from .study_data import _read_contrasts, _read_header, _report, _z
 from .tcc import _judge, _Preferences, _read_records, build_roe
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
@@ -142,6 +142,8 @@ def parse_args(argv=None) -> RunConfig:
     options = vars(_build_parser().parse_args(argv))
     if options.get("seed", 0) < 0:
         raise DataError(f"seed must be non-negative, got {options['seed']}")
+    if "ci_level" in options:
+        _z(options["ci_level"])  # a level the reports cannot use fails before any artifact
     if "format" in options:
         formats = frozenset(f.strip() for f in options.pop("format").split(",") if f.strip())
         unknown = formats - set(_FORMATS)
@@ -251,26 +253,24 @@ def _run_rank(config: RunConfig) -> None:
 
 
 def _run_partition(config: RunConfig) -> None:
+    # Every flag is checked before records.csv is written.
+    partition_config = PartitionConfig(
+        alpha=config.alpha,
+        min_node_size=config.min_node_size,
+        max_depth=config.max_depth,
+        permutations=config.permutations,
+        seed=config.seed,
+    )
     preferences = _read_preferences(config)
-    if config.dump_records and "csv" in config.formats:
-        _write_records(preferences, config)
     schema = preferences.schema
     if config.covariates is not None:
         unknown = [c for c in config.covariates if c not in schema]
         if unknown:
             raise DataError(f"unknown partition covariate(s): {', '.join(unknown)}")
         schema = {name: schema[name] for name in config.covariates}
-    tree = grow_tree(
-        preferences.records(),
-        schema,
-        PartitionConfig(
-            alpha=config.alpha,
-            min_node_size=config.min_node_size,
-            max_depth=config.max_depth,
-            permutations=config.permutations,
-            seed=config.seed,
-        ),
-    )
+    if config.dump_records and "csv" in config.formats:
+        _write_records(preferences, config)
+    tree = grow_tree(preferences.records(), schema, partition_config)
     if "json" in config.formats:
         document = {
             "config": {

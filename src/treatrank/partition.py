@@ -24,7 +24,6 @@ import numpy as np
 from .davidson import AbilityFit, _fittable, _max_logliks, _record_scores, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
-from .study_data import _first_seen
 from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _tally
 from .tcc import aggregate_tournament  # noqa: F401  (bench/tracing.py rebinds this name)
 
@@ -115,8 +114,13 @@ def score_contributions(records: Sequence[PreferenceRecord], fit: AbilityFit) ->
     the rows of the full record set sum to (numerically) zero, which is what
     makes cumulative sums of them usable as fluctuation processes.
     """
+    return _scores(_Preferences.of(records, fit.treatments), fit)
+
+
+def _scores(preferences: _Preferences, fit: AbilityFit) -> np.ndarray:
+    """:func:`score_contributions` of records held as columns over ``fit.treatments``."""
     try:
-        pairs, codes = _Preferences.of(records, fit.treatments).coded()
+        pairs, codes = preferences.coded()
     except DataError as error:  # the first record with a treatment outside the fit
         raise DataError(f"{error}, a treatment outside the fit") from None
     return _record_scores(fit, *pairs[codes // 3].T, codes % 3)
@@ -128,18 +132,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return np.unique(values, return_inverse=True)[0]
 
 
-def _read_covariate(
-    records: Sequence[PreferenceRecord], covariate: str, kind: CovariateKind | None,
-    allow_constant: bool = False,
-) -> tuple[CovariateKind, np.ndarray]:
-    """The covariate's kind and its values on the records, as floats or strings.
+def _read_covariate(values: Sequence, covariate: str,
+                    kind: CovariateKind | None) -> tuple[CovariateKind, np.ndarray]:
+    """The covariate's kind and its column of values, as floats or strings.
 
     ``kind=None`` infers the kind from the parsed values: continuous when
     every value is a number, categorical otherwise (so a string level such
-    as ``"1"`` stays categorical). A missing value, a continuous value that
-    is no number, and a constant covariate unless ``allow_constant``, are ``DataError``s.
+    as ``"1"`` stays categorical). A missing value and a continuous value
+    that is no number are ``DataError``s; a constant covariate is not.
     """
-    values = [r.covariates.get(covariate) for r in records]
     missing = sum(v is None for v in values)
     if missing:
         raise DataError(
@@ -149,16 +150,12 @@ def _read_covariate(
     if kind is None:
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
         kind = Continuous() if numeric else Categorical(tuple(sorted({str(v) for v in values})))
-    if isinstance(kind, Continuous):
-        try:
-            array = np.asarray(values, dtype=float)
-        except ValueError as error:  # numpy names the first value that is no number
-            raise DataError(f"continuous covariate {covariate!r}: {error}") from None
-    else:
-        array = np.asarray([str(v) for v in values])
-    if not allow_constant and _distinct(array).size < 2:
-        raise DataError(f"covariate {covariate!r} is constant on these records")
-    return kind, array
+    if isinstance(kind, Categorical):
+        return kind, np.asarray([str(v) for v in values])
+    try:
+        return kind, np.asarray(values, dtype=float)
+    except ValueError as error:  # numpy names the first value that is no number
+        raise DataError(f"continuous covariate {covariate!r}: {error}") from None
 
 
 def _goes_left(rule, values: np.ndarray) -> np.ndarray:
@@ -282,15 +279,14 @@ def stability_test(
     Returns ``(statistic, p_value)``.
     """
     PartitionConfig(permutations=permutations, trim=trim)  # the same checks as grow_tree's
-    records = tuple(records)
-    if len(records) < min_records:
-        raise DataError(
-            f"too few records to test stability: {len(records)} < {min_records}"
-        )
-    prepared = _prepare(covariate, *_read_covariate(records, covariate, kind), trim)
+    columns = _Preferences.of(records, fit.treatments, (covariate,))
+    if len(columns.study) < min_records:
+        raise DataError(f"too few records to test stability: {len(columns.study)} < {min_records}")
+    values = columns.covariates[covariate]
+    prepared = _prepare(covariate, *_read_covariate(values, covariate, kind), trim)
     if rng is None:
         rng = np.random.default_rng(0)
-    return _run(prepared, _node_scores(score_contributions(records, fit)), permutations, rng)
+    return _run(prepared, _node_scores(_scores(columns, fit)), permutations, rng)
 
 
 def _run(
@@ -398,12 +394,11 @@ def best_split(
     Returns ``(rule, partitioned_loglik)`` where ``rule`` is the cutpoint
     (left side: values <= rule) or the tuple of left-side levels.
     """
-    records = tuple(records)
-    kind, values = _read_covariate(records, covariate, kind)
-    if treatments is None:
-        treatments = _first_seen(r.pair for r in records)
-    pairs, codes = _Preferences.of(records, treatments).coded()
-    return _best_split(covariate, kind, values, pairs, codes, treatments, min_node_size)
+    columns = _Preferences.of(records, treatments, (covariate,))
+    kind, values = _read_covariate(columns.covariates[covariate], covariate, kind)
+    if _distinct(values).size < 2:  # before the codes, which check for a foreign treatment
+        raise DataError(f"covariate {covariate!r} is constant on these records")
+    return _best_split(covariate, kind, values, *columns.coded(), columns.treatments, min_node_size)
 
 
 def _best_split(covariate, kind, values, pairs, codes, treatments, min_node_size):
@@ -499,25 +494,26 @@ def grow_tree(
     if config is None:
         config = PartitionConfig()
     records = tuple(records)
-    usable = tuple(
-        r for r in records if all(r.covariates.get(n) is not None for n in covariate_schema)
-    )
-    if len(usable) < len(records):
+    if not records:
+        raise DataError("no records to partition")
+    columns = _Preferences.of(records, None, covariate_schema)
+    # With the study column, an empty schema still gives one row per record.
+    kept = [None not in row for row in zip(columns.study, *columns.covariates.values())]
+    if not all(kept):
         warnings.warn(
-            f"excluded {len(records) - len(usable)} record(s) with missing "
+            f"excluded {kept.count(False)} record(s) with missing "
             "covariate values from the partition",
             UserWarning,
             stacklevel=2,
         )
-    if not usable:
-        raise DataError("no records with complete covariate values")
-    treatments = _first_seen(r.pair for r in usable)
-    pairs, codes = _Preferences.of(usable, treatments).coded()
-    # A covariate constant on every record is constant at every node, where _grow skips it.
-    covariates = [(cov_index, name, *_read_covariate(usable, name, kind, allow_constant=True))
+        if not any(kept):
+            raise DataError("no records with complete covariate values")
+        records = tuple(r for r, keep in zip(records, kept) if keep)
+        columns = _Preferences.of(records, None, covariate_schema)
+    covariates = [(cov_index, name, *_read_covariate(columns.covariates[name], name, kind))
                   for cov_index, (name, kind) in enumerate(covariate_schema.items())]
-    table = (usable, treatments, pairs, codes, covariates)
-    return _grow(table, config, np.arange(len(usable)), path=())
+    table = (records, columns.treatments, *columns.coded(), covariates)
+    return _grow(table, config, np.arange(len(records)), path=())
 
 
 def _grow(table, config: PartitionConfig, idx: np.ndarray, path: tuple[int, ...]):

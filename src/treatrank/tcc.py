@@ -26,6 +26,7 @@ from .study_data import (
     _bounds,
     _codes,
     _covariate_cell,
+    _first_seen,
     _read_columns,
     _repeats,
     _study_columns,
@@ -275,9 +276,11 @@ class _Preferences(_Studies):
 
     @classmethod
     def of(cls, records: Iterable[PreferenceRecord], treatments=(), covariate_names=()):
+        """The records as columns; ``treatments=None`` lists theirs in first-seen order."""
         records = tuple(records)
         study, t1, t2 = ([r.study_id for r in records], [r.treat_a for r in records],
                          [r.treat_b for r in records])
+        treatments = _first_seen(zip(t1, t2)) if treatments is None else treatments
         covariates = {name: [r.covariates.get(name) for r in records] for name in covariate_names}
         outcome = np.array([_OUTCOME[r.verdict] for r in records], dtype=np.intp)
         return cls(study, t1, t2, tuple(treatments), covariates, {}, outcome)

@@ -43,7 +43,6 @@ from treatrank.partition import (
     MAX_SPLIT_LEVELS,
     _chi2_sf,
     _goes_left,
-    _read_covariate,
     score_contributions,
 )
 from treatrank.study_data import (
@@ -437,6 +436,35 @@ def simulate_records(rng, n: int, draw, nu: float) -> list[PreferenceRecord]:
     return records
 
 
+def record_covariate(records, covariate: str, kind=None):
+    """The covariate's kind and its values, read record by record, as floats or strings.
+
+    A missing value, a continuous value that is no number and a constant
+    covariate are ``DataError``s, checked in that order.
+    """
+    values = [r.covariates.get(covariate) for r in records]
+    missing = sum(v is None for v in values)
+    if missing:
+        raise DataError(
+            f"covariate {covariate!r} is missing on {missing} record(s); "
+            "drop or impute them before testing"
+        )
+    if kind is None:
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+        kind = Continuous() if numeric else Categorical(tuple(sorted({str(v) for v in values})))
+    if isinstance(kind, Continuous):
+        try:
+            values = [float(v) for v in values]
+        except ValueError as error:
+            raise DataError(f"continuous covariate {covariate!r}: {error}") from None
+    else:
+        values = [str(v) for v in values]
+    values = np.array(values)
+    if np.unique(values).size < 2:
+        raise DataError(f"covariate {covariate!r} is constant on these records")
+    return kind, values
+
+
 def reference_stability_test(
     records,
     covariate: str,
@@ -458,7 +486,7 @@ def reference_stability_test(
         raise DataError(
             f"too few records to test stability: {len(records)} < {min_records}"
         )
-    kind, values = _read_covariate(records, covariate, kind)
+    kind, values = record_covariate(records, covariate, kind)
     scores = score_contributions(records, fit)
     n, p_dim = scores.shape
     info = scores.T @ scores / n
@@ -662,7 +690,7 @@ def _fit_quietly(records, treatments):
 def reference_split_candidates(records, covariate, kind=None, treatments=None, *, min_node_size=10):
     """Every admissible candidate as ``((-loglik, imbalance, rule), loglik)``, in rule order."""
     records = tuple(records)
-    kind, values = _read_covariate(records, covariate, kind)
+    kind, values = record_covariate(records, covariate, kind)
     if isinstance(kind, Categorical) and (levels := np.unique(values).size) > MAX_SPLIT_LEVELS:
         raise DataError(
             f"covariate {covariate!r} has {levels} levels; the split search "

@@ -369,6 +369,49 @@ def test_negative_max_depth_is_a_data_error(tmp_path):
     assert not (tmp_path / "tree.json").exists()
 
 
+_DUMPING = ("--input", CONTRASTS, "--mcid", "1.2", "--dump-records")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("partition", *_DUMPING, "--alpha", "2"), "alpha must be in [0, 1], got 2.0"),
+        (("partition", *_DUMPING, "--min-node-size", "1"),
+         "min_node_size must be at least 2, got 1"),
+        (("partition", *_DUMPING, "--partition", "nope"), "unknown partition covariate(s): nope"),
+        (("rank", *_DUMPING, "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
+        (("tcc-dump", *_DUMPING[:-1], "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
+        (("partition", *_DUMPING, "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
+        (("compare", "--input", LEAGUE, "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
+    ],
+    ids=["alpha", "min-node-size", "partition", "rank-ci-level", "tcc-dump-ci-level",
+         "partition-ci-level", "compare-ci-level"],
+)
+def test_a_bad_flag_fails_before_any_artifact(tmp_path, argv, message):
+    # records.csv was written before the flag was rejected.
+    out = tmp_path / "out"
+    assert _run(*argv, "--out-dir", out) == 1
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["message"] == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("", "no records to partition"),
+     ("s1,A,B,tie,\ns2,B,C,first_wins,\n", "no records with complete covariate values")],
+    ids=["no-records", "all-missing"],
+)
+def test_partition_says_why_no_record_is_left(tmp_path, rows, message):
+    # An empty table was reported as having no records with complete covariate values.
+    source = tmp_path / "records.csv"
+    source.write_text("study,treat1,treat2,verdict,age\n" + rows)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert _run("partition", "--records", "--input", source, "--out-dir", out) == 1
+    assert json.loads((out / "error.json").read_text())["message"] == message
+
+
 def test_partition_on_the_bundled_fixture(tmp_path):
     code = _run(
         "partition", "--input", CONTRASTS, "--out-dir", tmp_path,

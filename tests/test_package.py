@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -94,3 +95,30 @@ def test_the_readme_layout_lists_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, re.M)
     modules = [p.name for p in (root / "src" / "treatrank").glob("*.py") if p.name != "__init__.py"]
     assert sorted(listed) == sorted(modules)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A leftover import (such as partition's _first_seen) outlives the code that used it.
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    # bench/tracing.py rebinds these names in their modules, which need not call them.
+    rebound = {(module, attribute) for module, attribute, _ in tracing.TRACE_POINTS}
+    unused = []
+    for path in sorted((root / "src" / "treatrank").glob("*.py")):
+        module = "treatrank" if path.stem == "__init__" else f"treatrank.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for statement in tree.body:
+            if not isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                continue
+            for alias in statement.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and (module, name) not in rebound:
+                    unused.append(f"{path.name}:{statement.lineno} {name}")
+    assert unused == []

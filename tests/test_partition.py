@@ -450,6 +450,22 @@ def test_best_split_skips_a_finalist_whose_side_hits_the_iteration_cap(monkeypat
 
 
 @pytest.mark.parametrize("call", [
+    lambda records, fit: best_split(records, "k", None, fit.treatments),
+    lambda records, fit: stability_test(records, "k", fit),
+], ids=["best_split", "stability_test"])
+def test_a_constant_covariate_is_reported_before_a_foreign_treatment(call):
+    records = simulate_records(np.random.default_rng(84), 60, _null_draw, 1.0)
+    fit = _pooled_fit(records)
+    foreign = records + [PreferenceRecord("s-new", "A", "Z", Verdict.TIE, {})]
+    varied = [replace(r, covariates={"k": float(k % 2)}) for k, r in enumerate(foreign)]
+    with pytest.raises(DataError, match="uses unknown treatment 'Z'"):
+        call(varied, fit)
+    fixed = [replace(r, covariates={"k": 1.0}) for r in foreign]
+    with pytest.raises(DataError, match="^covariate 'k' is constant on these records$"):
+        call(fixed, fit)
+
+
+@pytest.mark.parametrize("call", [
     lambda records, fit: best_split(records, "s", Continuous()),
     lambda records, fit: stability_test(records, "s", fit, Continuous()),
     lambda records, fit: grow_tree(records, {"s": Continuous()}),
@@ -511,8 +527,9 @@ def test_batched_split_search_matches_the_per_candidate_fits(case):
         with pytest.raises(DataError):
             best_split(records, "x", None, labels, **kwargs)
         return
-    kind, values = partition._read_covariate(records, "x", None)
-    pairs, codes = _Preferences.of(records, labels).coded()
+    columns = _Preferences.of(records, labels, ("x",))
+    kind, values = partition._read_covariate(columns.covariates["x"], "x", None)
+    pairs, codes = columns.coded()
     rules, totals = partition._split_logliks(kind, values, pairs, codes, labels, min_node_size)
     batched = {rule: total for rule, total in zip(rules, totals.tolist()) if math.isfinite(total)}
     assert batched.keys() == {rule for (_, _, rule), _ in reference}
@@ -632,16 +649,25 @@ def test_grow_tree_depth_and_size_guards():
     ).is_leaf
 
 
-def test_grow_tree_excludes_records_with_missing_covariates():
+def test_grow_tree_excludes_records_with_missing_covariates(monkeypatch):
     records = list(simulate_records(np.random.default_rng(505), 240, _planted_group, 1.0))
     records.append(
         PreferenceRecord("extra", "A", "B", Verdict.TIE, {"group": None})
     )
     schema = {"group": Categorical(levels=("hi", "lo"))}
+    conversions, of = [], _Preferences.of
+    monkeypatch.setattr(_Preferences, "of", lambda *a: conversions.append(a[0]) or of(*a))
     with pytest.warns(UserWarning, match="excluded 1 record"):
         tree = grow_tree(records, schema, PartitionConfig(seed=1))
+    # The kept records are converted a second time, and only they.
+    assert [len(tuple(converted)) for converted in conversions] == [241, 240]
     assert len(tree.records) == 240
     assert sum(len(leaf.records) for leaf in tree.leaves()) == 240
+
+
+def test_grow_tree_rejects_no_records():
+    with pytest.raises(DataError, match="^no records to partition$"):
+        grow_tree([], {"group": Categorical(levels=("hi", "lo"))})
 
 
 def test_grow_tree_rejects_all_missing():
@@ -694,12 +720,14 @@ def test_grow_tree_codes_the_records_once(monkeypatch):
     schema = {"group": Categorical(levels=("hi", "lo")), "age": Continuous()}
     records = [replace(r, covariates={**r.covariates, "age": float(k % 17)})
                for k, r in enumerate(records)]
-    codings, fits = [], []
-    coded, fit = _Preferences.coded, partition.fit_davidson
+    conversions, codings, fits = [], [], []
+    of, coded, fit = _Preferences.of, _Preferences.coded, partition.fit_davidson
+    monkeypatch.setattr(_Preferences, "of", lambda *a: conversions.append(1) or of(*a))
     monkeypatch.setattr(_Preferences, "coded", lambda self: codings.append(1) or coded(self))
     monkeypatch.setattr(partition, "fit_davidson", lambda t: fits.append(1) or fit(t))
     tree = grow_tree(records, schema, PartitionConfig(seed=1, permutations=99))
     assert len(_nodes(tree)) >= 3
+    assert len(conversions) == 1
     assert len(codings) == 1
     assert len(fits) == len(_nodes(tree))
 
