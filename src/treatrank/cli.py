@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
 from .study_data import _read_contrasts, _read_header, _report, _z
-from .tcc import _judge, _Preferences, _read_records, build_roe
+from .tcc import _check_ratios, _judge, _Preferences, _read_records, build_roe
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
 from .study_data import complete_intervals, parse_contrast_table, validate_network  # noqa: F401
@@ -142,6 +143,9 @@ def parse_args(argv=None) -> RunConfig:
     options = vars(_build_parser().parse_args(argv))
     if options.get("seed", 0) < 0:
         raise DataError(f"seed must be non-negative, got {options['seed']}")
+    if options.get("nsim", 1) < 1:
+        raise DataError(f"nsim must be positive, got {options['nsim']}")
+    _check_ratios(options.get("mcid"), options.get("roe_lower"), options.get("roe_upper"))
     if "ci_level" in options:
         _z(options["ci_level"])  # a level the reports cannot use fails before any artifact
     if "format" in options:
@@ -175,12 +179,7 @@ def _read_preferences(config: RunConfig) -> _Preferences:
         print(f"warning: covariate {name!r} has missing values", file=sys.stderr)
     if config.mcid is None:
         raise DataError("--mcid is required to derive preference records from contrasts")
-    roe = build_roe(
-        config.mcid,
-        roe_lower=config.roe_lower,
-        roe_upper=config.roe_upper,
-        direction=config.direction,
-    )
+    roe = build_roe(config.mcid, config.roe_lower, config.roe_upper, config.direction)
     return _judge(studies, numbers, roe)
 
 
@@ -382,8 +381,11 @@ def _usage_out_dir(argv) -> Path | None:
 def main(argv=None) -> int:
     config = None
     try:
-        config = parse_args(argv)
-        run(config)
+        with warnings.catch_warnings():
+            # One line per warning, without the source path and line that issued it.
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            config = parse_args(argv)
+            run(config)
     except (DataError, OSError, ModelError) as error:
         exit_code = 2 if isinstance(error, ModelError) else 1
         print(f"error: {error}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .study_data import _BLOCK_FLOATS, _first_seen, _floats, _parse_float, _read_columns
-from .tcc import BENEFICIAL, HARMFUL, _check_mcid
+from .tcc import BENEFICIAL, HARMFUL, _check_ratios
 
 __all__ = [
     "LeagueTable",
@@ -249,7 +249,7 @@ def p_scores_civ(lt: LeagueTable, mcid: float) -> dict[str, float]:
     the probability that X's advantage over Y exceeds the threshold, not just
     zero. As mcid drops to 1 this recovers :func:`p_scores`.
     """
-    _check_mcid(mcid)
+    _check_ratios(mcid)
     d = _direction_sign(lt)
     shift = math.log(mcid)
     i, j, estimate, se = _pair_table(lt)

@@ -474,16 +474,20 @@ def _newton_step(neg_hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.stack([_newton_step(h, g) for h, g in zip(neg_hessian, grad)])
 
 
-def _maximize(obj: DavidsonObjective, theta: np.ndarray, max_iterations: int,
-              grad_tol: float, step_tol: float) -> tuple[np.ndarray, np.ndarray]:
+# The one stopping rule of every fit: the iteration cap and the two tolerances.
+_MAX_ITERATIONS, _GRAD_TOL, _STEP_TOL = 10_000, 1e-8, 1e-10
+
+
+def _maximize(obj: DavidsonObjective, theta: np.ndarray,
+              max_iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton ascent from each row of an (R, n_params) ``theta``.
 
     Row r maximizes tournament r of ``obj`` (every row, when ``obj`` holds
     one tournament). Per row: stop at the current point once the gradient
-    max-norm is below ``grad_tol``; otherwise take the Newton step, halved
+    max-norm is below ``_GRAD_TOL``; otherwise take the Newton step, halved
     until the value falls by no more than 1e-12, or one MM sweep when no
     such step exists, and stop at the new point once it moved by less than
-    ``step_tol``. A row that stops leaves the batch, and each halving and
+    ``_STEP_TOL``. A row that stops leaves the batch, and each halving and
     sweep evaluates only the rows that take it. Returns the points and, per
     row, the iterations taken, -1 where the row had not stopped after
     ``max_iterations``.
@@ -504,7 +508,7 @@ def _maximize(obj: DavidsonObjective, theta: np.ndarray, max_iterations: int,
 
     for iteration in range(1, max_iterations + 1):
         grad = obj.gradient(point)
-        done = np.max(np.abs(grad), axis=-1) < grad_tol
+        done = np.max(np.abs(grad), axis=-1) < _GRAD_TOL
         if done.any():
             if settle(done, iteration - 1):
                 return theta, iterations
@@ -528,7 +532,7 @@ def _maximize(obj: DavidsonObjective, theta: np.ndarray, max_iterations: int,
             sweep = obj._take(pending)
             new_point[pending] = trial = sweep.mm_step(point[pending])
             new_value[pending] = sweep.value(trial)
-        done = np.max(np.abs(new_point - point), axis=-1) < step_tol
+        done = np.max(np.abs(new_point - point), axis=-1) < _STEP_TOL
         point, value = new_point, new_value
         if done.any() and settle(done, iteration):
             return theta, iterations
@@ -536,26 +540,16 @@ def _maximize(obj: DavidsonObjective, theta: np.ndarray, max_iterations: int,
     return theta, iterations
 
 
-# The default stopping rule of fit_davidson, which the batched fits share.
-_MAX_ITERATIONS, _GRAD_TOL, _STEP_TOL = 10_000, 1e-8, 1e-10
-
-
-def fit_davidson(
-    t: Tournament,
-    *,
-    max_iterations: int = _MAX_ITERATIONS,
-    grad_tol: float = _GRAD_TOL,
-    step_tol: float = _STEP_TOL,
-) -> AbilityFit:
+def fit_davidson(t: Tournament, *, max_iterations: int = _MAX_ITERATIONS) -> AbilityFit:
     """Maximum-likelihood fit of the tie-extended model to a tournament.
 
     The log-parametrized likelihood is maximized by damped Newton iterations
     (minorization-maximization sweeps as fallback); convergence is declared
-    when the gradient max-norm drops below ``grad_tol`` or the parameter
-    change below ``step_tol``. Abilities are rescaled afterwards so they sum
-    to 1. A tournament with zero ties is fitted under the tie-free model with
-    ``nu = 0`` and a warning, since the tie parameter would sit on the
-    boundary and break the covariance.
+    when the gradient max-norm drops below 1e-8 or the parameter change
+    below 1e-10, within ``max_iterations`` iterations. Abilities are
+    rescaled afterwards so they sum to 1. A tournament with zero ties is
+    fitted under the tie-free model with ``nu = 0`` and a warning, since the
+    tie parameter would sit on the boundary and break the covariance.
 
     Raises
     ------
@@ -595,7 +589,7 @@ def fit_davidson(
         )
     # One row of parameters; the objective's memo then holds the last point
     # for the Hessian and the value below.
-    theta, iterations = _maximize(obj, obj._start()[None], max_iterations, grad_tol, step_tol)
+    theta, iterations = _maximize(obj, obj._start()[None], max_iterations)
     if iterations[0] < 0:
         raise ConvergenceError(
             f"no convergence after {max_iterations} iterations "
@@ -649,7 +643,7 @@ def _max_logliks(treatments, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -
     Row r is a tournament over ``treatments`` that passes :func:`_fittable`;
     its counts are on the pairs ``(i, j)``, some of which may have none.
     The rows are maximized together, one batch with the tie parameter and
-    one without, each from the same start by the same rule and defaults as
+    one without, each from the same start by the same stopping rule as
     :func:`fit_davidson`, whose ``loglik`` each gets up to the order of
     float sums; nan where a row hits the iteration cap.
     """
@@ -661,7 +655,7 @@ def _max_logliks(treatments, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -
         rows = np.flatnonzero(ties == tie_model)
         if rows.size:
             obj = DavidsonObjective._of_counts(treatments, i, j, counts[rows])
-            theta, iterations = _maximize(obj, obj._start(), _MAX_ITERATIONS, _GRAD_TOL, _STEP_TOL)
+            theta, iterations = _maximize(obj, obj._start(), _MAX_ITERATIONS)
             logliks[rows] = np.where(iterations >= 0, obj.value(theta), np.nan)
     return logliks
 

@@ -46,6 +46,8 @@ MAX_SPLIT_LEVELS = 10
 # terms over P pairs and (n + 1)^2 of dense Hessian for n treatments; a
 # chunk of candidates keeps one batch of sides at or under this many.
 _BATCH_FLOATS = 2**20
+# stability_test refuses fewer records than this.
+_MIN_TEST_RECORDS = 10
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,6 @@ def stability_test(
     permutations: int = 1000,
     rng: np.random.Generator | None = None,
     trim: float = 0.10,
-    min_records: int = 10,
 ) -> tuple[float, float]:
     """Score-fluctuation test of ability stability along one covariate.
 
@@ -280,8 +281,8 @@ def stability_test(
     """
     PartitionConfig(permutations=permutations, trim=trim)  # the same checks as grow_tree's
     columns = _Preferences.of(records, fit.treatments, (covariate,))
-    if len(columns.study) < min_records:
-        raise DataError(f"too few records to test stability: {len(columns.study)} < {min_records}")
+    if (n := len(columns.study)) < _MIN_TEST_RECORDS:
+        raise DataError(f"too few records to test stability: {n} < {_MIN_TEST_RECORDS}")
     values = columns.covariates[covariate]
     prepared = _prepare(covariate, *_read_covariate(values, covariate, kind), trim)
     if rng is None:

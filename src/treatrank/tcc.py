@@ -89,9 +89,13 @@ class RoeConfig:
             )
 
 
-def _check_mcid(mcid: float) -> None:
-    if not 1.0 < mcid < math.inf:
+def _check_ratios(mcid=None, roe_lower=None, roe_upper=None) -> None:
+    """The checks of :func:`build_roe`'s ratio-scale values; None is not checked."""
+    if mcid is not None and not 1.0 < mcid < math.inf:
         raise DataError(f"mcid must be finite and exceed 1 on the ratio scale, got {mcid}")
+    for name, bound in (("roe_lower", roe_lower), ("roe_upper", roe_upper)):
+        if bound is not None and not 0.0 < bound < math.inf:
+            raise DataError(f"{name} must be positive and finite on the ratio scale, got {bound}")
 
 
 def build_roe(
@@ -105,10 +109,7 @@ def build_roe(
     Defaults are log(mcid) above the null and log(1/mcid) below; overrides,
     also on the ratio scale, replace either bound. The null effect is 0.
     """
-    _check_mcid(mcid)
-    for name, bound in (("roe_lower", roe_lower), ("roe_upper", roe_upper)):
-        if bound is not None and not 0.0 < bound < math.inf:
-            raise DataError(f"{name} must be positive and finite on the ratio scale, got {bound}")
+    _check_ratios(mcid, roe_lower, roe_upper)
     lower = -math.log(mcid) if roe_lower is None else math.log(roe_lower)
     upper = math.log(mcid) if roe_upper is None else math.log(roe_upper)
     return RoeConfig(mcid=mcid, roe_lower=lower, roe_upper=upper, direction=direction)

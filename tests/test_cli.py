@@ -370,6 +370,8 @@ def test_negative_max_depth_is_a_data_error(tmp_path):
 
 
 _DUMPING = ("--input", CONTRASTS, "--mcid", "1.2", "--dump-records")
+_BAD_TABLE = "<a table without the columns any subcommand needs>"
+_MCID = "mcid must be finite and exceed 1 on the ratio scale, got"
 
 
 @pytest.mark.parametrize(
@@ -383,16 +385,55 @@ _DUMPING = ("--input", CONTRASTS, "--mcid", "1.2", "--dump-records")
         (("tcc-dump", *_DUMPING[:-1], "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
         (("partition", *_DUMPING, "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
         (("compare", "--input", LEAGUE, "--ci-level", "7"), "ci_level must be in (0, 1), got 7.0"),
+        (("rank", "--input", _BAD_TABLE, "--mcid", "0.5"), f"{_MCID} 0.5"),
+        (("rank", "--records", "--input", _BAD_TABLE, "--mcid", "0.5"), f"{_MCID} 0.5"),
+        (("compare", "--input", _BAD_TABLE, "--mcid", "1"), f"{_MCID} 1.0"),
+        (("tcc-dump", "--input", _BAD_TABLE, "--mcid", "1.2", "--roe-lower", "-1"),
+         "roe_lower must be positive and finite on the ratio scale, got -1.0"),
+        (("partition", "--input", _BAD_TABLE, "--roe-upper", "inf"),
+         "roe_upper must be positive and finite on the ratio scale, got inf"),
+        (("compare", "--input", _BAD_TABLE, "--nsim", "0"), "nsim must be positive, got 0"),
+        (("compare", "--input", LEAGUE, "--nsim", "0"), "nsim must be positive, got 0"),
     ],
     ids=["alpha", "min-node-size", "partition", "rank-ci-level", "tcc-dump-ci-level",
-         "partition-ci-level", "compare-ci-level"],
+         "partition-ci-level", "compare-ci-level", "rank-mcid", "records-mcid", "compare-mcid",
+         "roe-lower", "roe-upper", "nsim-bad-table", "nsim"],
 )
-def test_a_bad_flag_fails_before_any_artifact(tmp_path, argv, message):
-    # records.csv was written before the flag was rejected.
+def test_a_bad_flag_fails_before_any_artifact(tmp_path, capsys, argv, message):
+    # records.csv was written, the input read or P-scores computed before the flag was rejected.
+    bad_table = tmp_path / "bad.csv"
+    bad_table.write_text("study,treat1\ns1,A\n")
     out = tmp_path / "out"
-    assert _run(*argv, "--out-dir", out) == 1
+    assert _run(*(bad_table if a == _BAD_TABLE else a for a in argv), "--out-dir", out) == 1
     assert [path.name for path in out.iterdir()] == ["error.json"]
     assert json.loads((out / "error.json").read_text())["message"] == message
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_CYCLE = "s1,A,B,first_wins,1\ns2,B,C,first_wins,2\ns3,C,A,first_wins,3\ns4,B,A,first_wins,4\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand, rows, warning",
+    [("partition", _CYCLE + "s5,A,C,tie,\n", "excluded 1 record(s) with missing covariate"),
+     ("rank", _CYCLE, "tournament has no ties"),
+     ("compare", None, "derived basic parameters")],
+    ids=["excluded-records", "tie-free", "compare-covariance"],
+)
+def test_cli_warnings_print_as_plain_warning_lines(tmp_path, capsys, subcommand, rows, warning):
+    # Library warnings reached stderr with the source path and line that issued them.
+    if rows is None:
+        argv = ("--input", LEAGUE, "--mcid", "1.2")
+    else:
+        source = tmp_path / "records.csv"
+        source.write_text("study,treat1,treat2,verdict,age\n" + rows)
+        argv = ("--records", "--input", source)
+    assert _run(subcommand, *argv, "--out-dir", tmp_path / "out") == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert any(warning in line for line in lines)
+    for line in lines:
+        assert line.startswith("warning: ")
+        assert "UserWarning" not in line and ".py:" not in line
 
 
 @pytest.mark.parametrize(

@@ -522,7 +522,7 @@ def test_fit_matches_the_scalar_solver_bit_for_bit(t):
             far = 30.0 * (-1.0) ** np.arange(len(log_params))
             want = scalar_maximize(ScalarDavidsonObjective(case), far, 10_000, 1e-8, 1e-10)
             obj = DavidsonObjective(case)
-            theta, taken = davidson._maximize(obj, far[None], 10_000, 1e-8, 1e-10)
+            theta, taken = davidson._maximize(obj, far[None], 10_000)
             assert (theta[0].tobytes(), taken[0]) == (want[0].tobytes(), want[1])
 
 
@@ -582,14 +582,14 @@ def test_one_row_solve_gives_the_fit_loglik_bit_for_bit(t):
             assert loglik == _quiet_fit(case).loglik
 
 
-def _assert_each_row_met_a_tolerance(obj, start, grad_tol=1e-8, step_tol=1e-10):
-    theta, iterations = davidson._maximize(obj, start, 10_000, grad_tol, step_tol)
+def _assert_each_row_met_a_tolerance(obj, start):
+    theta, iterations = davidson._maximize(obj, start, 10_000)
     assert np.all(iterations >= 0)
-    small = np.max(np.abs(obj.gradient(theta)), axis=-1) < grad_tol
+    small = np.max(np.abs(obj.gradient(theta)), axis=-1) < davidson._GRAD_TOL
     for r in np.flatnonzero(~small):
         # The solver is deterministic: rerun it one iteration short.
-        before, _ = davidson._maximize(obj, start, int(iterations[r]) - 1, grad_tol, step_tol)
-        assert np.max(np.abs(theta[r] - before[r])) < step_tol
+        before, _ = davidson._maximize(obj, start, int(iterations[r]) - 1)
+        assert np.max(np.abs(theta[r] - before[r])) < davidson._STEP_TOL
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

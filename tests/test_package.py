@@ -122,3 +122,15 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used and (module, name) not in rebound:
                     unused.append(f"{path.name}:{statement.lineno} {name}")
     assert unused == []
+
+
+def test_no_line_is_longer_than_100_characters():
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "treatrank").glob("*.py"), *(root / "tests").glob("*.py")]
+    long = [
+        f"{path.relative_to(root)}:{number} ({len(line)})"
+        for path in sorted(paths)
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert long == []

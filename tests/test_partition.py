@@ -198,8 +198,11 @@ def test_stability_rejects_constant_covariate():
 
 def test_stability_rejects_too_few_records():
     records = simulate_records(np.random.default_rng(67), 30, _null_draw, 1.0)
-    with pytest.raises(DataError, match="too few"):
-        stability_test(records[:5], "age", _pooled_fit(records))
+    fit = _pooled_fit(records)
+    with pytest.raises(DataError) as error:
+        stability_test(records[:9], "age", fit, permutations=9)
+    assert str(error.value) == "too few records to test stability: 9 < 10"
+    assert 0.0 < stability_test(records[:10], "age", fit, permutations=9)[1] <= 1.0
 
 
 @pytest.mark.parametrize(
