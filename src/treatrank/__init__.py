@@ -25,7 +25,8 @@ if "numpy" not in _sys.modules:
 
 __version__ = "0.1.0"
 
-# The public names, by the submodule that defines them.
+# The public names, by the submodule that defines them: the one list of them.
+# Each submodule's __all__ is its entry here, plus at most one name of its own.
 _EXPORTS = {
     "compare": (
         "LeagueTable",

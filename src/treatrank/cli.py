@@ -28,7 +28,7 @@ from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
 from .study_data import _read_contrasts, _read_header, _report, _z
-from .tcc import _check_ratios, _judge, _Preferences, _read_records, build_roe
+from .tcc import BENEFICIAL, HARMFUL, _check_ratios, _judge, _Preferences, _read_records, build_roe
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
 from .study_data import complete_intervals, parse_contrast_table, validate_network  # noqa: F401
@@ -38,6 +38,8 @@ from .tcc import parse_preference_records  # noqa: F401
 __all__ = ["RunConfig", "main", "run"]
 
 _FORMATS = ("csv", "json", "svg")
+# The RunConfig fields that PartitionConfig takes, and tree.json reports.
+_PARTITION_FIELDS = ("alpha", "min_node_size", "max_depth", "permutations", "seed")
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,14 @@ class RunConfig:
     mcid: float | None = None
     roe_lower: float | None = None
     roe_upper: float | None = None
-    direction: str = "beneficial"
+    direction: str = BENEFICIAL
     dump_records: bool = False
     # partitioning
     covariates: tuple[str, ...] | None = None
-    alpha: float = 0.05
-    min_node_size: int = 10
-    max_depth: int | None = None
-    permutations: int = 1000
+    alpha: float = PartitionConfig.alpha
+    min_node_size: int = PartitionConfig.min_node_size
+    max_depth: int | None = PartitionConfig.max_depth
+    permutations: int = PartitionConfig.permutations
     # comparison metrics
     covariance: Path | None = None
     nsim: int = 100_000
@@ -107,7 +109,7 @@ def _build_parser() -> _Parser:
                      help="override the lower equivalence bound, ratio scale")
     tcc.add_argument("--roe-upper", type=float,
                      help="override the upper equivalence bound, ratio scale")
-    tcc.add_argument("--direction", choices=("beneficial", "harmful"),
+    tcc.add_argument("--direction", choices=(BENEFICIAL, HARMFUL),
                      help="whether larger effects are better")
     tcc.add_argument("--dump-records", action="store_true",
                      help="also write the derived preference records as records.csv")
@@ -128,7 +130,7 @@ def _build_parser() -> _Parser:
                           help="P-scores and best-value probabilities from a league table")
     comp.add_argument("--mcid", type=float,
                       help="threshold for the adjusted P-scores, ratio scale > 1")
-    comp.add_argument("--direction", choices=("beneficial", "harmful"),
+    comp.add_argument("--direction", choices=(BENEFICIAL, HARMFUL),
                       help="whether larger effects are better")
     comp.add_argument("--covariance", type=Path,
                       help="covariance CSV for a basic-form league table")
@@ -155,6 +157,8 @@ def parse_args(argv=None) -> RunConfig:
             raise DataError(f"unknown output format(s): {', '.join(sorted(unknown))}")
         if not formats:
             raise DataError("at least one output format is required")
+        if options["subcommand"] == "compare" and not formats & {"csv", "json"}:
+            raise DataError("compare writes no svg artifact; --format needs csv or json")
         options["formats"] = formats
     if "covariates" in options:
         options["covariates"] = tuple(
@@ -165,6 +169,10 @@ def parse_args(argv=None) -> RunConfig:
 
 def _read_preferences(config: RunConfig) -> _Preferences:
     """Input file -> preference records as columns, with their covariate schema."""
+    if not config.records_input:  # the flags that judge contrasts fail before the input is read
+        if config.mcid is None:
+            raise DataError("--mcid is required to derive preference records from contrasts")
+        roe = build_roe(config.mcid, config.roe_lower, config.roe_upper, config.direction)
     with open(config.input, "r", encoding="utf-8", newline="") as stream:
         if config.records_input:
             return _read_records(stream)
@@ -177,9 +185,6 @@ def _read_preferences(config: RunConfig) -> _Preferences:
         )
     for name in report.covariates_with_missing:
         print(f"warning: covariate {name!r} has missing values", file=sys.stderr)
-    if config.mcid is None:
-        raise DataError("--mcid is required to derive preference records from contrasts")
-    roe = build_roe(config.mcid, config.roe_lower, config.roe_upper, config.direction)
     return _judge(studies, numbers, roe)
 
 
@@ -253,13 +258,7 @@ def _run_rank(config: RunConfig) -> None:
 
 def _run_partition(config: RunConfig) -> None:
     # Every flag is checked before records.csv is written.
-    partition_config = PartitionConfig(
-        alpha=config.alpha,
-        min_node_size=config.min_node_size,
-        max_depth=config.max_depth,
-        permutations=config.permutations,
-        seed=config.seed,
-    )
+    partition_config = PartitionConfig(**{key: getattr(config, key) for key in _PARTITION_FIELDS})
     preferences = _read_preferences(config)
     schema = preferences.schema
     if config.covariates is not None:
@@ -273,11 +272,7 @@ def _run_partition(config: RunConfig) -> None:
     if "json" in config.formats:
         document = {
             "config": {
-                "alpha": config.alpha,
-                "min_node_size": config.min_node_size,
-                "max_depth": config.max_depth,
-                "permutations": config.permutations,
-                "seed": config.seed,
+                **{key: getattr(partition_config, key) for key in _PARTITION_FIELDS},
                 "covariates": sorted(schema),
             },
             "tree": tree_to_dict(tree),

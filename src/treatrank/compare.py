@@ -18,19 +18,12 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DataError
 from .study_data import _BLOCK_FLOATS, _first_seen, _floats, _parse_float, _read_columns
 from .tcc import BENEFICIAL, HARMFUL, _check_ratios
 
-__all__ = [
-    "LeagueTable",
-    "p_scores",
-    "p_scores_civ",
-    "parse_basic_table",
-    "parse_covariance_table",
-    "parse_league_table",
-    "prob_best",
-]
+__all__ = _EXPORTS["compare"]
 
 
 _LARGEST = 1e100  # an estimate or SE past this, or a covariance past its square, may overflow

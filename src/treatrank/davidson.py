@@ -25,24 +25,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ConvergenceError, DataError, FordConditionError, ModelError, OnlyTiesError
 from .study_data import _z
 from .tcc import Tournament
 
-__all__ = [
-    "AVERAGE",
-    "AbilityFit",
-    "AbilityRatio",
-    "DavidsonObjective",
-    "NormalizedAbility",
-    "ability_ratios",
-    "check_ford",
-    "fit_davidson",
-    "log_likelihood",
-    "normalized_abilities",
-    "pairwise_probabilities",
-    "win_tie_probabilities",
-]
+__all__ = (*_EXPORTS["davidson"], "DavidsonObjective")
 
 
 class _AverageAbility:

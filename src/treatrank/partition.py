@@ -21,23 +21,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .davidson import AbilityFit, _fittable, _max_logliks, _record_scores, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
 from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _tally
 from .tcc import aggregate_tournament  # noqa: F401  (bench/tracing.py rebinds this name)
 
-__all__ = [
-    "PartitionConfig",
-    "PartitionNode",
-    "Split",
-    "best_split",
-    "format_tree",
-    "grow_tree",
-    "score_contributions",
-    "stability_test",
-    "tree_to_dict",
-]
+__all__ = _EXPORTS["partition"]
 
 # The categorical split search fits both sides of 2^(L-1) - 1 level subsets
 # for L observed levels, so its cost doubles with every level.

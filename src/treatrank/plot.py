@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .davidson import AbilityFit, normalized_abilities
 
-__all__ = ["build_ability_svg", "emit_plot"]
+__all__ = _EXPORTS["plot"]
 
 _WIDTH = 640
 _LABEL_GUTTER = 150

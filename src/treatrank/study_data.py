@@ -21,20 +21,10 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DataError
 
-__all__ = [
-    "Categorical",
-    "Continuous",
-    "CovariateSchema",
-    "Network",
-    "StudyEffect",
-    "ValidationReport",
-    "complete_intervals",
-    "dump_contrast_table",
-    "parse_contrast_table",
-    "validate_network",
-]
+__all__ = (*_EXPORTS["study_data"], "CovariateSchema")
 
 # The streaming kernels, the permutation blocks of a stability test and the
 # draw buffers of prob_best, size each working array to at most this many

@@ -18,6 +18,7 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DataError
 from .study_data import (
     CovariateSchema,
@@ -33,21 +34,7 @@ from .study_data import (
     _Studies,
 )
 
-__all__ = [
-    "PairCounts",
-    "PreferenceData",
-    "PreferenceRecord",
-    "RoeConfig",
-    "TccDecision",
-    "Tournament",
-    "Verdict",
-    "aggregate_tournament",
-    "apply_tcc",
-    "build_roe",
-    "dump_preference_records",
-    "parse_preference_records",
-    "tcc_decision",
-]
+__all__ = _EXPORTS["tcc"]
 
 BENEFICIAL = "beneficial"
 HARMFUL = "harmful"

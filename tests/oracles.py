@@ -864,14 +864,15 @@ class PerRowPreferences:
 
 def per_row_read_preferences(config) -> PerRowPreferences:
     """The command line's contrast input as a chain of per-row steps: parse, warn,
-    ``complete_intervals``, the scalar TCC, then records."""
+    ``complete_intervals``, the scalar TCC, then records. The flags that judge the
+    contrasts are checked before the input is read."""
+    if config.mcid is None:
+        raise DataError("--mcid is required to derive preference records from contrasts")
+    roe = build_roe(config.mcid, config.roe_lower, config.roe_upper, config.direction)
     with open(config.input, encoding="utf-8", newline="") as stream:
         network = per_row_parse(stream, config.scale)
     for line in per_row_warnings(network):
         print(line, file=sys.stderr)
-    if config.mcid is None:
-        raise DataError("--mcid is required to derive preference records from contrasts")
-    roe = build_roe(config.mcid, config.roe_lower, config.roe_upper, config.direction)
     records = []
     for e in network.effects:
         verdict = scalar_verdict(complete_intervals(e), roe)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import json
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import treatrank
 from treatrank import build_ability_svg, emit_plot, fit_davidson
-from treatrank.cli import RunConfig, main, parse_args
+from treatrank.cli import RunConfig, _build_parser, main, parse_args
 from treatrank.tcc import PairCounts, Tournament
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -269,13 +270,14 @@ def test_format_selection_limits_artifacts(tmp_path):
     assert (tmp_path / "fit.json").exists()
     assert not (tmp_path / "rank.csv").exists()
     assert not (tmp_path / "ability_plot.svg").exists()
-    # tree.txt and tcc-dump's records.csv are written whatever the subset.
-    for command, formats, written in [
-        ("partition", "csv", ["tree.txt"]),
-        ("tcc-dump", "json", ["records.csv"]),
+    # tree.txt and tcc-dump's records.csv are written whatever the subset; compare has no svg.
+    for command, table, formats, written in [
+        ("partition", CONTRASTS, "csv", ["tree.txt"]),
+        ("tcc-dump", CONTRASTS, "json", ["records.csv"]),
+        ("compare", LEAGUE, "csv,svg", ["scores.csv"]),
     ]:
         out = tmp_path / command
-        code = _run(command, "--input", CONTRASTS, "--out-dir", out, "--mcid", "1.2",
+        code = _run(command, "--input", table, "--out-dir", out, "--mcid", "1.2",
                     "--format", formats)
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == written, command
@@ -283,6 +285,19 @@ def test_format_selection_limits_artifacts(tmp_path):
 
 def test_unknown_format_is_rejected():
     assert _run("rank", "--input", CONTRASTS, "--mcid", "1.2", "--format", "csv,pdf") == 1
+
+
+def test_readme_names_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parsers, options = [_build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(o for o in action.option_strings if o.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    options.discard("--help")
+    assert {"--input", "--partition", "--version", "--nsim"} <= options
+    assert sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme)) == []
 
 
 def test_version_prints_the_package_version(capsys):
@@ -372,6 +387,8 @@ def test_negative_max_depth_is_a_data_error(tmp_path):
 _DUMPING = ("--input", CONTRASTS, "--mcid", "1.2", "--dump-records")
 _BAD_TABLE = "<a table without the columns any subcommand needs>"
 _MCID = "mcid must be finite and exceed 1 on the ratio scale, got"
+_NO_MCID = "--mcid is required to derive preference records from contrasts"
+_STRADDLE = "equivalence range must straddle the null effect: need"
 
 
 @pytest.mark.parametrize(
@@ -394,10 +411,22 @@ _MCID = "mcid must be finite and exceed 1 on the ratio scale, got"
          "roe_upper must be positive and finite on the ratio scale, got inf"),
         (("compare", "--input", _BAD_TABLE, "--nsim", "0"), "nsim must be positive, got 0"),
         (("compare", "--input", LEAGUE, "--nsim", "0"), "nsim must be positive, got 0"),
+        *(((subcommand, "--input", _BAD_TABLE, "--dump-records"), _NO_MCID)
+          for subcommand in ("rank", "partition", "tcc-dump")),
+        (("rank", "--input", _BAD_TABLE, "--dump-records", "--mcid", "1.2", "--roe-lower", "1.5"),
+         f"{_STRADDLE} 0.4054651081081644 < 0.0 < 0.1823215567939546"),
+        (("partition", "--input", _BAD_TABLE, "--mcid", "1.2", "--roe-upper", "0.9"),
+         f"{_STRADDLE} -0.1823215567939546 < 0.0 < -0.10536051565782628"),
+        (("compare", "--input", _BAD_TABLE, "--format", "svg"),
+         "compare writes no svg artifact; --format needs csv or json"),
+        (("compare", "--input", LEAGUE, "--format", "svg"),
+         "compare writes no svg artifact; --format needs csv or json"),
     ],
     ids=["alpha", "min-node-size", "partition", "rank-ci-level", "tcc-dump-ci-level",
          "partition-ci-level", "compare-ci-level", "rank-mcid", "records-mcid", "compare-mcid",
-         "roe-lower", "roe-upper", "nsim-bad-table", "nsim"],
+         "roe-lower", "roe-upper", "nsim-bad-table", "nsim", "rank-no-mcid", "partition-no-mcid",
+         "tcc-dump-no-mcid", "roe-lower-above-null", "roe-upper-below-null",
+         "compare-svg-bad-table", "compare-svg"],
 )
 def test_a_bad_flag_fails_before_any_artifact(tmp_path, capsys, argv, message):
     # records.csv was written, the input read or P-scores computed before the flag was rejected.

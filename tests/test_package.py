@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -53,6 +54,15 @@ def test_submodules_resolve_as_attributes(monkeypatch):
     assert set(treatrank.__all__) | set(SUBMODULES) <= set(dir(treatrank))
 
 
+def test_each_submodule_exports_its_entry_of_the_package_table():
+    # A name added to a submodule's __all__ but not to _EXPORTS would be public in one place only.
+    own = {"davidson": {"DavidsonObjective"}, "study_data": {"CovariateSchema"}}
+    for name in ("compare", "davidson", "partition", "plot", "study_data", "tcc"):
+        module = importlib.import_module(f"treatrank.{name}")
+        assert set(module.__all__) == set(treatrank._EXPORTS[name]) | own.get(name, set()), name
+        assert len(module.__all__) == len(set(module.__all__)), name
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'treatrank' has no attribute 'rank'"):
         treatrank.rank
@@ -86,6 +96,36 @@ def test_a_public_name_loads_only_the_modules_it_needs():
     ).split()
     assert "treatrank.davidson" in loaded
     assert not {"treatrank.partition", "treatrank.compare", "treatrank.plot"} & set(loaded)
+
+
+def test_the_runtime_needs_numpy_alone(tmp_path):
+    # The interpreter may load third-party modules at startup (certifi through site), and
+    # numpy.random's compiled extensions register Cython runtime modules, so the baseline is
+    # a cold interpreter that imported numpy and numpy.random.
+    baseline = set(_fresh_process(
+        "import sys, numpy, numpy.random; print(' '.join(sys.modules))"
+    ).split())
+    fixtures = Path(__file__).parent / "fixtures"
+    for argv in (
+        ["rank", "--input", str(fixtures / "contrasts.csv"), "--mcid", "1.2"],
+        ["partition", "--input", str(fixtures / "contrasts.csv"), "--mcid", "1.2"],
+        ["compare", "--input", str(fixtures / "league.csv"), "--mcid", "1.2", "--nsim", "1000"],
+    ):
+        loaded = _fresh_process(
+            "import sys; from treatrank.cli import main; "
+            f"code = main({[*argv, '--out-dir', str(tmp_path / argv[0])]!r}); "
+            "print(code, ' '.join(sys.modules))"
+        ).split()
+        assert loaded[0] == "0", argv[0]
+        foreign = sorted(
+            m for m in set(loaded[1:]) - baseline
+            if m.split(".")[0] not in {*sys.stdlib_module_names, "numpy", "treatrank"}
+        )
+        assert foreign == [], argv[0]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 def test_the_readme_layout_lists_every_module():
