@@ -16,18 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .compare import (
-    p_scores,
-    p_scores_civ,
-    parse_basic_table,
-    parse_league_table,
-    prob_best,
-)
+from .compare import _NSIM, _SEED, p_scores, p_scores_civ, parse_basic_table, parse_league_table
+from .compare import prob_best
 from .davidson import fit_davidson, normalized_abilities
 from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
-from .study_data import _read_contrasts, _read_header, _report, _z
+from .study_data import _CI_LEVEL, _read_contrasts, _read_header, _report, _z
 from .tcc import BENEFICIAL, HARMFUL, _check_ratios, _judge, _Preferences, _read_records, build_roe
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
@@ -40,18 +35,20 @@ __all__ = ["RunConfig", "main", "run"]
 _FORMATS = ("csv", "json", "svg")
 # The RunConfig fields that PartitionConfig takes, and tree.json reports.
 _PARTITION_FIELDS = ("alpha", "min_node_size", "max_depth", "permutations", "seed")
+# The flags that judge contrasts, which a preference-record table has no use for.
+_CONTRAST_ONLY = ("mcid", "roe_lower", "roe_upper", "direction", "scale")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs; built from the parsed arguments."""
+    """Everything one invocation needs, as given: None leaves a library default in force."""
 
     subcommand: str
     input: Path
     out_dir: Path = Path(".")
     formats: frozenset[str] = frozenset(_FORMATS)
-    ci_level: float = 0.95
-    seed: int = 0
+    ci_level: float = _CI_LEVEL
+    seed: int | None = None
     # ingestion + treatment-choice criterion
     scale: str = "log"
     records_input: bool = False
@@ -62,13 +59,13 @@ class RunConfig:
     dump_records: bool = False
     # partitioning
     covariates: tuple[str, ...] | None = None
-    alpha: float = PartitionConfig.alpha
-    min_node_size: int = PartitionConfig.min_node_size
-    max_depth: int | None = PartitionConfig.max_depth
-    permutations: int = PartitionConfig.permutations
+    alpha: float | None = None
+    min_node_size: int | None = None
+    max_depth: int | None = None
+    permutations: int | None = None
     # comparison metrics
     covariance: Path | None = None
-    nsim: int = 100_000
+    nsim: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +145,8 @@ def parse_args(argv=None) -> RunConfig:
     if options.get("nsim", 1) < 1:
         raise DataError(f"nsim must be positive, got {options['nsim']}")
     _check_ratios(options.get("mcid"), options.get("roe_lower"), options.get("roe_upper"))
+    if options.get("records_input") and (judging := [f for f in _CONTRAST_ONLY if f in options]):
+        raise DataError(f"--{judging[0].replace('_', '-')} applies only to contrast input")
     if "ci_level" in options:
         _z(options["ci_level"])  # a level the reports cannot use fails before any artifact
     if "format" in options:
@@ -164,6 +163,8 @@ def parse_args(argv=None) -> RunConfig:
         options["covariates"] = tuple(
             c.strip() for c in options["covariates"].split(",") if c.strip()
         )
+        if not options["covariates"]:
+            raise DataError("--partition needs at least one covariate name")
     return RunConfig(**options)
 
 
@@ -248,6 +249,11 @@ def _write_json(path: Path, document) -> None:
         stream.write("\n")
 
 
+def _given(config: RunConfig, fields) -> dict:
+    """The ``fields`` that the command line set; the library's defaults fill the rest."""
+    return {key: getattr(config, key) for key in fields if getattr(config, key) is not None}
+
+
 def _run_rank(config: RunConfig) -> None:
     preferences = _read_preferences(config)
     if config.dump_records and "csv" in config.formats:
@@ -258,7 +264,7 @@ def _run_rank(config: RunConfig) -> None:
 
 def _run_partition(config: RunConfig) -> None:
     # Every flag is checked before records.csv is written.
-    partition_config = PartitionConfig(**{key: getattr(config, key) for key in _PARTITION_FIELDS})
+    partition_config = PartitionConfig(**_given(config, _PARTITION_FIELDS))
     preferences = _read_preferences(config)
     schema = preferences.schema
     if config.covariates is not None:
@@ -303,7 +309,8 @@ def _run_compare(config: RunConfig) -> None:
             )
     scores = p_scores(table)
     civ = p_scores_civ(table, config.mcid) if config.mcid is not None else None
-    best = prob_best(table, nsim=config.nsim, seed=config.seed)
+    simulation = _given(config, ("nsim", "seed"))
+    best = prob_best(table, **simulation)
     if "csv" in config.formats:
         with open(config.out_dir / "scores.csv", "w", encoding="utf-8", newline="") as stream:
             writer = csv.writer(stream, lineterminator="\n")
@@ -318,8 +325,9 @@ def _run_compare(config: RunConfig) -> None:
     if "json" in config.formats:
         document = {
             "direction": table.direction,
-            "nsim": config.nsim,
-            "seed": config.seed,
+            "nsim": _NSIM,
+            "seed": _SEED,
+            **simulation,
             "p_scores": scores,
             "prob_best": best,
         }

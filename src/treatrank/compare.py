@@ -26,6 +26,8 @@ from .tcc import BENEFICIAL, HARMFUL, _check_ratios
 __all__ = _EXPORTS["compare"]
 
 
+# prob_best's defaults, which scores.json reports when the command line leaves them out.
+_NSIM, _SEED = 100_000, 0
 _LARGEST = 1e100  # an estimate or SE past this, or a covariance past its square, may overflow
 
 
@@ -281,7 +283,7 @@ def _basic_parameters(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray]:
     return means, np.diag(variances)
 
 
-def prob_best(lt: LeagueTable, nsim: int = 100_000, seed: int = 0) -> dict[str, float]:
+def prob_best(lt: LeagueTable, nsim: int = _NSIM, seed: int = _SEED) -> dict[str, float]:
     """Simulated probability of each treatment having the best value.
 
     Draws the basic parameters ``nsim`` times from a multivariate normal

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConvergenceError, DataError, FordConditionError, ModelError, OnlyTiesError
-from .study_data import _z
+from .study_data import _CI_LEVEL, _z
 from .tcc import Tournament
 
 __all__ = (*_EXPORTS["davidson"], "DavidsonObjective")
@@ -449,7 +449,7 @@ class AbilityRatio:
     estimate: float
     ci_lower: float
     ci_upper: float
-    ci_level: float = 0.95
+    ci_level: float = _CI_LEVEL
 
 
 def _newton_step(neg_hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -703,7 +703,7 @@ def _wald_intervals(
 
 
 def normalized_abilities(
-    f: AbilityFit, ci_level: float = 0.95
+    f: AbilityFit, ci_level: float = _CI_LEVEL
 ) -> dict[str, NormalizedAbility]:
     """Normalized abilities with SEs and CIs propagated on the log scale."""
     estimates = [f.pi[x] for x in f.treatments]
@@ -717,7 +717,7 @@ def normalized_abilities(
 def ability_ratios(
     f: AbilityFit,
     denominator: str | _AverageAbility = AVERAGE,
-    ci_level: float = 0.95,
+    ci_level: float = _CI_LEVEL,
 ) -> list[AbilityRatio]:
     """Ability ratios of every treatment against a denominator.
 

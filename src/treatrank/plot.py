@@ -6,6 +6,7 @@ import math
 
 from . import _EXPORTS
 from .davidson import AbilityFit, normalized_abilities
+from .study_data import _CI_LEVEL
 
 __all__ = _EXPORTS["plot"]
 
@@ -39,7 +40,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def build_ability_svg(fit: AbilityFit, ci_level: float = 0.95) -> str:
+def build_ability_svg(fit: AbilityFit, ci_level: float = _CI_LEVEL) -> str:
     """Dot-and-interval chart: one row per treatment, sorted by ability."""
     abilities = normalized_abilities(fit, ci_level=ci_level)
     rows = sorted(fit.treatments, key=lambda x: (-fit.psi[x], x))
@@ -92,7 +93,7 @@ def build_ability_svg(fit: AbilityFit, ci_level: float = 0.95) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(fit: AbilityFit, path, ci_level: float = 0.95) -> None:
+def emit_plot(fit: AbilityFit, path, ci_level: float = _CI_LEVEL) -> None:
     """Write the ability chart to ``path``; byte-identical for identical fits."""
     svg = build_ability_svg(fit, ci_level=ci_level)
     with open(path, "w", encoding="utf-8", newline="\n") as stream:

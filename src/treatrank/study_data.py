@@ -32,6 +32,8 @@ __all__ = (*_EXPORTS["study_data"], "CovariateSchema")
 # instead of streaming through memory. Their results do not depend on the
 # block size, and smaller blocks let a permutation test stop sooner.
 _BLOCK_FLOATS = 2**16
+# The one default interval level: of the reports, and of a contrast row without ci_level.
+_CI_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class StudyEffect:
     se: float | None = None
     ci_lower: float | None = None
     ci_upper: float | None = None
-    ci_level: float = 0.95
+    ci_level: float = _CI_LEVEL
     covariates: Mapping[str, CovariateValue] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -404,7 +406,7 @@ def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> Stu
         raise DataError(f"row {i}: {_UNUSABLE_LEVEL.format(ci_level)}")
     study, t1, t2 = (cells[c][k] for c in _LABELS)
     return StudyEffect(study, t1, t2, effect, se, lower, upper,
-                       0.95 if ci_level is None else ci_level)
+                       _CI_LEVEL if ci_level is None else ci_level)
 
 
 def _read_contrasts(
@@ -450,7 +452,7 @@ def _read_contrasts(
         k = int(np.argmax(repeat))
         pair = (studies.treat1[k], studies.treat2[k])
         raise DataError(f"duplicate contrast for pair {pair} in study {studies.study[k]!r}")
-    numbers["ci_level"] = np.where(np.isnan(ci_level), 0.95, ci_level)
+    numbers["ci_level"] = np.where(np.isnan(ci_level), _CI_LEVEL, ci_level)
     return studies, numbers
 
 

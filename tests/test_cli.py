@@ -389,6 +389,8 @@ _BAD_TABLE = "<a table without the columns any subcommand needs>"
 _MCID = "mcid must be finite and exceed 1 on the ratio scale, got"
 _NO_MCID = "--mcid is required to derive preference records from contrasts"
 _STRADDLE = "equivalence range must straddle the null effect: need"
+_RECORDS = ("--records", "--input", _BAD_TABLE)
+_FOR_CONTRASTS = "applies only to contrast input"
 
 
 @pytest.mark.parametrize(
@@ -421,12 +423,25 @@ _STRADDLE = "equivalence range must straddle the null effect: need"
          "compare writes no svg artifact; --format needs csv or json"),
         (("compare", "--input", LEAGUE, "--format", "svg"),
          "compare writes no svg artifact; --format needs csv or json"),
+        (("rank", *_RECORDS, "--mcid", "1.2"), f"--mcid {_FOR_CONTRASTS}"),
+        (("partition", *_RECORDS, "--roe-lower", "0.8"), f"--roe-lower {_FOR_CONTRASTS}"),
+        (("rank", *_RECORDS, "--roe-upper", "1.25"), f"--roe-upper {_FOR_CONTRASTS}"),
+        (("partition", *_RECORDS, "--direction", "harmful"), f"--direction {_FOR_CONTRASTS}"),
+        (("rank", *_RECORDS, "--scale", "ratio"), f"--scale {_FOR_CONTRASTS}"),
+        (("rank", *_RECORDS, "--scale", "ratio", "--direction", "harmful", "--roe-lower", "1.5",
+          "--mcid", "1.2"), f"--mcid {_FOR_CONTRASTS}"),
+        (("partition", "--input", _BAD_TABLE, "--mcid", "1.2", "--partition", ","),
+         "--partition needs at least one covariate name"),
+        (("partition", "--input", _BAD_TABLE, "--mcid", "1.2", "--partition", ""),
+         "--partition needs at least one covariate name"),
     ],
     ids=["alpha", "min-node-size", "partition", "rank-ci-level", "tcc-dump-ci-level",
          "partition-ci-level", "compare-ci-level", "rank-mcid", "records-mcid", "compare-mcid",
          "roe-lower", "roe-upper", "nsim-bad-table", "nsim", "rank-no-mcid", "partition-no-mcid",
          "tcc-dump-no-mcid", "roe-lower-above-null", "roe-upper-below-null",
-         "compare-svg-bad-table", "compare-svg"],
+         "compare-svg-bad-table", "compare-svg", "records-rank-mcid", "records-roe-lower",
+         "records-roe-upper", "records-direction", "records-scale", "records-every-flag",
+         "partition-comma", "partition-empty"],
 )
 def test_a_bad_flag_fails_before_any_artifact(tmp_path, capsys, argv, message):
     # records.csv was written, the input read or P-scores computed before the flag was rejected.
@@ -790,7 +805,10 @@ def _invocations(draw, subcommand: str):
     if odd_flag:
         odd = draw(st.sampled_from(names))
         flags[odd] = draw(st.sampled_from(_FLAGS[odd][1]))
-    flags["--direction"] = draw(st.sampled_from([None, "beneficial", "harmful"]))
+    # --direction judges contrasts: with --records it is an error before the input is read.
+    # It is drawn for both kinds of input, which keeps every later draw where it was.
+    direction = draw(st.sampled_from([None, "beneficial", "harmful"]))
+    flags["--direction"] = None if records else direction
     if subcommand == "compare":
         table, covariance = draw(_league(faulty))
         flags.update({"--mcid": draw(st.sampled_from([None, flags["--mcid"]])), "--nsim": "300"})

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -174,3 +178,35 @@ def test_no_line_is_longer_than_100_characters():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_each_shared_default_is_one_number_in_the_source():
+    # A default restated in a second module can drift from the first without a failing test.
+    root = Path(__file__).resolve().parents[1]
+    numbers = Counter()
+    for path in sorted((root / "src" / "treatrank").glob("*.py")):
+        with open(path, "rb") as stream:
+            tokens = list(tokenize.tokenize(stream.readline))
+        numbers.update(ast.literal_eval(t.string) for t in tokens if t.type == tokenize.NUMBER)
+    assert (numbers[0.95], numbers[100_000]) == (1, 1)
+
+
+def test_run_config_keeps_no_copy_of_a_library_default():
+    from treatrank.cli import RunConfig
+    from treatrank.compare import prob_best
+    from treatrank.davidson import normalized_abilities
+    from treatrank.partition import PartitionConfig
+    from treatrank.plot import emit_plot
+
+    library = {}
+    for call in (normalized_abilities, emit_plot, prob_best):
+        for name, parameter in inspect.signature(call).parameters.items():
+            library.setdefault(name, []).append(parameter.default)
+    for field in dataclasses.fields(PartitionConfig):
+        library.setdefault(field.name, []).append(field.default)
+    shared = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name in library}
+    assert set(shared) == {"ci_level", "seed", "nsim", "alpha", "min_node_size", "max_depth",
+                           "permutations"}
+    for name, default in shared.items():
+        # The library's own object, not an equal literal: that would be a second declaration.
+        assert default is None or all(default is own for own in library[name]), name
