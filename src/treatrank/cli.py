@@ -8,7 +8,6 @@ machine-readable ``error.json`` into the output directory when possible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -22,7 +21,7 @@ from .davidson import fit_davidson, normalized_abilities
 from .errors import DataError, FordConditionError, ModelError
 from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
 from .plot import emit_plot
-from .study_data import _CI_LEVEL, _read_contrasts, _read_header, _report, _z
+from .study_data import _CI_LEVEL, _read_contrasts, _read_header, _report, _write_columns, _z
 from .tcc import BENEFICIAL, HARMFUL, _check_ratios, _judge, _Preferences, _read_records, build_roe
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
@@ -198,19 +197,10 @@ def _write_fit_artifacts(fit, n_records: int, config: RunConfig) -> None:
     abilities = normalized_abilities(fit, ci_level=config.ci_level)
     ranked = sorted(fit.treatments, key=lambda x: (-fit.pi[x], x))
     if "csv" in config.formats:
-        with open(config.out_dir / "rank.csv", "w", encoding="utf-8", newline="") as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["treatment", "ability", "se_log_ability", "pi", "rank"])
-            for rank, label in enumerate(ranked, start=1):
-                writer.writerow(
-                    [
-                        label,
-                        f"{fit.psi[label]:.6g}",
-                        f"{fit.se_log_ability[label]:.6g}",
-                        f"{fit.pi[label]:.6g}",
-                        rank,
-                    ]
-                )
+        header = ["treatment", "ability", "se_log_ability", "pi", "rank"]
+        numbers = ([f"{v[x]:.6g}" for x in ranked] for v in (fit.psi, fit.se_log_ability, fit.pi))
+        _write_csv(config.out_dir / "rank.csv", header,
+                   [ranked, *numbers, range(1, len(ranked) + 1)])
     if "json" in config.formats:
         document = {
             "treatments": list(fit.treatments),
@@ -241,6 +231,11 @@ def _write_fit_artifacts(fit, n_records: int, config: RunConfig) -> None:
         _write_json(config.out_dir / "fit.json", document)
     if "svg" in config.formats:
         emit_plot(fit, config.out_dir / "ability_plot.svg", ci_level=config.ci_level)
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        _write_columns(stream, header, columns)
 
 
 def _write_json(path: Path, document) -> None:
@@ -312,16 +307,10 @@ def _run_compare(config: RunConfig) -> None:
     simulation = _given(config, ("nsim", "seed"))
     best = prob_best(table, **simulation)
     if "csv" in config.formats:
-        with open(config.out_dir / "scores.csv", "w", encoding="utf-8", newline="") as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            header_row = ["treatment", "p_score"] + (["p_score_civ"] if civ else []) + ["p_bv"]
-            writer.writerow(header_row)
-            for label in table.treatments:
-                row = [label, f"{scores[label]:.6g}"]
-                if civ:
-                    row.append(f"{civ[label]:.6g}")
-                row.append(f"{best[label]:.6g}")
-                writer.writerow(row)
+        named = {"p_score": scores, **({"p_score_civ": civ} if civ else {}), "p_bv": best}
+        numbers = ([f"{v[x]:.6g}" for x in table.treatments] for v in named.values())
+        _write_csv(config.out_dir / "scores.csv", ["treatment", *named],
+                   [table.treatments, *numbers])
     if "json" in config.formats:
         document = {
             "direction": table.direction,

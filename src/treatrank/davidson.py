@@ -62,10 +62,10 @@ def win_tie_probabilities(psi_x: float, psi_y: float, nu: float) -> tuple[float,
     -------
     (p_x_wins, p_y_wins, p_tie), summing to 1.
     """
-    if psi_x <= 0 or psi_y <= 0:
-        raise DataError(f"abilities must be positive, got ({psi_x}, {psi_y})")
-    if nu < 0:
-        raise DataError(f"tie prevalence must be non-negative, got {nu}")
+    if not (0 < psi_x < math.inf and 0 < psi_y < math.inf):
+        raise DataError(f"abilities must be positive and finite, got ({psi_x}, {psi_y})")
+    if not 0 <= nu < math.inf:  # nu = 0 is the tie-free model
+        raise DataError(f"tie prevalence must be non-negative and finite, got {nu}")
     root = math.sqrt(psi_x * psi_y)
     denom = psi_x + psi_y + nu * root
     return psi_x / denom, psi_y / denom, nu * root / denom
@@ -83,8 +83,8 @@ def _ability_vector(t: Tournament, psi) -> np.ndarray:
             raise DataError(
                 f"ability vector has length {values.size}, expected {len(t.treatments)}"
             )
-    if np.any(values <= 0):
-        raise DataError("abilities must be positive componentwise")
+    if not np.all((values > 0) & (values < math.inf)):
+        raise DataError("abilities must be finite and positive componentwise")
     return values
 
 
@@ -156,8 +156,8 @@ def log_likelihood(t: Tournament, psi, nu: float) -> float:
     count yield -inf.
     """
     values = _ability_vector(t, psi)
-    if nu < 0:
-        raise DataError(f"tie prevalence must be non-negative, got {nu}")
+    if not 0 <= nu < math.inf:  # nu = 0 is the tie-free model
+        raise DataError(f"tie prevalence must be non-negative and finite, got {nu}")
     return float(_loglik(t._counts, _log_probabilities(np.log(values), _log_nu(nu), t._i, t._j)))
 
 

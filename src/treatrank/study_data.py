@@ -255,6 +255,15 @@ def _read_columns(
     return dict(zip(fields, columns))
 
 
+def _write_columns(stream: IO[str], header: Sequence[str], columns: Iterable[Iterable]) -> None:
+    """The one CSV-writing path for every output table, the inverse of :func:`_read_columns`:
+    the ``header`` row, then row ``k`` of the ``columns``. ``csv`` writes ``None`` as an empty
+    cell, a float (numpy's too) as its shortest repr and any other value as its ``str()``."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+
+
 def _parse_float(
     cell: str | None, what: str, row_num: int, required: bool = True
 ) -> float | None:
@@ -303,13 +312,6 @@ def _parse_covariate(name, kind, cell, row_num) -> CovariateValue:
             f"(expected one of {kind.levels})"
         )
     return cell
-
-
-def _covariate_cell(value: CovariateValue) -> str:
-    """The CSV cell that :func:`_parse_covariate` reads back as ``value``."""
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else value
 
 
 def _covariate_schema(
@@ -485,25 +487,11 @@ def parse_contrast_table(
 
 def dump_contrast_table(network: Network, stream: IO[str]) -> None:
     """Serialize a Network back to contrast CSV; inverse of the parser."""
-    covariate_names = list(network.covariate_schema)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["study", "treat1", "treat2", "effect", "se", "lower", "upper", "ci_level"]
-        + covariate_names
-    )
-    for e in network.effects:
-        row = [
-            e.study_id,
-            e.treat_a,
-            e.treat_b,
-            repr(e.effect),
-            "" if e.se is None else repr(e.se),
-            "" if e.ci_lower is None else repr(e.ci_lower),
-            "" if e.ci_upper is None else repr(e.ci_upper),
-            repr(e.ci_level),
-        ]
-        row.extend(_covariate_cell(e.covariates.get(name)) for name in covariate_names)
-        writer.writerow(row)
+    e, names = network.effects, list(network.covariate_schema)
+    fields = ("study_id", "treat_a", "treat_b", "effect", "se", "ci_lower", "ci_upper", "ci_level")
+    columns = [[getattr(x, f) for x in e] for f in fields]
+    columns += ([x.covariates.get(name) for x in e] for name in names)
+    _write_columns(stream, [*_LABELS, *_NUMBERS, *names], columns)
 
 
 _UNUSABLE_LEVEL = "ci_level {!r} is too close to 0 or 1: its normal quantile is 0 or infinite"

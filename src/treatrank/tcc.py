@@ -9,7 +9,6 @@ tournament, the input of the ability model.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -26,12 +25,12 @@ from .study_data import (
     StudyEffect,
     _bounds,
     _codes,
-    _covariate_cell,
     _first_seen,
     _read_columns,
     _repeats,
     _study_columns,
     _Studies,
+    _write_columns,
 )
 
 __all__ = _EXPORTS["tcc"]
@@ -124,6 +123,9 @@ class PreferenceRecord:
     def __post_init__(self):
         if self.treat_a == self.treat_b:
             raise DataError(f"study {self.study_id!r}: preference pair members must differ")
+        if not isinstance(self.verdict, Verdict):
+            raise DataError(f"study {self.study_id!r}: verdict must be one of "
+                            f"{', '.join(map(str, Verdict))}, got {self.verdict!r}")
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -205,8 +207,9 @@ class Tournament:
                 raise DataError(f"pair ({x!r}, {y!r}) uses an unknown treatment")
             if index[x] >= index[y]:
                 raise DataError(f"pair key ({x!r}, {y!r}) is not in treatment order")
-            if min(c) < 0:
-                raise DataError(f"pair ({x!r}, {y!r}) has negative counts {c}")
+            if len(c) != 3 or not all(0 <= v < math.inf and v == int(v) for v in c):
+                raise DataError(f"pair ({x!r}, {y!r}) needs three non-negative whole counts, "
+                                f"got {c}")
             if any(c):
                 rows.append((index[x], index[y], *c))
         table = np.asarray(rows, dtype=np.intp).reshape(-1, 5)
@@ -300,11 +303,9 @@ class _Preferences(_Studies):
 
     def dump(self, stream: IO[str]) -> None:
         """Write the records as CSV: study, treat1, treat2, verdict, then covariates."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow([*_RECORD_COLUMNS, *self.covariates])
         verdicts = [_VERDICTS[o].value for o in self.outcome.tolist()]
-        cells = (map(_covariate_cell, values) for values in self.covariates.values())
-        writer.writerows(zip(self.study, self.treat1, self.treat2, verdicts, *cells))
+        _write_columns(stream, [*_RECORD_COLUMNS, *self.covariates],
+                       [self.study, self.treat1, self.treat2, verdicts, *self.covariates.values()])
 
 
 def _judge(studies: _Studies, numbers: Mapping[str, np.ndarray], roe: RoeConfig) -> _Preferences:

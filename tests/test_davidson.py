@@ -72,6 +72,10 @@ def test_probabilities_equal_abilities_no_ties():
     (0.0, 1.0, 0.0, "abilities must be positive"),
     (1.0, -1.0, 0.0, "abilities must be positive"),
     (1.0, 1.0, -0.5, "tie prevalence must be non-negative"),
+    (math.nan, 1.0, 0.5, "abilities must be positive"),
+    (1.0, math.inf, 0.5, "abilities must be positive"),
+    (1.0, 1.0, math.nan, "tie prevalence must be non-negative"),
+    (1.0, 1.0, math.inf, "tie prevalence must be non-negative"),
 ])
 def test_probabilities_reject_bad_parameters(psi_x, psi_y, nu, message):
     with pytest.raises(DataError, match=message):
@@ -133,10 +137,12 @@ def test_loglik_accepts_sequences_and_checks_length():
         log_likelihood(t, [1.0, 1.0, 1.0], 0.0)
     with pytest.raises(DataError):
         log_likelihood(t, {"A": 1.0}, 0.0)
-    with pytest.raises(DataError, match="positive componentwise"):
-        log_likelihood(t, [1.0, 0.0], 0.0)
-    with pytest.raises(DataError, match="tie prevalence must be non-negative"):
-        log_likelihood(t, [1.0, 1.0], -0.5)
+    for psi in ([1.0, 0.0], {"A": math.nan, "B": 1.0}, [1.0, math.inf]):
+        with pytest.raises(DataError, match="positive componentwise"):
+            log_likelihood(t, psi, 0.5)
+    for nu in (-0.5, math.nan, math.inf):
+        with pytest.raises(DataError, match="tie prevalence must be non-negative"):
+            log_likelihood(t, [1.0, 1.0], nu)
 
 
 def test_loglik_impossible_outcome_is_minus_infinity():

@@ -210,3 +210,15 @@ def test_run_config_keeps_no_copy_of_a_library_default():
     for name, default in shared.items():
         # The library's own object, not an equal literal: that would be a second declaration.
         assert default is None or all(default is own for own in library[name]), name
+
+
+def test_one_function_writes_every_csv_table():
+    # A second writer formats its cells its own way, as the hand-made repr cells did.
+    root = Path(__file__).resolve().parents[1]
+    callers = [
+        path.name
+        for path in sorted((root / "src" / "treatrank").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv.writer"
+    ]
+    assert callers == ["study_data.py"]

@@ -533,6 +533,11 @@ _levels = st.lists(_labels | st.just("NA"), min_size=1, max_size=3, unique=True)
 _values = st.floats(-10, 10)
 
 
+def _or_numpy(floats):
+    """The ``floats``, now and then as numpy's float64: the writer must print both alike."""
+    return floats | floats.map(np.float64)
+
+
 @st.composite
 def _table_rows(draw):
     """Treatments, category levels and per row the study id, pair and covariates."""
@@ -542,7 +547,7 @@ def _table_rows(draw):
     for k in range(draw(st.integers(1, 8))):
         pair = draw(st.permutations(treatments))[:2]
         covariates = {
-            "age": draw(st.none() | st.floats(-1e6, 1e6)),
+            "age": draw(st.none() | _or_numpy(st.floats(-1e6, 1e6))),
             "setting": draw(st.none() | st.sampled_from(levels)),
         }
         rows.append((f"{draw(_labels)}#{k}", *pair, covariates))
@@ -555,11 +560,12 @@ def _networks(draw):
     schema, rows = draw(_table_rows())
     effects = []
     for study, a, b, covariates in rows:
-        effect = draw(_values)
+        effect = draw(_or_numpy(_values))
         form = draw(st.sampled_from(("se", "bounds", "both")))
-        se = None if form == "bounds" else draw(st.floats(0, 10))
+        se = None if form == "bounds" else draw(_or_numpy(st.floats(0, 10)))
         lower = upper = None
         if form != "se":
+            # numpy's float64 too when the effect is
             lower, upper = effect - draw(st.floats(0, 10)), effect + draw(st.floats(0, 10))
         effects.append(
             StudyEffect(

@@ -242,6 +242,13 @@ def test_preference_record_rejects_a_self_pair():
         PreferenceRecord(study_id="s1", treat_a="A", treat_b="A", verdict=Verdict.TIE)
 
 
+def test_preference_record_rejects_a_verdict_that_is_not_a_verdict():
+    # A plain string would reach the tally, the dump and the partition as a raw KeyError.
+    with pytest.raises(DataError, match=r"study 's1': verdict must be one of Verdict\.FIRST_WINS, "
+                                        r"Verdict\.SECOND_WINS, Verdict\.TIE, got 'tie'"):
+        PreferenceRecord(study_id="s1", treat_a="A", treat_b="B", verdict="tie")
+
+
 def test_aggregate_counts_by_pair():
     records = [
         PreferenceRecord(study_id="s1", treat_a="A", treat_b="B", verdict=Verdict.FIRST_WINS),
@@ -336,8 +343,13 @@ def test_tournament_validates_keys_and_counts():
         Tournament(treatments=("A", "B"), counts={("B", "A"): PairCounts(1, 0, 0)})
     with pytest.raises(DataError, match="unknown treatment"):
         Tournament(treatments=("A", "B"), counts={("A", "C"): PairCounts(1, 0, 0)})
-    with pytest.raises(DataError, match="negative"):
-        Tournament(treatments=("A", "B"), counts={("A", "B"): PairCounts(-1, 0, 0)})
+    for counts in (PairCounts(-1, 0, 0), PairCounts(1.5, 2, 1), PairCounts(math.nan, 0, 1),
+                   PairCounts(math.inf, 0, 0), (1, 2)):
+        with pytest.raises(DataError, match="three non-negative whole counts"):
+            Tournament(treatments=("A", "B"), counts={("A", "B"): counts})
+    # Whole numbers of any numeric type are counts: the count-scaling test multiplies them.
+    t = Tournament(treatments=("A", "B"), counts={("A", "B"): PairCounts(np.int64(2), 2.0, 0)})
+    assert t._counts.tolist() == [[2.0, 2.0, 0.0]]
 
 
 def test_tournament_keeps_a_read_only_copy_of_its_counts():
