@@ -12,22 +12,44 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .compare import _NSIM, _SEED, p_scores, p_scores_civ, parse_basic_table, parse_league_table
-from .compare import prob_best
-from .davidson import fit_davidson, normalized_abilities
 from .errors import DataError, FordConditionError, ModelError
-from .partition import PartitionConfig, format_tree, grow_tree, tree_to_dict
-from .plot import emit_plot
-from .study_data import _CI_LEVEL, _read_contrasts, _read_header, _report, _write_columns, _z
-from .tcc import BENEFICIAL, HARMFUL, _check_ratios, _judge, _Preferences, _read_records, build_roe
+from .study_data import BENEFICIAL, HARMFUL, _CI_LEVEL, _check_ratios, _read_contrasts, _read_header
+from .study_data import _report, _write_columns, _z
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
 from .study_data import complete_intervals, parse_contrast_table, validate_network  # noqa: F401
-from .tcc import aggregate_tournament, apply_tcc, dump_preference_records  # noqa: F401
-from .tcc import parse_preference_records  # noqa: F401
+
+if TYPE_CHECKING:
+    from .tcc import _Preferences
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for ``module.name`` that imports ``module`` on its first call, so a
+    subcommand loads only the modules it runs."""
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+    return call
+
+
+# bench/tracing.py wraps these layer functions by name; cli calls all but the first four.
+apply_tcc = _lazy(".tcc", "apply_tcc")
+aggregate_tournament = _lazy(".tcc", "aggregate_tournament")
+dump_preference_records = _lazy(".tcc", "dump_preference_records")
+parse_preference_records = _lazy(".tcc", "parse_preference_records")
+fit_davidson = _lazy(".davidson", "fit_davidson")
+normalized_abilities = _lazy(".davidson", "normalized_abilities")
+emit_plot = _lazy(".plot", "emit_plot")
+grow_tree = _lazy(".partition", "grow_tree")
+parse_league_table = _lazy(".compare", "parse_league_table")
+parse_basic_table = _lazy(".compare", "parse_basic_table")
+p_scores = _lazy(".compare", "p_scores")
+p_scores_civ = _lazy(".compare", "p_scores_civ")
+prob_best = _lazy(".compare", "prob_best")
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -169,6 +191,8 @@ def parse_args(argv=None) -> RunConfig:
 
 def _read_preferences(config: RunConfig) -> _Preferences:
     """Input file -> preference records as columns, with their covariate schema."""
+    from .tcc import _judge, _read_records, build_roe
+
     if not config.records_input:  # the flags that judge contrasts fail before the input is read
         if config.mcid is None:
             raise DataError("--mcid is required to derive preference records from contrasts")
@@ -258,6 +282,8 @@ def _run_rank(config: RunConfig) -> None:
 
 
 def _run_partition(config: RunConfig) -> None:
+    from .partition import PartitionConfig, format_tree, tree_to_dict
+
     # Every flag is checked before records.csv is written.
     partition_config = PartitionConfig(**_given(config, _PARTITION_FIELDS))
     preferences = _read_preferences(config)
@@ -284,6 +310,8 @@ def _run_partition(config: RunConfig) -> None:
 
 
 def _run_compare(config: RunConfig) -> None:
+    from .compare import _NSIM, _SEED
+
     with open(config.input, "r", encoding="utf-8", newline="") as stream:
         columns = set(_read_header(stream)[0])
         stream.seek(0)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import DataError
-from .study_data import _BLOCK_FLOATS, _first_seen, _floats, _parse_float, _read_columns
-from .tcc import BENEFICIAL, HARMFUL, _check_ratios
+from .study_data import BENEFICIAL, HARMFUL, _BLOCK_FLOATS, _check_ratios, _first_seen, _floats
+from .study_data import _parse_float, _read_columns
 
 __all__ = _EXPORTS["compare"]
 

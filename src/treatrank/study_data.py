@@ -16,7 +16,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from statistics import NormalDist
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -34,6 +33,9 @@ __all__ = (*_EXPORTS["study_data"], "CovariateSchema")
 _BLOCK_FLOATS = 2**16
 # The one default interval level: of the reports, and of a contrast row without ci_level.
 _CI_LEVEL = 0.95
+# The two outcome directions: whether a larger effect is the better one.
+BENEFICIAL = "beneficial"
+HARMFUL = "harmful"
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,9 @@ class StudyEffect:
             raise DataError(
                 f"study {self.study_id!r}: contrast compares {self.treat_a!r} with itself"
             )
+        for name in ("effect", "se", "ci_lower", "ci_upper"):
+            if (value := getattr(self, name)) is not None and not math.isfinite(value):
+                raise DataError(f"study {self.study_id!r}: non-finite {name} {value}")
         if not (0.0 < self.ci_level < 1.0):
             raise DataError(f"ci_level must be in (0, 1), got {self.ci_level}")
         if _unusable_level(self.ci_level):
@@ -514,7 +519,17 @@ def _z(ci_level: float) -> float:
         raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
     if _unusable_level(ci_level):
         raise DataError(_UNUSABLE_LEVEL.format(ci_level))
+    from statistics import NormalDist  # loads fractions and decimal; a cold compare needs none
     return NormalDist().inv_cdf((1.0 + ci_level) / 2.0)
+
+
+def _check_ratios(mcid=None, roe_lower=None, roe_upper=None) -> None:
+    """The checks of the ratio-scale MCID and equivalence bounds; None is not checked."""
+    if mcid is not None and not 1.0 < mcid < math.inf:
+        raise DataError(f"mcid must be finite and exceed 1 on the ratio scale, got {mcid}")
+    for name, bound in (("roe_lower", roe_lower), ("roe_upper", roe_upper)):
+        if bound is not None and not 0.0 < bound < math.inf:
+            raise DataError(f"{name} must be positive and finite on the ratio scale, got {bound}")
 
 
 def complete_intervals(e: StudyEffect) -> StudyEffect:

@@ -20,10 +20,13 @@ import numpy as np
 from . import _EXPORTS
 from .errors import DataError
 from .study_data import (
+    BENEFICIAL,
+    HARMFUL,
     CovariateSchema,
     CovariateValue,
     StudyEffect,
     _bounds,
+    _check_ratios,
     _codes,
     _first_seen,
     _read_columns,
@@ -34,9 +37,6 @@ from .study_data import (
 )
 
 __all__ = _EXPORTS["tcc"]
-
-BENEFICIAL = "beneficial"
-HARMFUL = "harmful"
 
 
 class Verdict(enum.Enum):
@@ -73,15 +73,6 @@ class RoeConfig:
                 "equivalence range must straddle the null effect: need "
                 f"{self.roe_lower} < {self.null_effect} < {self.roe_upper}"
             )
-
-
-def _check_ratios(mcid=None, roe_lower=None, roe_upper=None) -> None:
-    """The checks of :func:`build_roe`'s ratio-scale values; None is not checked."""
-    if mcid is not None and not 1.0 < mcid < math.inf:
-        raise DataError(f"mcid must be finite and exceed 1 on the ratio scale, got {mcid}")
-    for name, bound in (("roe_lower", roe_lower), ("roe_upper", roe_upper)):
-        if bound is not None and not 0.0 < bound < math.inf:
-            raise DataError(f"{name} must be positive and finite on the ratio scale, got {bound}")
 
 
 def build_roe(
@@ -207,7 +198,7 @@ class Tournament:
                 raise DataError(f"pair ({x!r}, {y!r}) uses an unknown treatment")
             if index[x] >= index[y]:
                 raise DataError(f"pair key ({x!r}, {y!r}) is not in treatment order")
-            if len(c) != 3 or not all(0 <= v < math.inf and v == int(v) for v in c):
+            if len(c) != 3 or not all(0 <= v <= 2**53 and v == int(v) for v in c):
                 raise DataError(f"pair ({x!r}, {y!r}) needs three non-negative whole counts, "
                                 f"got {c}")
             if any(c):

@@ -132,6 +132,29 @@ def test_the_runtime_needs_numpy_alone(tmp_path):
     assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
+def test_a_cold_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # Each cold process compiles what it imports; cli imports each stage on its first call.
+    fixtures = Path(__file__).parent / "fixtures"
+    # subcommand: (a module it runs, the modules it must not load)
+    expected = {
+        "rank": ("treatrank.plot", {"treatrank.partition", "treatrank.compare"}),
+        "partition": ("treatrank.partition", {"treatrank.compare", "treatrank.plot"}),
+        "compare": ("treatrank.compare", {"treatrank.tcc", "treatrank.davidson",
+                                          "treatrank.partition", "treatrank.plot", "statistics"}),
+    }
+    for command, (used, unused) in expected.items():
+        table = "league.csv" if command == "compare" else "contrasts.csv"
+        argv = [command, "--input", str(fixtures / table), "--mcid", "1.2",
+                "--out-dir", str(tmp_path / command)]
+        loaded = _fresh_process(
+            f"import sys; from treatrank.cli import main; code = main({argv!r}); "
+            "print(code, ' '.join(sys.modules))"
+        ).split()
+        assert loaded[0] == "0", command
+        assert used in loaded, command
+        assert unused & set(loaded) == set(), command
+
+
 def test_the_readme_layout_lists_every_module():
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")

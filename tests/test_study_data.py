@@ -264,6 +264,21 @@ def test_study_effect_rejects_negative_se():
         StudyEffect(study_id="s1", treat_a="A", treat_b="B", effect=0.3, se=-0.1)
 
 
+@pytest.mark.parametrize("numbers", [
+    {"effect": math.nan, "se": 0.1},
+    {"effect": math.inf, "se": 0.1},
+    {"effect": 0.3, "se": math.inf},
+    {"effect": 0.3, "se": math.nan},
+    {"effect": 0.3, "ci_lower": -math.inf, "ci_upper": math.inf},
+    {"effect": 0.3, "se": 0.1, "ci_lower": 0.1, "ci_upper": math.nan},
+])
+def test_study_effect_rejects_a_non_finite_number(numbers):
+    # A network holding one would dump a table that parse_contrast_table rejects.
+    name = next(k for k, v in numbers.items() if not math.isfinite(v))
+    with pytest.raises(DataError, match=f"study 's1': non-finite {name} "):
+        StudyEffect("s1", "A", "B", **numbers)
+
+
 def test_network_rejects_label_outside_treatment_set():
     e = StudyEffect(study_id="s1", treat_a="A", treat_b="B", effect=0.3, se=0.1)
     with pytest.raises(DataError, match="missing from the treatment set"):

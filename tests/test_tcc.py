@@ -344,7 +344,8 @@ def test_tournament_validates_keys_and_counts():
     with pytest.raises(DataError, match="unknown treatment"):
         Tournament(treatments=("A", "B"), counts={("A", "C"): PairCounts(1, 0, 0)})
     for counts in (PairCounts(-1, 0, 0), PairCounts(1.5, 2, 1), PairCounts(math.nan, 0, 1),
-                   PairCounts(math.inf, 0, 0), (1, 2)):
+                   PairCounts(math.inf, 0, 0), (1, 2), PairCounts(1e19, 0, 0),
+                   PairCounts(0, 2**53 + 2, 0)):
         with pytest.raises(DataError, match="three non-negative whole counts"):
             Tournament(treatments=("A", "B"), counts={("A", "B"): counts})
     # Whole numbers of any numeric type are counts: the count-scaling test multiplies them.
