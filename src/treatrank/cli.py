@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import DataError, FordConditionError, ModelError
-from .study_data import BENEFICIAL, HARMFUL, _CI_LEVEL, _check_ratios, _read_contrasts, _read_header
-from .study_data import _report, _write_columns, _z
+from .study_data import BENEFICIAL, HARMFUL, _CI_LEVEL, _check_pairs, _check_ratios, _read_contrasts
+from .study_data import _read_header, _report, _write_columns, _z
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
 from .study_data import complete_intervals, parse_contrast_table, validate_network  # noqa: F401
@@ -201,6 +201,7 @@ def _read_preferences(config: RunConfig) -> _Preferences:
         if config.records_input:
             return _read_records(stream)
         studies, numbers = _read_contrasts(stream, scale=config.scale)
+    _check_pairs(studies.treatments, studies.study, studies.treat1, studies.treat2)
     report = _report(studies)
     for study, observed, expected in report.incomplete_studies:
         print(

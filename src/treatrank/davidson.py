@@ -672,22 +672,19 @@ def pairwise_probabilities(f: AbilityFit, x: str, y: str) -> tuple[float, float,
     return win_tie_probabilities(f.psi[x], f.psi[y], f.nu)
 
 
-def _ability_block(f: AbilityFit) -> np.ndarray:
-    """Covariance of all log-abilities, reference row/column zero."""
+def _log_ratio_variance(f: AbilityFit, w: np.ndarray) -> np.ndarray:
+    """Delta-method variance of ``log psi_x - w . log psi`` for every treatment x.
+
+    With B the covariance of all log-abilities (reference row and column zero),
+    that is ``B_xx - 2 (B w)_x + w' B w``: O(n^2) time. ``w`` is pi for a
+    normalized ability or the mean-ability denominator, a unit vector for a
+    named denominator.
+    """
     n = len(f.treatments)
     block = np.zeros((n, n))
     block[1:, 1:] = f.covariance[: n - 1, : n - 1]
-    return block
-
-
-def _log_pi_variance(f: AbilityFit) -> np.ndarray:
-    """Delta-method variance of each log normalized ability."""
-    n = len(f.treatments)
-    pi = np.asarray([f.pi[x] for x in f.treatments])
-    block = f.covariance[: n - 1, : n - 1]
-    # d log pi_x / d lambda_z = 1{x = z} - pi_z over the free log-abilities.
-    grads = np.eye(n)[:, 1:] - pi[1:]
-    return np.einsum("ki,ij,kj->k", grads, block, grads)
+    bw = block @ w
+    return np.diagonal(block) - 2.0 * bw + w @ bw
 
 
 def _wald_intervals(
@@ -707,7 +704,7 @@ def normalized_abilities(
 ) -> dict[str, NormalizedAbility]:
     """Normalized abilities with SEs and CIs propagated on the log scale."""
     estimates = [f.pi[x] for x in f.treatments]
-    intervals = _wald_intervals(estimates, _log_pi_variance(f), ci_level)
+    intervals = _wald_intervals(estimates, _log_ratio_variance(f, np.array(estimates)), ci_level)
     return {
         label: NormalizedAbility(estimate=pi, se=pi * se_log, ci_lower=lower, ci_upper=upper)
         for label, pi, (se_log, lower, upper) in zip(f.treatments, estimates, intervals)
@@ -728,15 +725,14 @@ def ability_ratios(
     labels = f.treatments
     if isinstance(denominator, _AverageAbility):
         scale = sum(f.psi[x] for x in labels) / len(labels)
-        log_var = _log_pi_variance(f)
+        w = np.array([f.pi[x] for x in labels])
     elif denominator in f.psi:
-        scale, d = f.psi[denominator], labels.index(denominator)
-        block = _ability_block(f)
-        log_var = np.diagonal(block) + block[d, d] - 2.0 * block[:, d]
+        scale, w = f.psi[denominator], np.zeros(len(labels))
+        w[labels.index(denominator)] = 1.0
     else:
         raise DataError(f"unknown denominator treatment {denominator!r}")
     estimates = [f.psi[x] / scale for x in labels]
-    intervals = _wald_intervals(estimates, log_var, ci_level)
+    intervals = _wald_intervals(estimates, _log_ratio_variance(f, w), ci_level)
     return [
         AbilityRatio(
             numerator=x,

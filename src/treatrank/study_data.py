@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -123,16 +124,8 @@ class Network:
 
     def __post_init__(self):
         e = self.effects
-        study, t1, t2 = [x.study_id for x in e], [x.treat_a for x in e], [x.treat_b for x in e]
-        a, b = _codes(self.treatments, t1, t2)
-        unknown = (a < 0) | (b < 0)
-        flagged = unknown | _repeats(study, a, b, len(self.treatments))
-        if flagged.any():  # the first flagged row's error, its checks in the row-wise order
-            k = int(np.argmax(flagged))
-            if unknown[k]:
-                label = t1[k] if a[k] < 0 else t2[k]
-                raise DataError(f"treatment {label!r} missing from the treatment set")
-            raise DataError(f"duplicate contrast for pair {e[k].pair} in study {study[k]!r}")
+        _check_pairs(self.treatments, [x.study_id for x in e], [x.treat_a for x in e],
+                     [x.treat_b for x in e])
 
 
 @dataclass(frozen=True)
@@ -397,6 +390,22 @@ def _repeats(study: Sequence[str], a: np.ndarray, b: np.ndarray, n: int) -> np.n
     return np.bincount(first, minlength=len(key)) == 0
 
 
+def _check_pairs(treatments: Sequence[str], study: Sequence[str], t1: Sequence[str],
+                 t2: Sequence[str]) -> None:
+    """The label and repeated-pair checks of a contrast table or a ``Network``: the
+    first row whose label is not in ``treatments``, or whose study and unordered pair
+    appeared on an earlier row, raises."""
+    a, b = _codes(treatments, t1, t2)
+    unknown = (a < 0) | (b < 0)
+    flagged = unknown | _repeats(study, a, b, len(treatments))
+    if flagged.any():  # the first flagged row's error, its checks in the row-wise order
+        k = int(np.argmax(flagged))
+        if unknown[k]:
+            label = t1[k] if a[k] < 0 else t2[k]
+            raise DataError(f"treatment {label!r} missing from the treatment set")
+        raise DataError(f"duplicate contrast for pair {(t1[k], t2[k])} in study {study[k]!r}")
+
+
 def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> StudyEffect:
     """Row ``k`` of a contrast table read one cell at a time, raising on the first bad one."""
     i = k + 2
@@ -420,7 +429,9 @@ def _read_contrasts(
     source: IO[str] | Iterable[str], schema: CovariateSchema | None = None, scale: str = "log"
 ) -> tuple[_Studies, dict[str, np.ndarray]]:
     """The columnar core of :func:`parse_contrast_table`: its checks and its first error,
-    with each cell read once and each check run over a whole column.
+    with each cell read once and each check run over a whole column. A row whose
+    :func:`complete_intervals` is not finite is an error too. The repeated-pair check
+    is the caller's: :func:`_check_pairs`, which ``Network`` runs.
 
     Returns the study columns and an array for each of ``effect``, ``se``, ``lower``,
     ``upper`` (log scale, NaN where absent) and ``ci_level`` (0.95 where absent).
@@ -447,19 +458,16 @@ def _read_contrasts(
         numbers[name] = np.array(values, dtype=float)
         suspect.append(first)
     effect, se, lower, upper, ci_level = numbers.values()
-    a, b = _codes(studies.treatments, studies.treat1, studies.treat2)
+    unusable = _unusable_level(ci_level)
+    # A row with an unusable level is bad below; the default stands in for it meanwhile.
+    numbers["ci_level"] = np.where(np.isnan(ci_level) | unusable, _CI_LEVEL, ci_level)
+    same = np.fromiter(map(operator.eq, studies.treat1, studies.treat2), dtype=bool, count=n)
     both = ~np.isnan(lower) & ~np.isnan(upper)
-    bad = (np.isnan(effect) | (a == b) | _unusable_level(ci_level) | (se < 0)
-           | (np.isnan(se) & ~both) | (both & ~((lower <= effect) & (effect <= upper))))
+    bad = (np.isnan(effect) | same | unusable | (se < 0)
+           | (np.isnan(se) & ~both) | (both & ~((lower <= effect) & (effect <= upper)))
+           | ~np.isfinite(_completed(numbers)).all(axis=0))
     for k in range(min(suspect + np.flatnonzero(bad)[:1].tolist()), n):
-        _study_effect(cells, k, scale)
-    del columns, cells  # every number cell is read: free them before the duplicate check
-    repeat = _repeats(studies.study, a, b, len(studies.treatments))
-    if repeat.any():
-        k = int(np.argmax(repeat))
-        pair = (studies.treat1[k], studies.treat2[k])
-        raise DataError(f"duplicate contrast for pair {pair} in study {studies.study[k]!r}")
-    numbers["ci_level"] = np.where(np.isnan(ci_level), _CI_LEVEL, ci_level)
+        complete_intervals(_study_effect(cells, k, scale))
     return studies, numbers
 
 
@@ -552,15 +560,18 @@ def complete_intervals(e: StudyEffect) -> StudyEffect:
     return replace(e, se=se, ci_lower=lower, ci_upper=upper)
 
 
-def _bounds(numbers: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The interval bounds that :func:`complete_intervals` gives every row of
+def _completed(numbers: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SE, lower and upper bound that :func:`complete_intervals` gives every row of
     :func:`_read_contrasts`' numbers, from the same float operations."""
     effect, se, lower, upper, ci_level = (numbers[c] for c in _NUMBERS)
     fill = np.isnan(lower) | np.isnan(upper)
-    with np.errstate(over="ignore"):  # as in float arithmetic, a huge se gives inf
+    # As in float arithmetic, a huge se or a wide interval gives inf; a bad row, nan.
+    with np.errstate(over="ignore", invalid="ignore"):
         levels, row_level = np.unique(ci_level, return_inverse=True)
-        spread = np.array([_z(level) for level in levels.tolist()])[row_level] * se
-        return np.where(fill, effect - spread, lower), np.where(fill, effect + spread, upper)
+        z = np.array([_z(level) for level in levels.tolist()])[row_level]
+        spread = z * se
+        return (np.where(np.isnan(se), (upper - lower) / (2.0 * z), se),
+                np.where(fill, effect - spread, lower), np.where(fill, effect + spread, upper))
 
 
 def _report(studies: _Studies) -> ValidationReport:

@@ -25,9 +25,9 @@ from .study_data import (
     CovariateSchema,
     CovariateValue,
     StudyEffect,
-    _bounds,
     _check_ratios,
     _codes,
+    _completed,
     _first_seen,
     _read_columns,
     _repeats,
@@ -301,7 +301,7 @@ class _Preferences(_Studies):
 
 def _judge(studies: _Studies, numbers: Mapping[str, np.ndarray], roe: RoeConfig) -> _Preferences:
     """``apply_tcc(complete_intervals(e), roe)`` for every contrast of a table at once."""
-    lower, upper = _bounds(numbers)
+    _, lower, upper = _completed(numbers)
     outcome = _outcomes(numbers["effect"], lower, upper, roe)[2]
     return _Preferences(**vars(studies), outcome=outcome)
 

@@ -21,7 +21,9 @@ package's score rows, the one-tournament likelihood core and Newton
 solver, the split search that fits both sides of every candidate, and the
 P-scores taken one league-table pair at a time, and the repeated-row
 checks of a network and of a record table, one row at a time with a
-``(study, frozenset)`` key per row.
+``(study, frozenset)`` key per row. The two earlier forms of the ability
+intervals' log-scale variance are kept as well; those the package matches
+to rounding only.
 """
 
 from __future__ import annotations
@@ -536,6 +538,30 @@ def reference_stability_test(
     return statistic, p_value
 
 
+# ---------------------------------------------------------------- log-scale variances
+# The delta-method variances of the ability intervals in the two forms ``davidson``
+# had before one rule gave both; the package matches them to rounding, not bit for bit.
+
+
+def einsum_log_pi_variance(fit) -> np.ndarray:
+    """Var(log pi_x) for every treatment x, from the n x (n - 1) gradient matrix
+    d log pi_x / d lambda_z = 1{x = z} - pi_z over the free log-abilities."""
+    n = len(fit.treatments)
+    pi = np.asarray([fit.pi[x] for x in fit.treatments])
+    grads = np.eye(n)[:, 1:] - pi[1:]
+    return np.einsum("ki,ij,kj->k", grads, fit.covariance[: n - 1, : n - 1], grads)
+
+
+def named_ratio_variance(fit, denominator: str) -> np.ndarray:
+    """Var(log psi_x - log psi_d) for every treatment x: B_xx + B_dd - 2 B_xd, with B
+    the covariance of all log-abilities (reference row and column zero)."""
+    n = len(fit.treatments)
+    block = np.zeros((n, n))
+    block[1:, 1:] = fit.covariance[: n - 1, : n - 1]
+    d = fit.treatments.index(denominator)
+    return np.diagonal(block) + block[d, d] - 2.0 * block[:, d]
+
+
 # ---------------------------------------------------------------- scalar solver
 # ``davidson``'s likelihood core and Newton solver for one tournament, as they
 # were before they took a leading candidate axis.
@@ -762,7 +788,7 @@ def reference_read_columns(source, mandatory=()) -> dict[str, tuple[str, ...]]:
 def per_row_parse(stream, scale: str) -> Network:
     """A contrast table read the way ``parse_contrast_table`` read it before its
     columnar core: the label and covariate checks over every row, then one row's
-    numbers at a time into a ``StudyEffect``."""
+    numbers at a time into a ``StudyEffect`` whose completed interval is finite."""
     columns = _read_columns(stream, ("study", "treat1", "treat2", "effect"))
     fields = list(columns)
     rows = [(i, dict(zip(fields, cells))) for i, cells in enumerate(zip(*columns.values()), 2)]
@@ -802,8 +828,10 @@ def per_row_parse(stream, scale: str) -> Network:
             lower = _log_transform(lower, "lower bound", i)
             upper = _log_transform(upper, "upper bound", i)
         ci_level = _parse_float(row.get("ci_level"), "ci_level", i, required=False)
-        effects.append(StudyEffect(row["study"], row["treat1"], row["treat2"], effect, se, lower,
-                                   upper, 0.95 if ci_level is None else ci_level, values))
+        contrast = StudyEffect(row["study"], row["treat1"], row["treat2"], effect, se, lower,
+                               upper, 0.95 if ci_level is None else ci_level, values)
+        complete_intervals(contrast)  # raises when the completed interval or SE is not finite
+        effects.append(contrast)
     treatments = tuple(dict.fromkeys(label for e in effects for label in e.pair))
     return Network(treatments, tuple(effects), schema)
 

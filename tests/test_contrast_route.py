@@ -26,13 +26,14 @@ from treatrank import cli
 
 _TREATMENTS = ("A", "B", "C", "D")
 # A bad cell for each per-row check: labels, numbers, ratio-scale values, ci_level, se
-# and a continuous covariate.
+# (negative, or so large that the interval it completes overflows) and a continuous
+# covariate.
 _BAD = (
     [("study", ""), ("treat1", ""), ("treat2", "")]
     + [(c, v) for c in ("effect", "se", "lower", "upper") for v in ("", "abc", "nan", "1e999")]
     + [(c, v) for c in ("effect", "lower", "upper") for v in ("-1", "0")]
     + [("ci_level", v) for v in ("0", "1", "1.5", "abc")]
-    + [("se", "-0.5"), ("age", "inf")]
+    + [("se", "-0.5"), ("se", "1e308"), ("age", "inf")]
 )
 _MCID = 1.2
 
@@ -153,10 +154,19 @@ _KNIFE_EDGES = (
     ["tcc-dump", "--mcid", repr(_MCID)],
 )
 
+# An SE so large that the bounds completed from it overflow, and bounds so wide that the
+# SE completed from them does: both routes reject the row when they read it.
+_OVERFLOWS = (
+    ["study", "treat1", "treat2", "effect", "se", "lower", "upper"],
+    [["s1", "A", "B", "0.0", "", "-1e308", "1e308"], ["s2", "B", "C", "0.0", "1e308", "", ""]],
+    ["tcc-dump", "--mcid", repr(_MCID)],
+)
+
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_invocations())
 @example(_KNIFE_EDGES)
+@example(_OVERFLOWS)
 def test_columnar_route_matches_the_per_row_chain(invocation):
     header, rows, argv = invocation
     with tempfile.TemporaryDirectory() as scratch:

@@ -35,10 +35,12 @@ from treatrank import davidson
 from treatrank.davidson import DavidsonObjective, _nu_unbounded
 
 from oracles import (
+    einsum_log_pi_variance,
     fd_gradient,
     floyd_warshall_nu_unbounded,
     grid_search_mle,
     loop_loglik,
+    named_ratio_variance,
     random_tournament,
     reachability,
     reference_fit,
@@ -858,6 +860,23 @@ def test_ability_ratios_average_matches_mean_denominator():
     mean_ability = math.fsum(fit.psi.values()) / len(fit.psi)
     for ratio in ability_ratios(fit, AVERAGE):
         assert ratio.estimate == pytest.approx(fit.psi[ratio.numerator] / mean_ability)
+
+
+@pytest.mark.parametrize("n", [5, 12, 40, 120, 300])
+def test_one_log_ratio_variance_matches_the_earlier_two_formulas(n):
+    # Both sides cancel, so the tolerance is on the scale of the largest variance.
+    fit = fit_davidson(random_tournament(np.random.default_rng(n), n))
+    tolerance = 1e-13 * np.max(np.diagonal(fit.covariance)[: n - 1])
+    pi = np.array([fit.pi[x] for x in fit.treatments])
+    got = davidson._log_ratio_variance(fit, pi)
+    assert np.max(np.abs(got - einsum_log_pi_variance(fit))) <= tolerance
+    for d in sorted({0, 1, n // 2, n - 1}):
+        label, unit = fit.treatments[d], np.zeros(n)
+        unit[d] = 1.0
+        got = davidson._log_ratio_variance(fit, unit)
+        assert np.max(np.abs(got - named_ratio_variance(fit, label))) <= tolerance
+        self_ratio = next(r for r in ability_ratios(fit, label) if r.numerator == label)
+        assert (self_ratio.ci_lower, self_ratio.ci_upper) == (1.0, 1.0)
 
 
 def test_ability_ratios_unknown_denominator():

@@ -141,6 +141,8 @@ def test_a_cold_subcommand_loads_only_the_modules_it_runs(tmp_path):
         "partition": ("treatrank.partition", {"treatrank.compare", "treatrank.plot"}),
         "compare": ("treatrank.compare", {"treatrank.tcc", "treatrank.davidson",
                                           "treatrank.partition", "treatrank.plot", "statistics"}),
+        "tcc-dump": ("treatrank.tcc", {"treatrank.davidson", "treatrank.partition",
+                                       "treatrank.compare", "treatrank.plot"}),
     }
     for command, (used, unused) in expected.items():
         table = "league.csv" if command == "compare" else "contrasts.csv"
@@ -153,6 +155,13 @@ def test_a_cold_subcommand_loads_only_the_modules_it_runs(tmp_path):
         assert loaded[0] == "0", command
         assert used in loaded, command
         assert unused & set(loaded) == set(), command
+    # The module alone loads none of the stages it calls.
+    loaded = _fresh_process(
+        "import sys, treatrank.cli; print(' '.join(sorted(sys.modules)))"
+    ).split()
+    assert [m for m in loaded if m.startswith("treatrank.")] == [
+        "treatrank.cli", "treatrank.errors", "treatrank.study_data"
+    ]
 
 
 def test_the_readme_layout_lists_every_module():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -39,7 +40,7 @@ from treatrank import (
     validate_network,
 )
 
-from treatrank import study_data, tcc
+from treatrank import cli, study_data, tcc
 from treatrank.study_data import _read_columns, _read_contrasts
 
 from oracles import per_row_network_checks, per_row_read_records, reference_read_columns
@@ -301,6 +302,35 @@ def test_complete_intervals_fills_se_from_bounds():
     done = complete_intervals(e)
     assert done.se == pytest.approx(0.4 / (2.0 * 1.959963984540054), abs=1e-12)
     assert (done.ci_lower, done.ci_upper) == (0.1, 0.5)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("s1,A,B,0.0,,-1e308,1e308", "study 's1': non-finite se inf"),  # bounds only
+    ("s1,A,B,0.0,1e308,,", "study 's1': non-finite ci_lower -inf"),
+])
+def test_a_contrast_completed_past_the_floats_is_rejected_when_read(tmp_path, row, message):
+    # complete_intervals would give it an infinite SE or bound; both routes read it first.
+    table = tmp_path / "contrasts.csv"
+    table.write_text(f"study,treat1,treat2,effect,se,lower,upper\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError) as error:
+        parse_contrast_table(io.StringIO(table.read_text(encoding="utf-8")))
+    assert str(error.value) == message
+    out = tmp_path / "out"
+    argv = ["tcc-dump", "--input", str(table), "--mcid", "1.2", "--out-dir", str(out)]
+    with mock.patch("sys.stderr"):
+        assert cli.main(argv) == 1
+    assert json.loads((out / "error.json").read_text(encoding="utf-8"))["message"] == message
+
+
+def test_each_contrast_route_checks_repeated_pairs_once():
+    # parse_contrast_table leaves the check to Network; the command line builds no Network.
+    argv = ["rank", "--input", str(FIXTURES / "contrasts.csv"), "--mcid", "1.2"]
+    with mock.patch.object(study_data, "_repeats", wraps=study_data._repeats) as repeats:
+        with open(FIXTURES / "contrasts.csv", encoding="utf-8") as stream:
+            parse_contrast_table(stream)
+        library = repeats.call_count
+        cli._read_preferences(cli.parse_args(argv))
+    assert (library, repeats.call_count - library) == (1, 1)
 
 
 def test_complete_intervals_respects_ci_level():
