@@ -11,15 +11,15 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import DataError, FordConditionError, ModelError
-from .study_data import BENEFICIAL, HARMFUL, _CI_LEVEL, _check_pairs, _check_ratios, _read_contrasts
-from .study_data import _read_header, _report, _write_columns, _z
+from .study_data import BENEFICIAL, HARMFUL, _CI_LEVEL, _check_nsim, _check_pairs, _check_ratios
+from .study_data import _check_seed, _read_contrasts, _read_header, _report, _write_columns, _z
 
 # Not called here; bench/tracing.py wraps these layer functions by their names in this module.
 from .study_data import complete_intervals, parse_contrast_table, validate_network  # noqa: F401
@@ -161,10 +161,8 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv=None) -> RunConfig:
     options = vars(_build_parser().parse_args(argv))
-    if options.get("seed", 0) < 0:
-        raise DataError(f"seed must be non-negative, got {options['seed']}")
-    if options.get("nsim", 1) < 1:
-        raise DataError(f"nsim must be positive, got {options['nsim']}")
+    _check_seed(options.get("seed", 0))
+    _check_nsim(options.get("nsim", 1))
     _check_ratios(options.get("mcid"), options.get("roe_lower"), options.get("roe_upper"))
     if options.get("records_input") and (judging := [f for f in _CONTRAST_ONLY if f in options]):
         raise DataError(f"--{judging[0].replace('_', '-')} applies only to contrast input")
@@ -219,7 +217,9 @@ def _write_records(preferences: _Preferences, config: RunConfig) -> None:
 
 
 def _write_fit_artifacts(fit, n_records: int, config: RunConfig) -> None:
-    abilities = normalized_abilities(fit, ci_level=config.ci_level)
+    # Intervals too wide to represent fail here, before any artifact is written.
+    if config.formats & {"json", "svg"}:
+        abilities = normalized_abilities(fit, ci_level=config.ci_level)
     ranked = sorted(fit.treatments, key=lambda x: (-fit.pi[x], x))
     if "csv" in config.formats:
         header = ["treatment", "ability", "se_log_ability", "pi", "rank"]
@@ -239,15 +239,7 @@ def _write_fit_artifacts(fit, n_records: int, config: RunConfig) -> None:
             "param_names": list(fit.param_names),
             "covariance": fit.covariance.tolist(),
             "se_log_ability": {x: fit.se_log_ability[x] for x in fit.treatments},
-            "normalized": {
-                x: {
-                    "estimate": a.estimate,
-                    "se": a.se,
-                    "ci_lower": a.ci_lower,
-                    "ci_upper": a.ci_upper,
-                }
-                for x, a in abilities.items()
-            },
+            "normalized": {x: asdict(a) for x, a in abilities.items()},
             "ci_level": config.ci_level,
             "loglik": fit.loglik,
             "converged": fit.converged,

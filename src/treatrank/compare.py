@@ -20,8 +20,9 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import DataError
-from .study_data import BENEFICIAL, HARMFUL, _BLOCK_FLOATS, _check_ratios, _first_seen, _floats
-from .study_data import _parse_float, _read_columns
+from .study_data import BENEFICIAL, _BLOCK_FLOATS, _check_contest, _check_direction, _check_nsim
+from .study_data import _check_ratios, _check_seed, _first_seen, _floats, _parse_float
+from .study_data import _read_columns
 
 __all__ = _EXPORTS["compare"]
 
@@ -51,10 +52,7 @@ class LeagueTable:
     _index: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.direction not in (BENEFICIAL, HARMFUL):
-            raise DataError(
-                f"direction must be 'beneficial' or 'harmful', got {self.direction!r}"
-            )
+        _check_direction(self.direction)
         if len(self.treatments) < 2:
             raise DataError("a league table needs at least two treatments")
         if (self.pairwise is None) == (self.basic is None):
@@ -143,16 +141,8 @@ class LeagueTable:
         return _pair_entry(self, x, y)[1]
 
 
-def _check_known(lt: LeagueTable, *labels: str) -> None:
-    for label in labels:
-        if label not in lt._index:
-            raise DataError(f"unknown treatment {label!r}")
-
-
 def _pair_entry(lt: LeagueTable, x: str, y: str) -> tuple[float, float]:
-    _check_known(lt, x, y)
-    if x == y:
-        raise DataError(f"need two distinct treatments, got {x!r} twice")
+    _check_contest(lt._index, x, y)
     if lt.pairwise is not None:
         if (x, y) in lt.pairwise:
             return lt.pairwise[(x, y)]
@@ -292,10 +282,8 @@ def prob_best(lt: LeagueTable, nsim: int = _NSIM, seed: int = _SEED) -> dict[str
     The reported probabilities are the tally shares, adjusted in the largest
     share's last bit so they sum to exactly 1. Deterministic given ``seed``.
     """
-    if nsim < 1:
-        raise DataError(f"nsim must be positive, got {nsim}")
-    if seed < 0:
-        raise DataError(f"seed must be non-negative, got {seed}")
+    _check_nsim(nsim)
+    _check_seed(seed)
     means, cov = _basic_parameters(lt)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     tolerance = 1e-9 * max(1.0, float(np.max(np.abs(eigenvalues)))) if eigenvalues.size else 0.0

@@ -3,8 +3,8 @@
 Each treatment carries a positive latent ability psi. For a contest between
 X and Y the outcome probabilities are
 
-    Pr(X wins) = psi_X / D,    Pr(tie) = nu * sqrt(psi_X * psi_Y) / D,
-    D = psi_X + psi_Y + nu * sqrt(psi_X * psi_Y),
+    Pr(X wins) = psi_X / D,    Pr(tie) = nu * sqrt(psi_X psi_Y) / D,
+    D = psi_X + psi_Y + nu * sqrt(psi_X psi_Y),
 
 with a single tie-prevalence parameter nu >= 0. The probabilities are
 degree-0 homogeneous in the abilities, so only ability ratios are
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConvergenceError, DataError, FordConditionError, ModelError, OnlyTiesError
-from .study_data import _CI_LEVEL, _z
+from .study_data import _CI_LEVEL, _check_contest, _z
 from .tcc import Tournament
 
 __all__ = (*_EXPORTS["davidson"], "DavidsonObjective")
@@ -64,11 +64,10 @@ def win_tie_probabilities(psi_x: float, psi_y: float, nu: float) -> tuple[float,
     """
     if not (0 < psi_x < math.inf and 0 < psi_y < math.inf):
         raise DataError(f"abilities must be positive and finite, got ({psi_x}, {psi_y})")
-    if not 0 <= nu < math.inf:  # nu = 0 is the tie-free model
-        raise DataError(f"tie prevalence must be non-negative and finite, got {nu}")
-    root = math.sqrt(psi_x * psi_y)
-    denom = psi_x + psi_y + nu * root
-    return psi_x / denom, psi_y / denom, nu * root / denom
+    r = psi_x / psi_y  # only the ratio matters, and its log is exact to rounding while r is normal
+    log_r = math.log(r) if 1e-300 < r < 1e300 else math.log(psi_x) - math.log(psi_y)
+    log_p = _log_probabilities(np.array([log_r, 0.0]), _log_nu(nu), np.array([0]), np.array([1]))
+    return tuple(np.exp(log_p[0]).tolist())
 
 
 def _ability_vector(t: Tournament, psi) -> np.ndarray:
@@ -103,6 +102,8 @@ _CREDIT_PRODUCTS = np.einsum("ka,kb->abk", _CREDIT, _CREDIT).reshape(9, 3)
 
 
 def _log_nu(nu: float) -> float:
+    if not 0 <= nu < math.inf:  # nu = 0 is the tie-free model
+        raise DataError(f"tie prevalence must be non-negative and finite, got {nu}")
     return math.log(nu) if nu > 0 else -math.inf
 
 
@@ -156,8 +157,6 @@ def log_likelihood(t: Tournament, psi, nu: float) -> float:
     count yield -inf.
     """
     values = _ability_vector(t, psi)
-    if not 0 <= nu < math.inf:  # nu = 0 is the tie-free model
-        raise DataError(f"tie prevalence must be non-negative and finite, got {nu}")
     return float(_loglik(t._counts, _log_probabilities(np.log(values), _log_nu(nu), t._i, t._j)))
 
 
@@ -240,22 +239,7 @@ def _wins_both_ways(counts: np.ndarray) -> np.ndarray:
     return np.any((counts[..., 0] > 0) & (counts[..., 1] > 0), axis=-1)
 
 
-def _unbounded(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> bool:
-    """:func:`_nu_unbounded` on the (P, 3) count array of ``n`` treatments."""
-    if _wins_both_ways(counts):
-        return False  # a negative 2-cycle
-    source, target, weight, present = _preference_edges(i, j, counts)
-    source, target, weight = source[present], target[present], weight[present]
-    distance = np.zeros(n, dtype=np.intp)
-    for _ in range(n):
-        relaxed = distance[source] + weight
-        if not np.any(relaxed < distance[target]):
-            return True
-        np.minimum.at(distance, target, relaxed)
-    return False
-
-
-def _nu_unbounded(t: Tournament) -> bool:
+def _nu_unbounded(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> bool:
     """Whether the likelihood keeps rising as nu grows and the abilities spread.
 
     Move log nu by t / 2 and the log-abilities by t * d. As t grows, the
@@ -271,7 +255,17 @@ def _nu_unbounded(t: Tournament) -> bool:
     distances, and one that still relaxes after n rounds means a negative
     cycle (Cormen et al., CLRS section 24.4).
     """
-    return _unbounded(len(t.treatments), t._i, t._j, t._counts)
+    if _wins_both_ways(counts):
+        return False  # a negative 2-cycle
+    source, target, weight, present = _preference_edges(i, j, counts)
+    source, target, weight = source[present], target[present], weight[present]
+    distance = np.zeros(n, dtype=np.intp)
+    for _ in range(n):
+        relaxed = distance[source] + weight
+        if not np.any(relaxed < distance[target]):
+            return True
+        np.minimum.at(distance, target, relaxed)
+    return False
 
 
 class DavidsonObjective:
@@ -564,7 +558,7 @@ def fit_davidson(t: Tournament, *, max_iterations: int = _MAX_ITERATIONS) -> Abi
         raise FordConditionError(*failure)
 
     obj = DavidsonObjective(t)
-    if obj.has_tie_param and _nu_unbounded(t):
+    if obj.has_tie_param and _nu_unbounded(len(t.treatments), t._i, t._j, t._counts):
         raise ModelError(
             "no finite maximum-likelihood estimate: the likelihood keeps rising as "
             "the tie prevalence nu grows and the abilities spread apart with it"
@@ -617,11 +611,11 @@ def _fittable(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> np.nd
     """Which tournaments of an (R, P, 3) count stack over ``n`` treatments, on
     the pairs ``(i, j)``, pass the checks of :func:`fit_davidson`: a win, the
     Ford check and, with ties, a finite maximum. The checks run on the
-    count-array helpers that :func:`check_ford` and :func:`_nu_unbounded` use."""
+    count-array helpers of :func:`check_ford` and on :func:`_nu_unbounded`."""
     passed = (counts[..., :2].sum(axis=(-2, -1)) > 0) & _ford_passes(n, i, j, counts)
     ties = counts[..., 2].sum(axis=-1) > 0
     for r in np.flatnonzero(passed & ties & ~_wins_both_ways(counts)):
-        passed[r] = not _unbounded(n, i, j, counts[r])
+        passed[r] = not _nu_unbounded(n, i, j, counts[r])
     return passed
 
 
@@ -664,11 +658,7 @@ def _record_scores(fit: AbilityFit, i: np.ndarray, j: np.ndarray, outcome: np.nd
 
 def pairwise_probabilities(f: AbilityFit, x: str, y: str) -> tuple[float, float, float]:
     """Win/win/tie probabilities between two fitted treatments."""
-    for label in (x, y):
-        if label not in f.psi:
-            raise DataError(f"unknown treatment {label!r}")
-    if x == y:
-        raise DataError(f"need two distinct treatments, got {x!r} twice")
+    _check_contest(f.psi, x, y)
     return win_tie_probabilities(f.psi[x], f.psi[y], f.nu)
 
 
@@ -688,23 +678,36 @@ def _log_ratio_variance(f: AbilityFit, w: np.ndarray) -> np.ndarray:
 
 
 def _wald_intervals(
-    estimates: Sequence[float], log_variances: Sequence[float], ci_level: float
+    labels: Sequence[str], estimates: Sequence[float], log_variances: Sequence[float],
+    ci_level: float,
 ) -> list[tuple[float, float, float]]:
-    """``(se_log, lower, upper)`` per estimate: a log-scale Wald interval, exponentiated."""
+    """``(se_log, lower, upper)`` per estimate: a log-scale Wald interval, exponentiated.
+
+    Raises ModelError, naming the treatment, where an upper bound is not a finite float.
+    """
     z = _z(ci_level)
     out = []
-    for estimate, log_var in zip(estimates, log_variances):
+    for label, estimate, log_var in zip(labels, estimates, log_variances):
         se_log = math.sqrt(max(log_var, 0.0))
-        out.append((se_log, estimate * math.exp(-z * se_log), estimate * math.exp(z * se_log)))
+        try:
+            upper = estimate * math.exp(z * se_log)
+        except OverflowError:
+            upper = math.inf
+        if not upper < math.inf:
+            raise ModelError(f"the {ci_level} interval of {label!r} is not representable: "
+                             f"its log-scale standard error is {se_log:.4g}")
+        out.append((se_log, estimate * math.exp(-z * se_log), upper))
     return out
 
 
 def normalized_abilities(
     f: AbilityFit, ci_level: float = _CI_LEVEL
 ) -> dict[str, NormalizedAbility]:
-    """Normalized abilities with SEs and CIs propagated on the log scale."""
+    """Normalized abilities with SEs and CIs propagated on the log scale; an upper
+    bound past the float range raises ModelError."""
     estimates = [f.pi[x] for x in f.treatments]
-    intervals = _wald_intervals(estimates, _log_ratio_variance(f, np.array(estimates)), ci_level)
+    variances = _log_ratio_variance(f, np.array(estimates))
+    intervals = _wald_intervals(f.treatments, estimates, variances, ci_level)
     return {
         label: NormalizedAbility(estimate=pi, se=pi * se_log, ci_lower=lower, ci_upper=upper)
         for label, pi, (se_log, lower, upper) in zip(f.treatments, estimates, intervals)
@@ -720,7 +723,8 @@ def ability_ratios(
 
     The denominator is either a treatment label or :data:`AVERAGE`, a
     fictional treatment whose ability is the arithmetic mean ability. CIs are
-    Wald intervals on the log-ratio, exponentiated.
+    Wald intervals on the log-ratio, exponentiated; an upper bound past the
+    float range raises ModelError.
     """
     labels = f.treatments
     if isinstance(denominator, _AverageAbility):
@@ -732,7 +736,7 @@ def ability_ratios(
     else:
         raise DataError(f"unknown denominator treatment {denominator!r}")
     estimates = [f.psi[x] / scale for x in labels]
-    intervals = _wald_intervals(estimates, _log_ratio_variance(f, w), ci_level)
+    intervals = _wald_intervals(labels, estimates, _log_ratio_variance(f, w), ci_level)
     return [
         AbilityRatio(
             numerator=x,

@@ -25,6 +25,7 @@ from . import _EXPORTS
 from .davidson import AbilityFit, _fittable, _max_logliks, _record_scores, fit_davidson
 from .errors import DataError, ModelError
 from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
+from .study_data import _check_seed
 from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _tally
 from .tcc import aggregate_tournament  # noqa: F401  (bench/tracing.py rebinds this name)
 
@@ -61,8 +62,7 @@ class PartitionConfig:
             raise DataError(f"max_depth must be non-negative, got {self.max_depth}")
         if self.permutations < 1:
             raise DataError(f"permutations must be positive, got {self.permutations}")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
         if not (0.0 <= self.trim < 0.5):
             raise DataError(f"trim must be in [0, 0.5), got {self.trim}")
 

@@ -17,7 +17,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Container, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -538,6 +538,30 @@ def _check_ratios(mcid=None, roe_lower=None, roe_upper=None) -> None:
     for name, bound in (("roe_lower", roe_lower), ("roe_upper", roe_upper)):
         if bound is not None and not 0.0 < bound < math.inf:
             raise DataError(f"{name} must be positive and finite on the ratio scale, got {bound}")
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in (BENEFICIAL, HARMFUL):
+        raise DataError(f"direction must be 'beneficial' or 'harmful', got {direction!r}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+
+
+def _check_nsim(nsim: int) -> None:
+    if nsim < 1:
+        raise DataError(f"nsim must be positive, got {nsim}")
+
+
+def _check_contest(known: Container[str], x: str, y: str) -> None:
+    """The checks of a contest between ``x`` and ``y``: both in ``known``, and distinct."""
+    for label in (x, y):
+        if label not in known:
+            raise DataError(f"unknown treatment {label!r}")
+    if x == y:
+        raise DataError(f"need two distinct treatments, got {x!r} twice")
 
 
 def complete_intervals(e: StudyEffect) -> StudyEffect:

@@ -21,10 +21,10 @@ from . import _EXPORTS
 from .errors import DataError
 from .study_data import (
     BENEFICIAL,
-    HARMFUL,
     CovariateSchema,
     CovariateValue,
     StudyEffect,
+    _check_direction,
     _check_ratios,
     _codes,
     _completed,
@@ -66,8 +66,7 @@ class RoeConfig:
     direction: str = BENEFICIAL
 
     def __post_init__(self):
-        if self.direction not in (BENEFICIAL, HARMFUL):
-            raise DataError(f"direction must be 'beneficial' or 'harmful', got {self.direction!r}")
+        _check_direction(self.direction)
         if not (self.roe_lower < self.null_effect < self.roe_upper):
             raise DataError(
                 "equivalence range must straddle the null effect: need "

@@ -1,9 +1,13 @@
-"""Shared test plumbing: a human-readable acceptance-criteria report."""
+"""Shared test plumbing: a human-readable acceptance-criteria report, and inputs
+written by the benchmark's generators."""
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 _LINES: list[tuple[int, str]] = []
@@ -37,6 +41,19 @@ def acceptance():
         _record(number, f"criterion {number:2d} — {title}: PASS{suffix}")
 
     return runner
+
+
+@pytest.fixture
+def overflowing_network(tmp_path) -> Path:
+    """A contrast table whose fit has ability intervals too wide to represent: the
+    benchmark's network design at 200 treatments and only 400 contrasts (seed 7), where
+    50 log-scale standard errors exceed 362, past which the exp(z * se) of a 0.95
+    interval overflows."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.write_network(np.random.default_rng(7), tmp_path, 200, 400)["contrasts"]
 
 
 def _record(number: int, line: str) -> None:

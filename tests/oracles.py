@@ -22,8 +22,9 @@ solver, the split search that fits both sides of every candidate, and the
 P-scores taken one league-table pair at a time, and the repeated-row
 checks of a network and of a record table, one row at a time with a
 ``(study, frozenset)`` key per row. The two earlier forms of the ability
-intervals' log-scale variance are kept as well; those the package matches
-to rounding only.
+intervals' log-scale variance are kept as well, and the contest
+probabilities on the ability scale; those the package matches to rounding
+only.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from treatrank.compare import _pair_entry
-from treatrank.davidson import fit_davidson, win_tie_probabilities
+from treatrank.davidson import fit_davidson
 from treatrank.errors import ConvergenceError, DataError, ModelError
 from treatrank.partition import (
     MAX_SPLIT_LEVELS,
@@ -110,6 +111,24 @@ def batch_loglik(t: Tournament, thetas: np.ndarray) -> np.ndarray:
     return l_i @ r_ij + l_j @ r_ji + l_tie @ ties - log_d @ m
 
 
+def scalar_win_tie_probabilities(
+    psi_x: float, psi_y: float, nu: float
+) -> tuple[float, float, float]:
+    """Win/win/tie probabilities for one contest, on the ability scale.
+
+    The package's formula before it went through the log-space likelihood
+    core, kept verbatim so that the loops below and the records they simulate
+    keep their bits.
+    """
+    if not (0 < psi_x < math.inf and 0 < psi_y < math.inf):
+        raise DataError(f"abilities must be positive and finite, got ({psi_x}, {psi_y})")
+    if not 0 <= nu < math.inf:  # nu = 0 is the tie-free model
+        raise DataError(f"tie prevalence must be non-negative and finite, got {nu}")
+    root = math.sqrt(psi_x * psi_y)
+    denom = psi_x + psi_y + nu * root
+    return psi_x / denom, psi_y / denom, nu * root / denom
+
+
 def loop_loglik(t: Tournament, psi, nu: float) -> float:
     """Log-likelihood summed pair by pair and outcome by outcome.
 
@@ -119,7 +138,7 @@ def loop_loglik(t: Tournament, psi, nu: float) -> float:
     index = {x: k for k, x in enumerate(t.treatments)}
     total = 0.0
     for (x, y), c in t.counts.items():
-        probs = win_tie_probabilities(psi[index[x]], psi[index[y]], nu)
+        probs = scalar_win_tie_probabilities(psi[index[x]], psi[index[y]], nu)
         for count, p in zip(c, probs):
             if count:
                 total += count * (math.log(p) if p > 0 else -math.inf)
@@ -141,7 +160,9 @@ def loop_scores(records, fit) -> np.ndarray:
     rows = np.zeros((len(records), n_t + 1))
     for row, r in zip(rows, records):
         i, j = index[r.treat_a], index[r.treat_b]
-        p_a, p_b, p_tie = win_tie_probabilities(fit.psi[r.treat_a], fit.psi[r.treat_b], fit.nu)
+        p_a, p_b, p_tie = scalar_win_tie_probabilities(
+            fit.psi[r.treat_a], fit.psi[r.treat_b], fit.nu
+        )
         credit = _VERDICT_CREDIT[r.verdict]
         row[i] = credit[0] - (p_a + 0.5 * p_tie)
         row[j] = credit[1] - (p_b + 0.5 * p_tie)
@@ -423,7 +444,7 @@ def simulate_records(rng, n: int, draw, nu: float) -> list[PreferenceRecord]:
         j = int(rng.integers(len(labels) - 1))
         x = labels[k]
         y = labels[j if j < k else j + 1]
-        probs = win_tie_probabilities(abilities[x], abilities[y], nu)
+        probs = scalar_win_tie_probabilities(abilities[x], abilities[y], nu)
         u = float(rng.random())
         outcome = 0 if u < probs[0] else (1 if u < probs[0] + probs[1] else 2)
         records.append(

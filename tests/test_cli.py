@@ -237,6 +237,26 @@ def test_rank_without_a_finite_maximum_is_a_model_error(tmp_path):
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_rank_with_an_unrepresentable_interval_is_a_model_error(
+    tmp_path, overflowing_network, capsys
+):
+    def reject(constant):
+        raise ValueError(f"error.json holds {constant}")
+
+    out = tmp_path / "out"
+    assert _run("rank", "--input", overflowing_network, "--out-dir", out, "--mcid", "1.2") == 2
+    document = json.loads((out / "error.json").read_text(), parse_constant=reject)
+    assert document["error"] == "ModelError" and document["exit_code"] == 2
+    assert "is not representable" in document["message"]
+    assert capsys.readouterr().err == f"error: {document['message']}\n"
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    # rank.csv holds no interval, so it is still written.
+    csv_out = tmp_path / "csv"
+    assert _run("rank", "--input", overflowing_network, "--out-dir", csv_out, "--mcid", "1.2",
+                "--format", "csv") == 0
+    assert [p.name for p in csv_out.iterdir()] == ["rank.csv"]
+
+
 def test_rank_missing_input_file(tmp_path):
     assert _run("rank", "--input", tmp_path / "nope.csv", "--out-dir", tmp_path,
                 "--mcid", "1.2") == 1

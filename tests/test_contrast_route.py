@@ -104,11 +104,19 @@ def _contrast_tables(draw):
         first, later = sorted(draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2,
                                             unique_by=id)), key=rows.index)
         later.update(study=first["study"], treat1=first["treat2"], treat2=first["treat1"])
-    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 1, 2, 3))) if rows else 0):
-        column, cell = draw(st.sampled_from([bad for bad in _BAD if bad[0] in columns]))
-        draw(st.sampled_from(rows))[column] = cell
     dropped = draw(st.sampled_from((None,) * 27 + ("se", "lower", "upper")))
     header = [c for c in columns if c != dropped]
+    # Each bad cell goes on a drawn row, which is made a row where the cell takes effect:
+    # a row with an SE cell completes its bounds from it at the default level, whose
+    # quantile lets 1e308 overflow them, and a row with an empty bound has no SE.
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 1, 2, 3))) if rows else 0):
+        column, cell = draw(st.sampled_from([bad for bad in _BAD if bad[0] in header]))
+        row = draw(st.sampled_from(rows))
+        if column == "se":
+            row.update(lower="", upper="", ci_level="")
+        elif column in ("lower", "upper") and not cell:
+            row["se"] = ""
+        row[column] = cell
     return header, [[row[c] for c in header] for row in rows], ratio
 
 

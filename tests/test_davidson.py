@@ -24,11 +24,16 @@ from treatrank import (
     Verdict,
     ability_ratios,
     aggregate_tournament,
+    apply_tcc,
+    build_ability_svg,
+    build_roe,
     check_ford,
+    complete_intervals,
     fit_davidson,
     log_likelihood,
     normalized_abilities,
     pairwise_probabilities,
+    parse_contrast_table,
     win_tie_probabilities,
 )
 from treatrank import davidson
@@ -63,6 +68,11 @@ def _tournament(counts, treatments=None):
     )
 
 
+def _count_arrays(t):
+    """The ``(n, i, j, counts)`` that the count-array checks take for ``t``."""
+    return len(t.treatments), t._i, t._j, t._counts
+
+
 # ---------------------------------------------------------------- probabilities
 
 
@@ -82,6 +92,26 @@ def test_probabilities_equal_abilities_no_ties():
 def test_probabilities_reject_bad_parameters(psi_x, psi_y, nu, message):
     with pytest.raises(DataError, match=message):
         win_tie_probabilities(psi_x, psi_y, nu)
+
+
+def test_probabilities_are_invariant_to_rescaling_at_any_magnitude():
+    # Only the ability ratio matters, wherever in the float range the abilities sit.
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for k in range(-300, 301):
+        for _ in range(4):
+            psi_x, psi_y = np.exp(rng.uniform(-3.0, 3.0, size=2)).tolist()
+            nu = float(rng.uniform(0.05, 20.0))
+            triple = win_tie_probabilities(psi_x, psi_y, nu)
+            scaled = win_tie_probabilities(10.0**k * psi_x, 10.0**k * psi_y, nu)
+            worst = max(worst, *(abs(a - b) for a, b in zip(triple, scaled)))
+    assert worst <= 1e-15
+    for scale in (1e-200, 1.0, 1e200):
+        assert win_tie_probabilities(scale, scale, 0.5) == pytest.approx((0.4, 0.4, 0.2), abs=1e-15)
+    # A ratio past the float range: the tie keeps its tiny, nonzero probability.
+    p_x, p_y, p_tie = win_tie_probabilities(1e300, 1e-300, 2.0)
+    assert (p_x, p_y) == (1.0, 0.0)
+    assert p_tie == pytest.approx(2e-300, rel=1e-12)
 
 
 def test_probabilities_tie_prevalence_spot_check():
@@ -361,7 +391,7 @@ def test_fit_rejects_a_likelihood_without_a_finite_maximum(counts, d):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_sparse_tournaments())
 def test_nu_unbounded_agrees_with_floyd_warshall(t):
-    assert _nu_unbounded(t) == floyd_warshall_nu_unbounded(t)
+    assert _nu_unbounded(*_count_arrays(t)) == floyd_warshall_nu_unbounded(t)
     # Most drawn tournaments have a pair won both ways, which decides the
     # check at once; without those wins both verdicts come up about equally.
     one_way = Tournament(
@@ -371,7 +401,7 @@ def test_nu_unbounded_agrees_with_floyd_warshall(t):
             for pair, c in t.counts.items()
         },
     )
-    assert _nu_unbounded(one_way) == floyd_warshall_nu_unbounded(one_way)
+    assert _nu_unbounded(*_count_arrays(one_way)) == floyd_warshall_nu_unbounded(one_way)
 
 
 def test_nu_unbounded_on_a_long_cycle_is_linear_in_memory():
@@ -385,7 +415,7 @@ def test_nu_unbounded_on_a_long_cycle_is_linear_in_memory():
     t = Tournament(labels, counts)
     tracemalloc.start()
     try:
-        verdict = _nu_unbounded(t)
+        verdict = _nu_unbounded(*_count_arrays(t))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +514,7 @@ def test_fit_computes_probabilities_once_per_point_it_visits(monkeypatch):
     rng = np.random.default_rng(37)
     for _ in range(10):
         t = random_tournament(rng, 6)
-        if t.total_ties == 0 or check_ford(t) is not None or _nu_unbounded(t):
+        if t.total_ties == 0 or check_ford(t) is not None or _nu_unbounded(*_count_arrays(t)):
             continue
         points.clear()
         calls.clear()
@@ -825,6 +855,30 @@ def test_normalized_abilities_ci_level_ordering():
         assert narrow[x].ci_upper < wide[x].ci_upper
     with pytest.raises(DataError, match="ci_level"):
         normalized_abilities(fit, ci_level=1.0)
+
+
+def test_unrepresentable_intervals_raise_a_model_error(overflowing_network):
+    with open(overflowing_network, encoding="utf-8", newline="") as stream:
+        network = parse_contrast_table(stream)
+    roe = build_roe(1.2)
+    records = [apply_tcc(complete_intervals(e), roe) for e in network.effects]
+    fit = fit_davidson(aggregate_tournament(records, network.treatments))
+    calls = (
+        normalized_abilities,
+        ability_ratios,
+        lambda f: ability_ratios(f, AVERAGE),
+        lambda f: ability_ratios(f, f.reference),
+        build_ability_svg,
+    )
+    for call in calls:
+        with pytest.raises(ModelError, match=r"^the 0\.95 interval of 'T\d+' is not representable: "
+                                             r"its log-scale standard error is \d"):
+            call(fit)
+    # exp(z * se) itself finite, and the product with an estimate above 1 not.
+    se = 709.0 / 1.959963984540054
+    with pytest.raises(ModelError, match="'A' is not representable"):
+        davidson._wald_intervals(("A",), (4.0,), (se * se,), 0.95)
+    assert math.isfinite(davidson._wald_intervals(("A",), (0.5,), (se * se,), 0.95)[0][2])
 
 
 def test_ability_ratios_symmetric_average_is_one():

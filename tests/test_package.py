@@ -254,3 +254,21 @@ def test_one_function_writes_every_csv_table():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv.writer"
     ]
     assert callers == ["study_data.py"]
+
+
+def test_each_shared_input_rule_is_stated_once():
+    # A rule written out in two modules can drift apart without a failing test.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "treatrank").glob("*.py"))
+    source = "\n".join(path.read_text(encoding="utf-8") for path in paths)
+    messages = (
+        "tie prevalence must be non-negative and finite",
+        "direction must be 'beneficial' or 'harmful'",
+        "seed must be non-negative",
+        "nsim must be positive",
+        "unknown treatment {label!r}",
+        "need two distinct treatments",
+    )
+    # Each message as the start of a string literal, plain or formatted.
+    counts = {m: len(re.findall(r"""["']""" + re.escape(m), source)) for m in messages}
+    assert counts == dict.fromkeys(messages, 1)
