@@ -111,6 +111,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", help="comma-separated subset of csv,json,svg to emit")
     common.add_argument("--ci-level", type=float, help="CI level for reports")
     common.add_argument("--seed", type=int, help="seed for randomized steps, non-negative")
+    common.add_argument("--direction", choices=(BENEFICIAL, HARMFUL),
+                        help="whether larger effects are better")
 
     tcc = argparse.ArgumentParser(add_help=False, **quiet)
     tcc.add_argument("--scale", choices=("log", "ratio"),
@@ -127,8 +129,6 @@ def _build_parser() -> _Parser:
                      help="override the lower equivalence bound, ratio scale")
     tcc.add_argument("--roe-upper", type=float,
                      help="override the upper equivalence bound, ratio scale")
-    tcc.add_argument("--direction", choices=(BENEFICIAL, HARMFUL),
-                     help="whether larger effects are better")
     tcc.add_argument("--dump-records", action="store_true",
                      help="also write the derived preference records as records.csv")
 
@@ -148,8 +148,6 @@ def _build_parser() -> _Parser:
                           help="P-scores and best-value probabilities from a league table")
     comp.add_argument("--mcid", type=float,
                       help="threshold for the adjusted P-scores, ratio scale > 1")
-    comp.add_argument("--direction", choices=(BENEFICIAL, HARMFUL),
-                      help="whether larger effects are better")
     comp.add_argument("--covariance", type=Path,
                       help="covariance CSV for a basic-form league table")
     comp.add_argument("--nsim", type=int,
@@ -217,10 +215,12 @@ def _write_records(preferences: _Preferences, config: RunConfig) -> None:
 
 
 def _write_fit_artifacts(fit, n_records: int, config: RunConfig) -> None:
+    from .davidson import _hierarchy
+
     # Intervals too wide to represent fail here, before any artifact is written.
     if config.formats & {"json", "svg"}:
         abilities = normalized_abilities(fit, ci_level=config.ci_level)
-    ranked = sorted(fit.treatments, key=lambda x: (-fit.pi[x], x))
+    ranked = _hierarchy(fit)
     if "csv" in config.formats:
         header = ["treatment", "ability", "se_log_ability", "pi", "rank"]
         numbers = ([f"{v[x]:.6g}" for x in ranked] for v in (fit.psi, fit.se_log_ability, fit.pi))
@@ -362,7 +362,10 @@ def run(config: RunConfig) -> None:
         "compare": _run_compare,
         "tcc-dump": _run_tcc_dump,
     }
-    dispatch[config.subcommand](config)
+    try:
+        dispatch[config.subcommand](config)
+    except MemoryError as error:  # here, not in the library: _grow reads a ModelError as a leaf
+        raise ModelError(f"the model does not fit in memory: {str(error) or 'allocation failed'}")
 
 
 def _write_error(out_dir: Path, error: Exception, exit_code: int) -> None:

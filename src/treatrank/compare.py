@@ -30,6 +30,7 @@ __all__ = _EXPORTS["compare"]
 # prob_best's defaults, which scores.json reports when the command line leaves them out.
 _NSIM, _SEED = 100_000, 0
 _LARGEST = 1e100  # an estimate or SE past this, or a covariance past its square, may overflow
+_REPEATED_ROW = "row {}: treatment {!r} appears more than once"  # basic and covariance tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +100,7 @@ class LeagueTable:
             if x == y:
                 raise DataError(f"pair ({x!r}, {y!r}) compares a treatment with itself")
             if se <= 0:
-                raise DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
+                raise _se_error(x, y, se)
             key, value = (x, y), (float(estimate), float(se))
             if index[x] > index[y]:
                 key, value = (y, x), (-float(estimate), float(se))
@@ -184,7 +185,7 @@ def _pair_table(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         for a, b in zip(i.tolist(), j.tolist()):
             estimate, se = _pair_entry(lt, labels[a], labels[b])
             if se <= 0:
-                raise _se_error(lt, a, b, se)
+                raise _se_error(labels[a], labels[b], se)
             entries.append((estimate, se))
         return (i, j, *np.array(entries, dtype=float).T)
     base, squares = np.array([(lt.basic[x][0], lt.basic[x][1] ** 2) for x in labels]).T
@@ -193,12 +194,11 @@ def _pair_table(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     se = np.sqrt(np.where(0.0 > var, 0.0, var))  # max(var, 0.0), which keeps a -0.0
     first = np.flatnonzero(se <= 0)[:1].tolist()
     if first:
-        raise _se_error(lt, i[first[0]], j[first[0]], float(se[first[0]]))
+        raise _se_error(labels[i[first[0]]], labels[j[first[0]]], float(se[first[0]]))
     return i, j, base[i] - base[j], se
 
 
-def _se_error(lt: LeagueTable, a: int, b: int, se) -> DataError:
-    x, y = lt.treatments[a], lt.treatments[b]
+def _se_error(x: str, y: str, se) -> DataError:
     return DataError(f"pair ({x!r}, {y!r}) needs a positive SE, got {se}")
 
 
@@ -357,7 +357,7 @@ def parse_basic_table(
         if not label:
             raise DataError(f"row {i}: treatment label is required")
         if label in estimates:
-            raise DataError(f"row {i}: treatment {label!r} appears more than once")
+            raise DataError(_REPEATED_ROW.format(i, label))
         estimates[label] = (
             _parse_float(estimate, estimate_column, i),
             _parse_float(se, "se", i),
@@ -385,7 +385,7 @@ def parse_covariance_table(
     rows: dict[str, list[float]] = {}  # each row label's cells, in row order
     for i, (label, *cells) in enumerate(zip(*columns.values()), start=2):
         if label in rows:
-            raise DataError(f"row {i}: treatment {label!r} appears more than once")
+            raise DataError(_REPEATED_ROW.format(i, label))
         values, first = _floats(cells, absent=())
         if first < len(cells):  # _parse_float raises on the row's first bad cell
             values = [_parse_float(cell, "covariance cell", i) for cell in cells]

@@ -424,6 +424,12 @@ class AbilityFit:
         return self.treatments[0]
 
 
+def _hierarchy(fit: AbilityFit) -> list[str]:
+    """The treatments in the order every report lists them: normalized ability
+    descending, then label."""
+    return sorted(fit.treatments, key=lambda x: (-fit.pi[x], x))
+
+
 @dataclass(frozen=True)
 class NormalizedAbility:
     """Normalized ability with its delta-method SE and log-scale Wald CI."""

@@ -22,7 +22,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _EXPORTS
-from .davidson import AbilityFit, _fittable, _max_logliks, _record_scores, fit_davidson
+from .davidson import AbilityFit, _fittable, _hierarchy, _max_logliks, _record_scores
+from .davidson import fit_davidson
 from .errors import DataError, ModelError
 from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
 from .study_data import _check_seed
@@ -388,8 +389,7 @@ def best_split(
     """
     columns = _Preferences.of(records, treatments, (covariate,))
     kind, values = _read_covariate(columns.covariates[covariate], covariate, kind)
-    if _distinct(values).size < 2:  # before the codes, which check for a foreign treatment
-        raise DataError(f"covariate {covariate!r} is constant on these records")
+    _prepare(covariate, kind, values, 0.0)  # a constant covariate fails before the codes' checks
     return _best_split(covariate, kind, values, *columns.coded(), columns.treatments, min_node_size)
 
 
@@ -617,8 +617,7 @@ def format_tree(node: PartitionNode) -> str:
 
 def _format_node(node: PartitionNode, label: str, indent: str, lines: list[str]) -> None:
     fit = node.fit
-    order = sorted(fit.treatments, key=lambda x: (-fit.pi[x], x))
-    abilities = ", ".join(f"{x}={fit.pi[x]:.6g}" for x in order)
+    abilities = ", ".join(f"{x}={fit.pi[x]:.6g}" for x in _hierarchy(fit))
     lines.append(f"{indent}{label}n={len(node.records)}, nu={fit.nu:.6g}, abilities: {abilities}")
     if node.split is not None:
         s = node.split

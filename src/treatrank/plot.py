@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .davidson import AbilityFit, normalized_abilities
+from .davidson import AbilityFit, _hierarchy, normalized_abilities
 from .study_data import _CI_LEVEL
 
 __all__ = _EXPORTS["plot"]
@@ -43,7 +43,7 @@ def _fmt(value: float) -> str:
 def build_ability_svg(fit: AbilityFit, ci_level: float = _CI_LEVEL) -> str:
     """Dot-and-interval chart: one row per treatment, sorted by ability."""
     abilities = normalized_abilities(fit, ci_level=ci_level)
-    rows = sorted(fit.treatments, key=lambda x: (-fit.psi[x], x))
+    rows = _hierarchy(fit)
     height = _TOP_MARGIN + _ROW_HEIGHT * len(rows) + _BOTTOM_MARGIN
     x_max = max(abilities[x].ci_upper for x in rows) * 1.05
     step = _nice_step(x_max)

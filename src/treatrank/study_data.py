@@ -85,7 +85,7 @@ class StudyEffect:
             if (value := getattr(self, name)) is not None and not math.isfinite(value):
                 raise DataError(f"study {self.study_id!r}: non-finite {name} {value}")
         if not (0.0 < self.ci_level < 1.0):
-            raise DataError(f"ci_level must be in (0, 1), got {self.ci_level}")
+            raise DataError(_LEVEL_RANGE.format(self.ci_level))
         if _unusable_level(self.ci_level):
             raise DataError(f"study {self.study_id!r}: {_UNUSABLE_LEVEL.format(self.ci_level)}")
         if self.se is not None and self.se < 0:
@@ -507,6 +507,7 @@ def dump_contrast_table(network: Network, stream: IO[str]) -> None:
     _write_columns(stream, [*_LABELS, *_NUMBERS, *names], columns)
 
 
+_LEVEL_RANGE = "ci_level must be in (0, 1), got {}"
 _UNUSABLE_LEVEL = "ci_level {!r} is too close to 0 or 1: its normal quantile is 0 or infinite"
 
 
@@ -524,7 +525,7 @@ def _z(ci_level: float) -> float:
     """The normal quantile at ``(1 + ci_level) / 2``: how many standard errors a
     ``ci_level`` interval reaches on either side of its estimate."""
     if not (0.0 < ci_level < 1.0):
-        raise DataError(f"ci_level must be in (0, 1), got {ci_level}")
+        raise DataError(_LEVEL_RANGE.format(ci_level))
     if _unusable_level(ci_level):
         raise DataError(_UNUSABLE_LEVEL.format(ci_level))
     from statistics import NormalDist  # loads fractions and decimal; a cold compare needs none

@@ -375,7 +375,7 @@ def _read_records(
             raise DataError(f"row {i}: verdict must be one of {sorted(verdicts)}, got {verdict!r}")
         if repeat[k]:
             raise DataError(f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}")
-        raise DataError(f"study {study!r}: preference pair members must differ")
+        PreferenceRecord(study, t1, t2, Verdict(verdict))  # raises: both members are one label
     return _Preferences(**vars(studies), outcome=outcome)
 
 

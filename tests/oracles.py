@@ -253,10 +253,6 @@ def separable_grid_search_mle(
         half = margin * step
 
 
-def is_interior(theta: np.ndarray, box: float = 5.0, edge: float = 0.1) -> bool:
-    return bool(np.all(np.abs(theta) < box - edge))
-
-
 def random_tournament(
     rng: np.random.Generator,
     n_treatments: int,

@@ -81,3 +81,12 @@ def test_the_summary_gives_medians_spreads_and_the_pairs_lower_on_the_change():
     assert tool.summarize(lines)[0] == (
         "w job_s: parent 2.5 (IQR 2.5), change 2.25 (IQR 2), -10.0%, lower in 3 of 4"
     )
+
+
+def test_a_missing_workdir_is_a_usage_error_and_writes_nothing(tmp_path):
+    checkout = _clean_copy(tmp_path / "checkout")
+    out = tmp_path / "BENCH_self.json"
+    proc = _pairs(tmp_path / "missing", checkout, out)
+    assert proc.returncode == 2
+    assert f"--workdir {tmp_path / 'missing'} is not a directory" in proc.stderr
+    assert not out.exists() and not (tmp_path / "missing").exists()

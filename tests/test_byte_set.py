@@ -79,3 +79,30 @@ def test_json_documents_that_differ_in_more_than_numbers_say_so():
         assert tool.json_change(json.dumps(document).encode(), json.dumps(other).encode()) == (
             "differs (not only in numbers)"
         )
+
+
+def test_a_relative_workdir_runs_the_commands_on_their_inputs(tmp_path):
+    # Each command runs from a directory of its own, so a relative input path would miss.
+    (tmp_path / "runs").mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
+         "--inputs", "planted-7", "--workdir", "runs"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"planted-7 partition {what}: same" for what in ("exit", "stderr", "tree.json", "tree.txt")
+    ] + ["0 of 4 differ"]
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def test_a_missing_workdir_is_a_usage_error(tmp_path):
+    missing = tmp_path / "missing"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--parent", str(ROOT), "--change", str(ROOT),
+         "--inputs", "fixture", "--workdir", str(missing)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"--workdir {missing} is not a directory" in proc.stderr
+    assert proc.stdout == "" and not missing.exists()

@@ -257,6 +257,19 @@ def test_rank_with_an_unrepresentable_interval_is_a_model_error(
     assert [p.name for p in csv_out.iterdir()] == ["rank.csv"]
 
 
+def test_a_model_too_large_for_memory_is_a_model_error(tmp_path, monkeypatch, capsys):
+    def exhaust(tournament):
+        raise MemoryError()
+
+    monkeypatch.setattr("treatrank.cli.fit_davidson", exhaust)
+    assert _run("rank", "--input", CONTRASTS, "--out-dir", tmp_path, "--mcid", "1.2") == 2
+    document = json.loads((tmp_path / "error.json").read_text())
+    assert document == {"error": "ModelError", "exit_code": 2,
+                        "message": "the model does not fit in memory: allocation failed"}
+    assert capsys.readouterr().err == f"error: {document['message']}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["error.json"]
+
+
 def test_rank_missing_input_file(tmp_path):
     assert _run("rank", "--input", tmp_path / "nope.csv", "--out-dir", tmp_path,
                 "--mcid", "1.2") == 1
@@ -733,6 +746,25 @@ def test_emit_plot_writes_the_same_bytes(tmp_path):
     path = tmp_path / "plot.svg"
     emit_plot(fit, path)
     assert path.read_text(encoding="utf-8") == build_ability_svg(fit)
+
+
+def test_every_report_lists_the_treatments_in_one_order(tmp_path):
+    assert _run("rank", "--input", CONTRASTS, "--out-dir", tmp_path, "--mcid", "1.2") == 0
+    assert _run("partition", "--input", CONTRASTS, "--out-dir", tmp_path, "--mcid", "1.2") == 0
+    with open(tmp_path / "rank.csv", newline="") as stream:
+        table = [row["treatment"] for row in csv.DictReader(stream)]
+    first = (tmp_path / "tree.txt").read_text().splitlines()[0]
+    tree = re.findall(r"(\w+)=[\d.e-]+", first.split("abilities: ")[1])
+    svg = re.findall(r'text-anchor="end">(\w+)</text>', (tmp_path / "ability_plot.svg").read_text())
+    assert len(table) == 6
+    assert table == tree == svg
+
+
+@pytest.mark.parametrize("span, step", [(5, 1), (10, 2), (12.5, 2.5), (25, 5), (30, 10)])
+def test_the_axis_step_takes_each_nice_multiple(span, step):
+    from treatrank.plot import _nice_step
+
+    assert _nice_step(span) == step
 
 
 # ---------------------------------------------------------------- the command-line contract

@@ -272,3 +272,41 @@ def test_each_shared_input_rule_is_stated_once():
     # Each message as the start of a string literal, plain or formatted.
     counts = {m: len(re.findall(r"""["']""" + re.escape(m), source)) for m in messages}
     assert counts == dict.fromkeys(messages, 1)
+
+
+def _message_templates(path: Path) -> list[str]:
+    """The error messages that ``path`` writes out, each replacement field as ``{}``: the
+    string literal that an ``...Error(...)`` call takes first, and once each module-level
+    string that such a call formats."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    constants = {
+        node.targets[0].id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    }
+    templates, formatted = [], set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and ast.unparse(node.func).endswith("Error")):
+            continue
+        message = node.args[0]
+        if isinstance(message, ast.Constant) and isinstance(message.value, str):
+            templates.append(message.value)
+        elif isinstance(message, ast.JoinedStr):
+            templates.append("".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                     for part in message.values))
+        formatted |= {n.id for n in ast.walk(message) if isinstance(n, ast.Name)} & set(constants)
+    return templates + [re.sub(r"\{[^{}]*\}", "{}", constants[name]) for name in formatted]
+
+
+def test_no_error_message_is_written_twice():
+    # A message written out twice can drift apart without a failing test.
+    root = Path(__file__).resolve().parents[1]
+    counts = Counter(
+        template
+        for path in sorted((root / "src" / "treatrank").glob("*.py"))
+        for template in _message_templates(path)
+    )
+    assert len(counts) > 100  # the scan finds the package's messages
+    assert [template for template, count in counts.items() if count > 1] == []

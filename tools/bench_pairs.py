@@ -105,7 +105,8 @@ def _parse_args(argv):
     parser.add_argument("--out", required=True, type=Path, help="BENCH_*.json to append to")
     parser.add_argument("--seconds", type=float, default=28.0, help="bench/run.py --seconds")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workdir", type=Path, help="where the copies go (default: temp dir)")
+    parser.add_argument("--workdir", type=Path,
+                        help="an existing directory for the copies (default: temp dir)")
     args = parser.parse_args(argv)
     args.workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     if not args.workloads or args.pairs < 1:
@@ -113,6 +114,8 @@ def _parse_args(argv):
     for side in SIDES:
         if not (getattr(args, side) / "bench" / "run.py").is_file():
             parser.error(f"--{side} {getattr(args, side)} has no bench/run.py")
+    if args.workdir is not None and not args.workdir.is_dir():
+        parser.error(f"--workdir {args.workdir} is not a directory")
     return args
 
 

@@ -142,7 +142,8 @@ def _parse_args(argv):
     parser.add_argument("--change", required=True, type=Path, help="the changed checkout")
     parser.add_argument("--inputs", default=",".join(INPUTS),
                         help=f"comma-separated subset of {','.join(INPUTS)} (default: all)")
-    parser.add_argument("--workdir", type=Path, help="where the runs go (default: temp dir)")
+    parser.add_argument("--workdir", type=Path,
+                        help="an existing directory for the runs (default: temp dir)")
     args = parser.parse_args(argv)
     args.inputs = [name.strip() for name in args.inputs.split(",") if name.strip()]
     unknown = [name for name in args.inputs if name not in INPUTS]
@@ -151,13 +152,16 @@ def _parse_args(argv):
     for side in SIDES:
         if not (getattr(args, side) / "src" / "treatrank" / "cli.py").is_file():
             parser.error(f"--{side} {getattr(args, side)} has no src/treatrank/cli.py")
+    if args.workdir is not None and not args.workdir.is_dir():
+        parser.error(f"--workdir {args.workdir} is not a directory")
     return args
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
-    base = Path(tempfile.mkdtemp(prefix="byte-set-", dir=args.workdir))
+    # Each command runs from a directory of its own, so its input paths must be absolute.
+    base = Path(tempfile.mkdtemp(prefix="byte-set-", dir=args.workdir)).resolve()
     differing = total = 0
     try:
         for name in args.inputs:
