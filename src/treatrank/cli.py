@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from importlib import import_module
 from pathlib import Path
@@ -313,11 +314,9 @@ def _run_compare(config: RunConfig) -> None:
                 raise DataError("a covariance CSV applies only to a basic-form table")
             table = parse_league_table(stream, direction=config.direction)
         elif "treat" in columns:
-            if config.covariance is None:
-                table = parse_basic_table(stream, direction=config.direction)
-            else:
-                with open(config.covariance, "r", encoding="utf-8", newline="") as cov:
-                    table = parse_basic_table(stream, cov, direction=config.direction)
+            with (nullcontext() if config.covariance is None
+                  else open(config.covariance, "r", encoding="utf-8", newline="")) as cov:
+                table = parse_basic_table(stream, cov, direction=config.direction)
         else:
             raise DataError(
                 "input is neither pairwise (treat1,treat2,estimate,se) nor "

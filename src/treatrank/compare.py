@@ -42,7 +42,8 @@ class LeagueTable:
     common baseline, standard error), optionally with a full ``covariance``
     aligned to ``treatments``. Exactly the supplied form is stored; the
     metric functions derive the form they need. ``_index`` maps each
-    treatment to its position.
+    treatment to its position; ``_model`` is the basic form's ``(means, covariance)``
+    in that order, the covariance as supplied or else independent (SE² diagonal).
     """
 
     treatments: tuple[str, ...]
@@ -51,8 +52,15 @@ class LeagueTable:
     basic: Mapping[str, tuple[float, float]] | None = None
     covariance: np.ndarray | None = None
     _index: Mapping[str, int] = field(init=False, repr=False)
+    _model: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        for label, (_, se) in (self.basic or {}).items():
+            if se < 0:
+                raise DataError(f"treatment {label!r} has negative SE {se}")
+        for (x, y), (_, se) in (self.pairwise or {}).items():
+            if se < 0:
+                raise _se_error(x, y, se)
         _check_direction(self.direction)
         if len(self.treatments) < 2:
             raise DataError("a league table needs at least two treatments")
@@ -77,6 +85,11 @@ class LeagueTable:
             raise DataError(f"estimates and SEs must be finite and at most {_LARGEST:g} in size, "
                             f"and covariance entries at most {_LARGEST**2:g}")
         object.__setattr__(self, "_index", {x: k for k, x in enumerate(self.treatments)})
+        if self.basic is not None:
+            estimates, ses = zip(*map(self.basic.get, self.treatments))
+            cov = _independent(ses) if self.covariance is None else self.covariance
+            object.__setattr__(self, "_model", (np.array(estimates, dtype=float),
+                                                np.asarray(cov, dtype=float)))
 
     @classmethod
     def from_pairwise(
@@ -104,15 +117,11 @@ class LeagueTable:
             key, value = (x, y), (float(estimate), float(se))
             if index[x] > index[y]:
                 key, value = (y, x), (-float(estimate), float(se))
-            if key in canonical:
-                prior_est, prior_se = canonical[key]
-                if not (
-                    math.isclose(prior_est, value[0], rel_tol=1e-9, abs_tol=1e-12)
-                    and math.isclose(prior_se, value[1], rel_tol=1e-9, abs_tol=1e-12)
-                ):
-                    raise DataError(
-                        f"pair {key} given twice with inconsistent values"
-                    )
+            if key in canonical and not all(
+                math.isclose(prior, given, rel_tol=1e-9, abs_tol=1e-12)
+                for prior, given in zip(canonical[key], value)  # the estimates, then the SEs
+            ):
+                raise DataError(f"pair {key} given twice with inconsistent values")
             canonical[key] = value
         return cls(treatments=treatments, direction=direction, pairwise=canonical)
 
@@ -125,11 +134,7 @@ class LeagueTable:
     ) -> "LeagueTable":
         """Build from per-treatment estimates against a common baseline."""
         treatments = tuple(estimates)
-        basic = {}
-        for label, (estimate, se) in estimates.items():
-            if se < 0:
-                raise DataError(f"treatment {label!r} has negative SE {se}")
-            basic[label] = (float(estimate), float(se))
+        basic = {label: (float(estimate), float(se)) for label, (estimate, se) in estimates.items()}
         cov = None if covariance is None else np.asarray(covariance, dtype=float)
         return cls(treatments=treatments, direction=direction, basic=basic, covariance=cov)
 
@@ -151,14 +156,20 @@ def _pair_entry(lt: LeagueTable, x: str, y: str) -> tuple[float, float]:
             estimate, se = lt.pairwise[(y, x)]
             return -estimate, se
         raise DataError(f"league table is missing the pair ({x!r}, {y!r})")
-    b_x, se_x = lt.basic[x]
-    b_y, se_y = lt.basic[y]
-    if lt.covariance is not None:
-        i, j = lt._index[x], lt._index[y]
-        var = lt.covariance[i, i] + lt.covariance[j, j] - 2.0 * lt.covariance[i, j]
-    else:
-        var = se_x**2 + se_y**2
-    return b_x - b_y, math.sqrt(max(var, 0.0))
+    return tuple(map(float, _basic_contrasts(lt, lt._index[x], lt._index[y])))
+
+
+def _independent(ses) -> np.ndarray:
+    """Independent estimates' covariance: ``ses`` squared by Python's pow, on the diagonal."""
+    return np.diag([se**2 for se in ses])
+
+
+def _basic_contrasts(lt: LeagueTable, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate and SE of the basic-form contrasts of positions ``i`` versus ``j`` (two
+    positions or two arrays of them), a variance that rounds negative read as 0."""
+    means, c = lt._model
+    var = c[i, i] + c[j, j] - 2.0 * c[i, j]
+    return means[i] - means[j], np.sqrt(np.where(0.0 > var, 0.0, var))  # keeps a -0.0
 
 
 def _normal_cdf(z: float) -> float:
@@ -188,14 +199,11 @@ def _pair_table(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
                 raise _se_error(labels[a], labels[b], se)
             entries.append((estimate, se))
         return (i, j, *np.array(entries, dtype=float).T)
-    base, squares = np.array([(lt.basic[x][0], lt.basic[x][1] ** 2) for x in labels]).T
-    c = lt.covariance
-    var = squares[i] + squares[j] if c is None else c[i, i] + c[j, j] - 2.0 * c[i, j]
-    se = np.sqrt(np.where(0.0 > var, 0.0, var))  # max(var, 0.0), which keeps a -0.0
+    estimate, se = _basic_contrasts(lt, i, j)
     first = np.flatnonzero(se <= 0)[:1].tolist()
     if first:
         raise _se_error(labels[i[first[0]]], labels[j[first[0]]], float(se[first[0]]))
-    return i, j, base[i] - base[j], se
+    return i, j, estimate, se
 
 
 def _se_error(x: str, y: str, se) -> DataError:
@@ -246,31 +254,23 @@ def p_scores_civ(lt: LeagueTable, mcid: float) -> dict[str, float]:
 
 
 def _basic_parameters(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray]:
-    n = len(lt.treatments)
     if lt.basic is not None:
-        means = np.asarray([lt.basic[x][0] for x in lt.treatments])
-        if lt.covariance is not None:
-            return means, np.asarray(lt.covariance, dtype=float)
-        warnings.warn(
-            "no covariance supplied; simulating basic estimates as independent",
-            UserWarning,
-            stacklevel=3,
-        )
-        return means, np.diag([lt.basic[x][1] ** 2 for x in lt.treatments])
+        if lt.covariance is None:
+            warnings.warn(
+                "no covariance supplied; simulating basic estimates as independent",
+                UserWarning,
+                stacklevel=3,
+            )
+        return lt._model
     reference = lt.treatments[0]
-    means = np.zeros(n)
-    variances = np.zeros(n)
-    for k, x in enumerate(lt.treatments[1:], start=1):
-        estimate, se = _pair_entry(lt, x, reference)
-        means[k] = estimate
-        variances[k] = se**2
+    means, ses = zip((0.0, 0.0), *(_pair_entry(lt, x, reference) for x in lt.treatments[1:]))
     warnings.warn(
         f"derived basic parameters from contrasts against {reference!r}; "
         "simulating them as independent",
         UserWarning,
         stacklevel=3,
     )
-    return means, np.diag(variances)
+    return np.array(means, dtype=float), _independent(ses)
 
 
 def prob_best(lt: LeagueTable, nsim: int = _NSIM, seed: int = _SEED) -> dict[str, float]:

@@ -149,6 +149,11 @@ def _scatter_rows(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarr
     return sums.reshape(*lead, size)
 
 
+def _slots(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The (3, P) parameter slots ``(i, j, n)`` of pairs ``(i, j)`` among n treatments."""
+    return np.stack((i, j, np.full_like(i, n)))
+
+
 def log_likelihood(t: Tournament, psi, nu: float) -> float:
     """Trinomial log-likelihood of a tournament at the given abilities.
 
@@ -308,7 +313,7 @@ class DavidsonObjective:
         # lists the (lambda_i, lambda_j, log nu) slots and _cells the 3 x 3
         # block of the full (n + 1)-square Hessian, both slot-major.
         self._free = slice(1, self.n_params + 1)
-        self._slots = np.stack((i, j, np.full_like(i, n)))
+        self._slots = _slots(i, j, n)
         self._cells = (self._slots[:, None, :] * (n + 1) + self._slots[None, :, :]).ravel()
         self._memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
@@ -658,7 +663,7 @@ def _record_scores(fit: AbilityFit, i: np.ndarray, j: np.ndarray, outcome: np.nd
     p = np.exp(_log_probabilities(lam, _log_nu(fit.nu), i, j))
     observed, expected = _pair_credit(np.eye(3)[outcome], p)  # one count per record
     n = len(fit.treatments)
-    slots = np.stack((i, j, np.full_like(i, n)), axis=-1)  # _bind's _slots, one row per record
+    slots = _slots(i, j, n).T  # one row per record
     return _scatter_rows(slots, observed - expected, n + 1)[:, 1 : len(fit.param_names) + 1]
 
 

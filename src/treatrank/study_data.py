@@ -90,12 +90,11 @@ class StudyEffect:
             raise DataError(f"study {self.study_id!r}: {_UNUSABLE_LEVEL.format(self.ci_level)}")
         if self.se is not None and self.se < 0:
             raise DataError(f"study {self.study_id!r}: negative standard error {self.se}")
-        has_bounds = self.ci_lower is not None and self.ci_upper is not None
-        if self.se is None and not has_bounds:
+        if self.se is None and not self.has_intervals():
             raise DataError(
                 f"study {self.study_id!r}: needs a standard error or both interval bounds"
             )
-        if has_bounds and not (self.ci_lower <= self.effect <= self.ci_upper):
+        if self.has_intervals() and not (self.ci_lower <= self.effect <= self.ci_upper):
             raise DataError(
                 f"study {self.study_id!r}: interval ({self.ci_lower}, {self.ci_upper}) "
                 f"does not bracket the estimate {self.effect}"
@@ -570,33 +569,34 @@ def complete_intervals(e: StudyEffect) -> StudyEffect:
 
     Bounds come from the normal quantile at ``(1 + ci_level) / 2``; existing
     values are never touched, which makes the operation idempotent. Bayesian
-    credible intervals are accepted verbatim.
+    credible intervals are accepted verbatim. The rule is :func:`_complete`'s, which
+    :func:`_completed` applies to a whole table.
     """
-    z = _z(e.ci_level)
-    se = e.se
-    lower, upper = e.ci_lower, e.ci_upper
-    if lower is None or upper is None:
-        lower = e.effect - z * e.se
-        upper = e.effect + z * e.se
-    elif se is None:
-        se = (upper - lower) / (2.0 * z)
+    given = (math.nan if v is None else v for v in (e.se, e.ci_lower, e.ci_upper))
+    se, lower, upper = map(float, _complete(e.effect, *given, _z(e.ci_level)))
     if se == e.se and lower == e.ci_lower and upper == e.ci_upper:
         return e
     return replace(e, se=se, ci_lower=lower, ci_upper=upper)
 
 
+def _complete(effect, se, lower, upper, z):
+    """The completion rule on floats or arrays, NaN marking an absent value: the bounds from
+    the SE where either is absent, the SE from the bounds where it is absent. A huge SE or
+    a wide interval gives inf; a row without an SE or both bounds, NaN."""
+    fill = np.isnan(lower) | np.isnan(upper)
+    spread = z * se
+    return (np.where(np.isnan(se), (upper - lower) / (2.0 * z), se),
+            np.where(fill, effect - spread, lower), np.where(fill, effect + spread, upper))
+
+
 def _completed(numbers: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The SE, lower and upper bound that :func:`complete_intervals` gives every row of
-    :func:`_read_contrasts`' numbers, from the same float operations."""
+    :func:`_read_contrasts`' numbers, with one normal quantile per distinct level."""
     effect, se, lower, upper, ci_level = (numbers[c] for c in _NUMBERS)
-    fill = np.isnan(lower) | np.isnan(upper)
-    # As in float arithmetic, a huge se or a wide interval gives inf; a bad row, nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels, row_level = np.unique(ci_level, return_inverse=True)
-        z = np.array([_z(level) for level in levels.tolist()])[row_level]
-        spread = z * se
-        return (np.where(np.isnan(se), (upper - lower) / (2.0 * z), se),
-                np.where(fill, effect - spread, lower), np.where(fill, effect + spread, upper))
+    levels, row_level = np.unique(ci_level, return_inverse=True)
+    z = np.array([_z(level) for level in levels.tolist()])[row_level]
+    with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic warns of neither
+        return _complete(effect, se, lower, upper, z)
 
 
 def _report(studies: _Studies) -> ValidationReport:

@@ -19,9 +19,10 @@ it is the arithmetic that is under test: the sup-LM stability test
 (full-length cumulative sums, blocks of 256 permutations) on the
 package's score rows, the one-tournament likelihood core and Newton
 solver, the split search that fits both sides of every candidate, and the
-P-scores taken one league-table pair at a time, and the repeated-row
-checks of a network and of a record table, one row at a time with a
-``(study, frozenset)`` key per row. The two earlier forms of the ability
+P-scores taken one league-table pair at a time, each pair's estimate and SE
+in float arithmetic, a contrast's completed interval in float arithmetic, and
+the repeated-row checks of a network and of a record table, one row at a time
+with a ``(study, frozenset)`` key per row. The two earlier forms of the ability
 intervals' log-scale variance are kept as well, and the contest
 probabilities on the ability scale; those the package matches to rounding
 only.
@@ -33,13 +34,13 @@ import csv
 import math
 import sys
 import warnings
+from dataclasses import replace
 from itertools import chain, compress
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from treatrank.compare import _pair_entry
 from treatrank.davidson import fit_davidson
 from treatrank.errors import ConvergenceError, DataError, ModelError
 from treatrank.partition import (
@@ -58,8 +59,9 @@ from treatrank.study_data import (
     _parse_covariate,
     _parse_float,
     _read_columns,
+    _check_contest,
     _study_columns,
-    complete_intervals,
+    _z,
 )
 from treatrank.tcc import (
     BENEFICIAL,
@@ -316,6 +318,27 @@ def _loop_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+def scalar_pair_entry(lt, x: str, y: str) -> tuple[float, float]:
+    """``LeagueTable.estimate`` and ``.se`` of one pair: the package's lookup before it
+    computed the basic form from one model, the basic-form contrast in float arithmetic."""
+    _check_contest(lt._index, x, y)
+    if lt.pairwise is not None:
+        if (x, y) in lt.pairwise:
+            return lt.pairwise[(x, y)]
+        if (y, x) in lt.pairwise:
+            estimate, se = lt.pairwise[(y, x)]
+            return -estimate, se
+        raise DataError(f"league table is missing the pair ({x!r}, {y!r})")
+    b_x, se_x = lt.basic[x]
+    b_y, se_y = lt.basic[y]
+    if lt.covariance is not None:
+        i, j = lt._index[x], lt._index[y]
+        var = lt.covariance[i, i] + lt.covariance[j, j] - 2.0 * lt.covariance[i, j]
+    else:
+        var = se_x**2 + se_y**2
+    return b_x - b_y, math.sqrt(max(var, 0.0))
+
+
 def _loop_pairs(lt):
     if lt.pairwise is None and lt.covariance is None:
         warnings.warn(
@@ -325,7 +348,7 @@ def _loop_pairs(lt):
         )
     for i, x in enumerate(lt.treatments):
         for y in lt.treatments[i + 1 :]:
-            yield x, y, _pair_entry(lt, x, y)
+            yield x, y, scalar_pair_entry(lt, x, y)
 
 
 def loop_p_scores(lt) -> dict[str, float]:
@@ -802,6 +825,22 @@ def reference_read_columns(source, mandatory=()) -> dict[str, tuple[str, ...]]:
     return dict(zip(fields, zip(*rows))) if rows else dict.fromkeys(fields, ())
 
 
+def scalar_complete_intervals(e: StudyEffect) -> StudyEffect:
+    """``complete_intervals`` of one contrast, as the package computed it before the
+    table route and it shared one completion rule: in float arithmetic."""
+    z = _z(e.ci_level)
+    se = e.se
+    lower, upper = e.ci_lower, e.ci_upper
+    if lower is None or upper is None:
+        lower = e.effect - z * e.se
+        upper = e.effect + z * e.se
+    elif se is None:
+        se = (upper - lower) / (2.0 * z)
+    if se == e.se and lower == e.ci_lower and upper == e.ci_upper:
+        return e
+    return replace(e, se=se, ci_lower=lower, ci_upper=upper)
+
+
 def per_row_parse(stream, scale: str) -> Network:
     """A contrast table read the way ``parse_contrast_table`` read it before its
     columnar core: the label and covariate checks over every row, then one row's
@@ -847,7 +886,7 @@ def per_row_parse(stream, scale: str) -> Network:
         ci_level = _parse_float(row.get("ci_level"), "ci_level", i, required=False)
         contrast = StudyEffect(row["study"], row["treat1"], row["treat2"], effect, se, lower,
                                upper, 0.95 if ci_level is None else ci_level, values)
-        complete_intervals(contrast)  # raises when the completed interval or SE is not finite
+        scalar_complete_intervals(contrast)  # raises when the completed interval or SE is infinite
         effects.append(contrast)
     treatments = tuple(dict.fromkeys(label for e in effects for label in e.pair))
     return Network(treatments, tuple(effects), schema)
@@ -909,7 +948,7 @@ class PerRowPreferences:
 
 def per_row_read_preferences(config) -> PerRowPreferences:
     """The command line's contrast input as a chain of per-row steps: parse, warn,
-    ``complete_intervals``, the scalar TCC, then records. The flags that judge the
+    ``scalar_complete_intervals``, the scalar TCC, then records. The flags that judge the
     contrasts are checked before the input is read."""
     if config.mcid is None:
         raise DataError("--mcid is required to derive preference records from contrasts")
@@ -920,7 +959,7 @@ def per_row_read_preferences(config) -> PerRowPreferences:
         print(line, file=sys.stderr)
     records = []
     for e in network.effects:
-        verdict = scalar_verdict(complete_intervals(e), roe)
+        verdict = scalar_verdict(scalar_complete_intervals(e), roe)
         records.append(PreferenceRecord(e.study_id, e.treat_a, e.treat_b, verdict, e.covariates))
     return PerRowPreferences(records, network.treatments, network.covariate_schema)
 

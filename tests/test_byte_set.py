@@ -51,6 +51,19 @@ def test_a_changed_number_in_fit_json_is_counted_and_the_rest_is_the_same(tmp_pa
     assert list(change.rglob("__pycache__")) == []
 
 
+def test_a_network_runs_rank_and_compare_with_and_without_its_covariance(tmp_path):
+    commands = _tool().commands("network-7", tmp_path)
+    files = {name: str(tmp_path / f"network_{name}.csv")
+             for name in ("contrasts", "league", "covariance")}
+    assert commands == {
+        "rank": ["rank", "--input", files["contrasts"], "--mcid", "1.2", "--dump-records"],
+        "compare": ["compare", "--input", files["league"], "--covariance", files["covariance"],
+                    "--mcid", "1.2"],
+        "compare-no-covariance": ["compare", "--input", files["league"], "--mcid", "1.2"],
+    }
+    assert sorted(map(str, tmp_path.iterdir())) == sorted(files.values())
+
+
 def test_each_exit_code_stream_and_file_is_compared():
     tool = _tool()
     run = (0, "", {"fit.json": b'{"a": [1.0, 2.0]}', "rank.csv": b"x\n"})

@@ -24,7 +24,13 @@ from treatrank import (
 )
 from treatrank import compare
 
-from oracles import loop_p_scores, loop_p_scores_civ, one_shot_best_counts, quad_prob_best
+from oracles import (
+    loop_p_scores,
+    loop_p_scores_civ,
+    one_shot_best_counts,
+    quad_prob_best,
+    scalar_pair_entry,
+)
 
 
 def _pairwise_three():
@@ -129,6 +135,21 @@ def test_a_tiny_se_gives_scores_of_zero_and_one():
     lt = LeagueTable.from_pairwise({("A", "B"): (2.0, 1e-308)})
     assert p_scores(lt) == {"A": 1.0, "B": 0.0}
     assert p_scores_civ(lt, 1.2) == {"A": 1.0, "B": 0.0}
+
+
+@pytest.mark.parametrize("form, message", [
+    ({"basic": {"A": (0.0, 0.1), "B": (0.0, -0.1), "C": (0.0, 0.1)}},
+     "treatment 'B' has negative SE -0.1"),
+    ({"pairwise": {("A", "B"): (0.3, -0.2), ("A", "C"): (0.1, 0.2), ("B", "C"): (0.1, 0.2)}},
+     "pair ('A', 'B') needs a positive SE, got -0.2"),
+])
+def test_a_league_table_rejects_a_negative_se_before_any_other_check(form, message):
+    # The metrics would square it: the scores and the draws of SE -0.1 are those of +0.1.
+    for table in ({"treatments": ("A", "B", "C")},
+                  {"treatments": ("A",), "direction": "up", "covariance": np.eye(2)}):
+        with pytest.raises(DataError) as error:
+            LeagueTable(**table, **form)
+        assert str(error.value) == message
 
 
 def test_pair_entry_errors():
@@ -316,6 +337,46 @@ def _outcome(fn, *args):
 def test_p_scores_match_the_per_pair_loops_bit_for_bit(lt, mcid):
     assert _outcome(p_scores, lt) == _outcome(loop_p_scores, lt)
     assert _outcome(p_scores_civ, lt, mcid) == _outcome(loop_p_scores_civ, lt, mcid)
+
+
+# Cells whose contrast variances come out exactly 0, -0.0 or rounded below 0.
+_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0**-52, 0.1, 0.2, 0.3]),
+                   st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _basic_tables(draw):
+    """Basic tables whose SEs may be -0.0, square into subnormals or be huge, with
+    or without a symmetric covariance of _CELLS."""
+    n = draw(st.integers(2, len(_LABELS)))
+    ses = st.one_of(st.sampled_from([0.0, -0.0, 1e-160, 1e100]), st.floats(0.0, 2.0))
+    estimates = {x: (draw(st.one_of(_ESTIMATES, st.just(-1e100))), draw(ses))
+                 for x in _LABELS[:n]}
+    covariance = None
+    if draw(st.booleans()):
+        covariance = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a, n):
+                covariance[a, b] = covariance[b, a] = draw(_CELLS)
+    return LeagueTable(treatments=_LABELS[:n], basic=estimates, covariance=covariance)
+
+
+def _entry(lookup, lt, x, y):
+    """The exact repr of a pair's estimate and SE, or the error."""
+    try:
+        return repr(lookup(lt, x, y))
+    except DataError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_basic_tables(), _league_tables()))
+def test_estimate_and_se_match_the_scalar_arithmetic_bit_for_bit(lt):
+    def public(lt, x, y):
+        return lt.estimate(x, y), lt.se(x, y)
+    pairs = [(x, y) for x in lt.treatments for y in lt.treatments if x != y]
+    assert ([_entry(public, lt, x, y) for x, y in pairs]
+            == [_entry(scalar_pair_entry, lt, x, y) for x, y in pairs])
 
 
 def _basic_three(cov_ab, var_a=1.0, var_b=1.0):

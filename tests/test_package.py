@@ -274,6 +274,22 @@ def test_each_shared_input_rule_is_stated_once():
     assert counts == dict.fromkeys(messages, 1)
 
 
+def test_each_formula_of_a_scalar_entry_point_is_written_once():
+    # complete_intervals and LeagueTable.estimate/se compute through the table code, so a
+    # formula written out again beside it can drift apart without a failing test.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "treatrank").glob("*.py"))
+    source = "\n".join(path.read_text(encoding="utf-8") for path in paths)
+    formulas = (
+        "(upper - lower) / (2.0 * z)",  # the SE of an interval
+        "effect - spread",  # its bounds
+        "effect + spread",
+        "c[i, i] + c[j, j] - 2.0 * c[i, j]",  # the variance of a basic-form contrast
+        "se**2",  # the variances of independent estimates
+    )
+    assert {f: source.count(f) for f in formulas} == dict.fromkeys(formulas, 1)
+
+
 def _message_templates(path: Path) -> list[str]:
     """The error messages that ``path`` writes out, each replacement field as ``{}``: the
     string literal that an ``...Error(...)`` call takes first, and once each module-level

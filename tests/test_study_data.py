@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -41,9 +42,14 @@ from treatrank import (
 )
 
 from treatrank import cli, study_data, tcc
-from treatrank.study_data import _read_columns, _read_contrasts
+from treatrank.study_data import _completed, _read_columns, _read_contrasts
 
-from oracles import per_row_network_checks, per_row_read_records, reference_read_columns
+from oracles import (
+    per_row_network_checks,
+    per_row_read_records,
+    reference_read_columns,
+    scalar_complete_intervals,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -364,6 +370,49 @@ def test_complete_intervals_is_idempotent_and_preserves_given_values():
         StudyEffect(study_id="s1", treat_a="A", treat_b="B", effect=0.3, se=0.1)
     )
     assert complete_intervals(filled) is filled
+
+
+_LEVELS = st.one_of(st.sampled_from([0.95, 0.9, 0.5, 0.999999]), st.floats(0.01, 0.999))
+# Past 1e308 an SE times z, or the width of an interval, overflows.
+_BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 1e-320, 1e308, -1e308]), st.floats(-10.0, 10.0))
+_SES = st.one_of(st.sampled_from([0.0, -0.0, 1e-320, 1e308]), st.floats(0.0, 10.0))
+
+
+@st.composite
+def _contrasts(draw):
+    """A contrast with an SE only, bounds only, both, or an SE and one bound, at a level
+    of its own."""
+    lower, effect, upper = sorted(draw(_BOUNDS) for _ in range(3))
+    given = draw(st.sampled_from([("se",), ("lower", "upper"), ("se", "lower", "upper"),
+                                  ("se", "lower"), ("se", "upper")]))
+    values = {"se": draw(_SES), "lower": lower, "upper": upper}
+    return StudyEffect("s1", "A", "B", effect, *(values[c] if c in given else None
+                                                 for c in ("se", "lower", "upper")),
+                       ci_level=draw(_LEVELS))
+
+
+def _completion(complete, e):
+    """The completed contrast's exact repr and whether it is ``e`` itself, or the error."""
+    try:
+        done = complete(e)
+    except DataError as error:
+        return str(error)
+    return repr(done), done is e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_contrasts(), min_size=1, max_size=6))
+def test_complete_intervals_matches_the_scalar_arithmetic_bit_for_bit(contrasts):
+    expected = [_completion(scalar_complete_intervals, e) for e in contrasts]
+    assert [_completion(complete_intervals, e) for e in contrasts] == expected
+    # The table route completes every row of a table at once, one quantile per level.
+    numbers = {name: np.array([math.nan if v is None else v for v in column], dtype=float)
+               for name, column in zip(study_data._NUMBERS, zip(*(
+                   (e.effect, e.se, e.ci_lower, e.ci_upper, e.ci_level) for e in contrasts)))}
+    rows = zip(contrasts, *(column.tolist() for column in _completed(numbers)))
+    for e, se, lower, upper in rows:
+        if not isinstance(done := _completion(scalar_complete_intervals, e), str):
+            assert repr(replace(e, se=se, ci_lower=lower, ci_upper=upper)) == done[0]
 
 
 def test_dump_then_parse_round_trips_exactly():

@@ -7,8 +7,8 @@ Run from anywhere, with two checkouts (``git archive`` gives one):
 The set is the one ROADMAP.md names: the bundled fixture (``rank --dump-records``,
 ``partition`` and ``compare``), the planted records of seeds 101, 7 and 3
 (``partition --records``) and the network of seeds 101 and 7 (``rank
---dump-records`` and ``compare --covariance``), all at ``--mcid 1.2`` where a command
-reads contrasts. The inputs come from ``bench/generate.py`` at the benchmark's
+--dump-records``, and ``compare`` with and without ``--covariance``), all at ``--mcid
+1.2``. The inputs come from ``bench/generate.py`` at the benchmark's
 sizes and from ``tests/fixtures``, both of the checkout holding this script, and
 both sides read the same files. Each command runs in a new process per side, with
 one BLAS thread and no bytecode written, from a directory of its own, with a
@@ -74,6 +74,8 @@ def commands(name: str, directory: Path) -> dict[str, list[str]]:
         "rank": ["rank", "--input", paths["contrasts"], "--mcid", MCID, "--dump-records"],
         "compare": ["compare", "--input", paths["league"], "--covariance", paths["covariance"],
                     "--mcid", MCID],
+        # The basic form without a covariance: independent estimates with variance SE².
+        "compare-no-covariance": ["compare", "--input", paths["league"], "--mcid", MCID],
     }
 
 
