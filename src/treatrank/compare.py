@@ -68,6 +68,11 @@ class LeagueTable:
             raise DataError("supply exactly one of the pairwise or basic forms")
         if len(set(self.treatments)) < len(self.treatments):
             raise DataError(f"league table treatments repeat: {list(self.treatments)}")
+        index = {x: k for k, x in enumerate(self.treatments)}
+        for (x, y), (estimate, se) in (self.pairwise or {}).items():
+            _check_pair(index, x, y)
+            if index[x] > index[y]:  # a reversed key: the pair may be there in order too
+                _check_repeat(self.pairwise, (y, x), (-estimate, se))
         if self.basic is not None and set(self.basic) != set(self.treatments):
             raise DataError("basic-form estimates must cover exactly the treatments")
         if self.covariance is not None:
@@ -84,7 +89,7 @@ class LeagueTable:
         if not (np.all(sizes <= _LARGEST) and np.all(squares <= _LARGEST**2)):
             raise DataError(f"estimates and SEs must be finite and at most {_LARGEST:g} in size, "
                             f"and covariance entries at most {_LARGEST**2:g}")
-        object.__setattr__(self, "_index", {x: k for k, x in enumerate(self.treatments)})
+        object.__setattr__(self, "_index", index)
         if self.basic is not None:
             estimates, ses = zip(*map(self.basic.get, self.treatments))
             cov = _independent(ses) if self.covariance is None else self.covariance
@@ -107,21 +112,13 @@ class LeagueTable:
         index = {x: k for k, x in enumerate(treatments)}
         canonical: dict[tuple[str, str], tuple[float, float]] = {}
         for (x, y), (estimate, se) in entries.items():
-            for label in (x, y):
-                if label not in index:
-                    raise DataError(f"pair ({x!r}, {y!r}) uses unknown treatment {label!r}")
-            if x == y:
-                raise DataError(f"pair ({x!r}, {y!r}) compares a treatment with itself")
+            _check_pair(index, x, y)
             if se <= 0:
                 raise _se_error(x, y, se)
             key, value = (x, y), (float(estimate), float(se))
             if index[x] > index[y]:
                 key, value = (y, x), (-float(estimate), float(se))
-            if key in canonical and not all(
-                math.isclose(prior, given, rel_tol=1e-9, abs_tol=1e-12)
-                for prior, given in zip(canonical[key], value)  # the estimates, then the SEs
-            ):
-                raise DataError(f"pair {key} given twice with inconsistent values")
+            _check_repeat(canonical, key, value)
             canonical[key] = value
         return cls(treatments=treatments, direction=direction, pairwise=canonical)
 
@@ -145,6 +142,24 @@ class LeagueTable:
     def se(self, x: str, y: str) -> float:
         """Standard error of the x-versus-y contrast."""
         return _pair_entry(self, x, y)[1]
+
+
+def _check_pair(index: Mapping[str, int], x: str, y: str) -> None:
+    """The checks of a pairwise key ``(x, y)``: both labels in ``index``, and distinct."""
+    for label in (x, y):
+        if label not in index:
+            raise DataError(f"pair ({x!r}, {y!r}) uses unknown treatment {label!r}")
+    if x == y:
+        raise DataError(f"pair ({x!r}, {y!r}) compares a treatment with itself")
+
+
+def _check_repeat(entries: Mapping, key: tuple[str, str], value: tuple[float, float]) -> None:
+    """That ``value`` agrees with ``entries[key]`` when the pair is there already."""
+    if key in entries and not all(
+        math.isclose(prior, given, rel_tol=1e-9, abs_tol=1e-12)
+        for prior, given in zip(entries[key], value)  # the estimates, then the SEs
+    ):
+        raise DataError(f"pair {key} given twice with inconsistent values")
 
 
 def _pair_entry(lt: LeagueTable, x: str, y: str) -> tuple[float, float]:

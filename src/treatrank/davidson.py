@@ -255,22 +255,49 @@ def _nu_unbounded(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> b
     never reaches. The conditions are difference constraints d_v - d_u <= w,
     one per preference edge u -> v of weight w, feasible iff that graph has
     no negative cycle; wins both ways in one pair are a negative 2-cycle.
-    Bellman-Ford rounds from all-zero distances decide it in O(n * P) time
-    and O(n + P) memory: a round that changes nothing leaves feasible
-    distances, and one that still relaxes after n rounds means a negative
-    cycle (Cormen et al., CLRS section 24.4).
+    Jacobi rounds of Bellman-Ford from all-zero distances decide it in
+    O(n + P) memory: a round that changes nothing leaves feasible distances,
+    and one that still relaxes after n rounds means a negative cycle (Cormen
+    et al., CLRS section 24.4).
+
+    Each round also keeps, for every target it lowered, one edge that
+    reaches the new distance as the target's parent, and stops at the first
+    round whose parent graph has a cycle: such a cycle has negative weight
+    (the predecessor-subgraph property, CLRS section 24.5). Every parent
+    edge u -> v keeps d_v >= d_u + w, as d_u only falls after v's parent is
+    set, and round the cycle some tail was last lowered no earlier than its
+    head, which makes its inequality strict. A bounded likelihood means a
+    negative cycle, so the fits that go ahead stop early instead of running
+    all n rounds. Each round costs O(P + n log n), the log from the pointer
+    doublings that find the cycle; there are at most n rounds.
     """
     if _wins_both_ways(counts):
         return False  # a negative 2-cycle
     source, target, weight, present = _preference_edges(i, j, counts)
     source, target, weight = source[present], target[present], weight[present]
     distance = np.zeros(n, dtype=np.intp)
+    parent = np.full(n + 1, n)  # index n is a sentinel root, its own parent
     for _ in range(n):
         relaxed = distance[source] + weight
-        if not np.any(relaxed < distance[target]):
+        lowered = relaxed < distance[target]
+        if not lowered.any():
             return True
         np.minimum.at(distance, target, relaxed)
+        reaches = lowered & (relaxed == distance[target])
+        parent[target[reaches]] = source[reaches]
+        if _has_cycle(parent):
+            return False
     return False
+
+
+def _has_cycle(parent: np.ndarray) -> bool:
+    """Whether the graph of ``parent`` pointers over nodes 0..n has a cycle, where node n
+    is a root, its own parent: ceil(log2(n + 1)) pointer doublings follow every path of
+    at most n steps, so they take each node that leads to the root there."""
+    root, ancestor = len(parent) - 1, parent
+    for _ in range(root.bit_length()):
+        ancestor = ancestor[ancestor]
+    return bool(np.any(ancestor != root))
 
 
 class DavidsonObjective:

@@ -567,9 +567,12 @@ def _check_contest(known: Container[str], x: str, y: str) -> None:
 def complete_intervals(e: StudyEffect) -> StudyEffect:
     """Fill missing interval bounds from the SE, or the SE from the bounds.
 
-    Bounds come from the normal quantile at ``(1 + ci_level) / 2``; existing
-    values are never touched, which makes the operation idempotent. Bayesian
-    credible intervals are accepted verbatim. The rule is :func:`_complete`'s, which
+    With z the normal quantile at ``(1 + ci_level) / 2``, a contrast with an SE
+    and a missing bound gets both bounds, effect -/+ z * SE, replacing the bound
+    it had; one with both bounds and no SE gets the SE (upper - lower) / (2z); a
+    contrast with an SE and both bounds comes back as it is. The result has all
+    three, so the operation is idempotent. Bayesian credible intervals are
+    accepted verbatim. The rule is :func:`_complete`'s, which
     :func:`_completed` applies to a whole table.
     """
     given = (math.nan if v is None else v for v in (e.se, e.ci_lower, e.ci_upper))

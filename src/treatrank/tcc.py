@@ -170,6 +170,22 @@ class PairCounts(NamedTuple):
         return self.wins_first + self.wins_second + self.ties
 
 
+class _CountsOnFirstRead:
+    """``Tournament.counts`` of a tournament that :meth:`Tournament._of_counts` built:
+    made from its arrays on the first read, which the instance then holds. A non-data
+    descriptor, so a tournament given its counts holds them from the start; read from
+    the class it raises AttributeError, so the dataclass field has no default."""
+
+    def __get__(self, t, owner=None):
+        if t is None:
+            raise AttributeError("counts")
+        x = t.treatments
+        keys = [(x[a], x[b]) for a, b in zip(t._i.tolist(), t._j.tolist())]
+        counts = map(PairCounts._make, t._counts.astype(np.intp).tolist())
+        t.__dict__["counts"] = MappingProxyType(dict(zip(keys, counts)))
+        return t.__dict__["counts"]
+
+
 @dataclass(frozen=True)
 class Tournament:
     """Win/win/tie tallies per unordered treatment pair.
@@ -180,11 +196,13 @@ class Tournament:
     reads the same tallies as arrays, built once here: ``_i``, ``_j`` hold
     the treatment indices of the pairs with records, in key order, and
     ``_counts[P, 3]`` their (wins for ``_i``, wins for ``_j``, ties).
-    :meth:`_of_counts` builds a tournament from those arrays instead.
+    :meth:`_of_counts` builds a tournament from those arrays instead; its
+    ``counts`` is built from them on the first read, as the command line
+    never reads it.
     """
 
     treatments: tuple[str, ...]
-    counts: Mapping[tuple[str, str], PairCounts]
+    counts: Mapping[tuple[str, str], PairCounts] = _CountsOnFirstRead()
     _i: np.ndarray = field(init=False, repr=False, compare=False)
     _j: np.ndarray = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -203,7 +221,8 @@ class Tournament:
             if any(c):
                 rows.append((index[x], index[y], *c))
         table = np.asarray(rows, dtype=np.intp).reshape(-1, 5)
-        self._bind(counts, table[:, 0], table[:, 1], table[:, 2:])
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        self._bind(table[:, 0], table[:, 1], table[:, 2:])
 
     @classmethod
     def _of_counts(cls, treatments: tuple[str, ...], pairs: np.ndarray,
@@ -212,15 +231,12 @@ class Tournament:
         ``pairs[p]``, with no checks: the pairs are distinct, each in
         treatment order, ascending, and each with a record, as
         :meth:`_Preferences.coded` gives them; the counts are non-negative."""
-        self, t = cls.__new__(cls), treatments
-        object.__setattr__(self, "treatments", t)
-        keys = [(t[x], t[y]) for x, y in pairs.tolist()]
-        self._bind(dict(zip(keys, map(PairCounts._make, counts.tolist()))),
-                   pairs[:, 0], pairs[:, 1], counts)
+        self = cls.__new__(cls)
+        object.__setattr__(self, "treatments", treatments)
+        self._bind(pairs[:, 0], pairs[:, 1], counts)
         return self
 
-    def _bind(self, counts: dict, i: np.ndarray, j: np.ndarray, table: np.ndarray) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(counts))
+    def _bind(self, i: np.ndarray, j: np.ndarray, table: np.ndarray) -> None:
         object.__setattr__(self, "_i", i)
         object.__setattr__(self, "_j", j)
         object.__setattr__(self, "_counts", table.astype(float))

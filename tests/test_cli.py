@@ -120,6 +120,51 @@ def test_rank_is_byte_deterministic(tmp_path):
         assert first == second, name
 
 
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                                1e-310, 1.7976931348623157e308, 0.1])
+
+
+@st.composite
+def _documents_with_a_covariance(draw):
+    n = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.floats() | _EDGE_FLOATS, min_size=n * n, max_size=n * n))
+    rest = draw(st.dictionaries(st.text(max_size=12), st.floats() | st.text(max_size=12)
+                                | st.lists(st.floats(), max_size=3), max_size=4))
+    return rest, np.array(cells, dtype=float).reshape(n, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_documents_with_a_covariance())
+def test_the_covariance_rows_are_written_as_json_dump_writes_them(case):
+    from treatrank.cli import _write_json
+
+    rest, covariance = case
+    expected = json.dumps({**rest, "covariance": covariance.tolist()}, indent=2, sort_keys=True)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "fit.json"
+        _write_json(path, {**rest, "covariance": covariance}, matrix="covariance")
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+def test_rank_and_partition_never_build_a_tournaments_counts(tmp_path, monkeypatch):
+    from treatrank import tcc
+
+    built, get = [], tcc._CountsOnFirstRead.__get__
+
+    def counted(self, t, owner=None):
+        built.append(t)
+        return get(self, t, owner)
+
+    monkeypatch.setattr(tcc._CountsOnFirstRead, "__get__", counted)
+    assert _run("rank", "--input", CONTRASTS, "--out-dir", tmp_path / "rank", "--mcid", "1.2",
+                "--dump-records") == 0
+    assert _run("partition", "--input", CONTRASTS, "--out-dir", tmp_path / "partition",
+                "--mcid", "1.2") == 0
+    assert built == []
+    t = tcc._tally(("A", "B"), np.array([[0, 1]]), np.array([0, 2]))
+    assert t.counts == {("A", "B"): PairCounts(1, 0, 1)} and built == [t]
+
+
 def test_rank_records_route_matches_contrast_route(tmp_path):
     assert _run("tcc-dump", "--input", CONTRASTS, "--out-dir", tmp_path, "--mcid", "1.2") == 0
     records = tmp_path / "records.csv"

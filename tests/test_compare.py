@@ -76,6 +76,32 @@ def test_from_pairwise_rejects_bad_entries():
         LeagueTable.from_pairwise({("A", "B"): (0.0, 0.1)}, treatments=("A", "C"))
 
 
+@pytest.mark.parametrize("pairwise, message", [
+    ({("A", "B"): (0.3, 0.1), ("B", "A"): (0.3, 0.1)},
+     "pair ('A', 'B') given twice with inconsistent values"),
+    ({("B", "A"): (-0.3, 0.1), ("A", "B"): (0.3, 0.2)},
+     "pair ('A', 'B') given twice with inconsistent values"),
+    ({("A", "B"): (0.3, 0.1), ("A", "Z"): (0.3, 0.1)},
+     "pair ('A', 'Z') uses unknown treatment 'Z'"),
+    ({("A", "B"): (0.3, 0.1), ("A", "A"): (0.3, 0.1)},
+     "pair ('A', 'A') compares a treatment with itself"),
+])
+def test_a_pairwise_league_table_rejects_the_keys_that_from_pairwise_rejects(pairwise, message):
+    for build in (lambda: LeagueTable(treatments=("A", "B"), pairwise=pairwise),
+                  lambda: LeagueTable.from_pairwise(pairwise, treatments=("A", "B"))):
+        with pytest.raises(DataError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_a_pairwise_league_table_keeps_its_reversed_and_consistently_repeated_keys():
+    reversed_only = LeagueTable(treatments=("A", "B"), pairwise={("B", "A"): (-0.3, 0.1)})
+    both = LeagueTable(treatments=("A", "B"),
+                       pairwise={("B", "A"): (-0.3, 0.1), ("A", "B"): (0.3, 0.1)})
+    for lt in (reversed_only, both):
+        assert (lt.estimate("A", "B"), lt.estimate("B", "A"), lt.se("A", "B")) == (0.3, -0.3, 0.1)
+
+
 def test_league_table_requires_exactly_one_form():
     with pytest.raises(DataError, match="exactly one"):
         LeagueTable(treatments=("A", "B"))

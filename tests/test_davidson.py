@@ -322,10 +322,10 @@ def test_ford_failure_reported_by_fit():
 
 
 @st.composite
-def _sparse_tournaments(draw):
-    """2-8 treatments; each pair absent, or present with counts of 0-2 (all
-    zero included)."""
-    n = draw(st.integers(2, 8))
+def _sparse_tournaments(draw, most=8):
+    """2 to ``most`` treatments; each pair absent, or present with counts of
+    0-2 (all zero included)."""
+    n = draw(st.integers(2, most))
     labels = tuple(f"T{k}" for k in range(n))
     cell = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
     counts = {}
@@ -389,7 +389,7 @@ def test_fit_rejects_a_likelihood_without_a_finite_maximum(counts, d):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_sparse_tournaments())
+@given(_sparse_tournaments(most=12))
 def test_nu_unbounded_agrees_with_floyd_warshall(t):
     assert _nu_unbounded(*_count_arrays(t)) == floyd_warshall_nu_unbounded(t)
     # Most drawn tournaments have a pair won both ways, which decides the
@@ -404,15 +404,30 @@ def test_nu_unbounded_agrees_with_floyd_warshall(t):
     assert _nu_unbounded(*_count_arrays(one_way)) == floyd_warshall_nu_unbounded(one_way)
 
 
-def test_nu_unbounded_on_a_long_cycle_is_linear_in_memory():
-    # A win one way round the cycle and a tie in every pair: no pair wins
-    # both ways, and the wins make a negative cycle, so the check runs to the
-    # end. A dense n x n bound matrix would take 8 MB.
-    n = 1000
+def _ring(n):
+    """A win one way round a cycle of ``n`` treatments and a tie in every pair:
+    no pair wins both ways, and the wins make one negative cycle."""
     labels = tuple(f"T{k:04d}" for k in range(n))
     counts = {(labels[k], labels[k + 1]): PairCounts(1, 0, 1) for k in range(n - 1)}
     counts[(labels[0], labels[-1])] = PairCounts(0, 1, 1)
-    t = Tournament(labels, counts)
+    return Tournament(labels, counts)
+
+
+def _counting_cycle_checks(monkeypatch):
+    """The verdicts of every parent-cycle check of ``_nu_unbounded`` from here on."""
+    verdicts, check = [], davidson._has_cycle
+
+    def counted(parent):
+        verdicts.append(check(parent))
+        return verdicts[-1]
+
+    monkeypatch.setattr(davidson, "_has_cycle", counted)
+    return verdicts
+
+
+def test_nu_unbounded_on_a_long_cycle_is_linear_in_memory():
+    # A dense n x n bound matrix would take 8 MB.
+    t = _ring(1000)
     tracemalloc.start()
     try:
         verdict = _nu_unbounded(*_count_arrays(t))
@@ -421,6 +436,37 @@ def test_nu_unbounded_on_a_long_cycle_is_linear_in_memory():
         tracemalloc.stop()
     assert verdict is False
     assert peak < 1_000_000
+
+
+def test_nu_unbounded_stops_at_the_first_parent_cycle(monkeypatch):
+    # The first round lowers every treatment along its win, and those
+    # parents close the whole ring; without the exit all 1000 rounds run.
+    verdicts = _counting_cycle_checks(monkeypatch)
+    assert _nu_unbounded(*_count_arrays(_ring(1000))) is False
+    assert verdicts == [True]
+
+
+def test_nu_unbounded_on_a_long_chain_finds_no_cycle(monkeypatch):
+    # A win down a chain and a tie in every pair: each 2-cycle weighs 0, so
+    # the constraints are feasible. Distances fall one step a round, and the
+    # parents always form the chain, never a cycle.
+    n = 1000
+    labels = tuple(f"T{k:04d}" for k in range(n))
+    t = Tournament(labels, {(labels[k], labels[k + 1]): PairCounts(1, 0, 1) for k in range(n - 1)})
+    verdicts = _counting_cycle_checks(monkeypatch)
+    assert _nu_unbounded(*_count_arrays(t)) is True
+    assert verdicts == [False] * (n - 1)
+
+
+@pytest.mark.parametrize("parent, cycle", [
+    ([1, 2, 2], False),  # 0 -> 1 -> root
+    ([1, 0, 2], True),  # 0 <-> 1
+    ([0, 1], True),  # a self-loop
+    ([1, 2, 3, 4, 5, 6, 7, 8, 8], False),  # the longest path, 8 steps
+    ([1, 2, 3, 4, 5, 6, 7, 0, 8], True),  # the longest cycle
+])
+def test_has_cycle_follows_every_path_to_the_root(parent, cycle):
+    assert davidson._has_cycle(np.array(parent)) is cycle
 
 
 # ---------------------------------------------------------------- objective

@@ -330,6 +330,19 @@ def test_a_tally_is_the_tournament_of_its_count_arrays(case):
         t.counts[("A", "B")] = PairCounts(0, 0, 0)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_records_and_order())
+def test_a_tally_builds_its_counts_on_first_read(case):
+    records, order = case
+    t = _tally(tuple(order), *_Preferences.of(records, order).coded())
+    expected = Tournament(tuple(order), loop_tally(records, order))
+    assert "counts" not in vars(t)
+    assert repr(t) == repr(expected)  # reads counts, as == and pair_counts do
+    assert type(t.counts) is type(expected.counts)
+    assert vars(t)["counts"] is t.counts  # built once, then held
+    assert "counts" in vars(expected)  # a tournament given its counts holds them from the start
+
+
 def test_aggregate_rejects_unknown_treatment():
     records = [
         PreferenceRecord(study_id="s1", treat_a="A", treat_b="Z", verdict=Verdict.TIE)
