@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -40,10 +41,11 @@ class LeagueTable:
     ``pairwise`` maps index-ordered pairs (X, Y) to (estimate of X vs Y,
     standard error); ``basic`` maps each treatment to (estimate against a
     common baseline, standard error), optionally with a full ``covariance``
-    aligned to ``treatments``. Exactly the supplied form is stored; the
-    metric functions derive the form they need. ``_index`` maps each
-    treatment to its position; ``_model`` is the basic form's ``(means, covariance)``
+    aligned to ``treatments``. Exactly the supplied form is stored. ``_index`` maps
+    each treatment to its position; ``_model`` is the basic form's ``(means, covariance)``
     in that order, the covariance as supplied or else independent (SE² diagonal).
+    ``_pairs`` is either form's pair-contrast model, which the metrics and ``estimate``
+    and ``se`` read: two n × n arrays, the estimate and SE of row versus column.
     """
 
     treatments: tuple[str, ...]
@@ -53,6 +55,7 @@ class LeagueTable:
     covariance: np.ndarray | None = None
     _index: Mapping[str, int] = field(init=False, repr=False)
     _model: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         for label, (_, se) in (self.basic or {}).items():
@@ -93,8 +96,19 @@ class LeagueTable:
         if self.basic is not None:
             estimates, ses = zip(*map(self.basic.get, self.treatments))
             cov = _independent(ses) if self.covariance is None else self.covariance
-            object.__setattr__(self, "_model", (np.array(estimates, dtype=float),
-                                                np.asarray(cov, dtype=float)))
+            means, c = np.array(estimates, dtype=float), np.asarray(cov, dtype=float)
+            object.__setattr__(self, "_model", (means, c))
+            d = np.diagonal(c)
+            var = d[:, None] + d - 2.0 * c  # a variance that rounds negative reads as 0
+            pairs = means[:, None] - means, np.sqrt(np.where(0.0 > var, 0.0, var))  # keeps -0.0
+        else:  # a pair left out is NaN; one given in both key orders reads each key's own value
+            pairs = np.full((2, len(index), len(index)), np.nan)
+            keys = np.fromiter(map(index.__getitem__, chain.from_iterable(self.pairwise)), np.intp)
+            given = np.fromiter(chain.from_iterable(self.pairwise.values()), float)
+            (i, j), given = keys.reshape(-1, 2).T, given.reshape(-1, 2).T
+            pairs[:, j, i] = given * [[-1.0], [1.0]]  # each key mirrored, then as given
+            pairs[:, i, j] = given
+        object.__setattr__(self, "_pairs", tuple(pairs))
 
     @classmethod
     def from_pairwise(
@@ -171,20 +185,12 @@ def _pair_entry(lt: LeagueTable, x: str, y: str) -> tuple[float, float]:
             estimate, se = lt.pairwise[(y, x)]
             return -estimate, se
         raise DataError(f"league table is missing the pair ({x!r}, {y!r})")
-    return tuple(map(float, _basic_contrasts(lt, lt._index[x], lt._index[y])))
+    return tuple(float(values[lt._index[x], lt._index[y]]) for values in lt._pairs)
 
 
 def _independent(ses) -> np.ndarray:
     """Independent estimates' covariance: ``ses`` squared by Python's pow, on the diagonal."""
     return np.diag([se**2 for se in ses])
-
-
-def _basic_contrasts(lt: LeagueTable, i, j) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate and SE of the basic-form contrasts of positions ``i`` versus ``j`` (two
-    positions or two arrays of them), a variance that rounds negative read as 0."""
-    means, c = lt._model
-    var = c[i, i] + c[j, j] - 2.0 * c[i, j]
-    return means[i] - means[j], np.sqrt(np.where(0.0 > var, 0.0, var))  # keeps a -0.0
 
 
 def _normal_cdf(z: float) -> float:
@@ -197,7 +203,7 @@ def _direction_sign(lt: LeagueTable) -> float:
 
 def _pair_table(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(i, j, estimate, se)`` of every pair i < j in row-major order, raising on the
-    first pair without a positive SE."""
+    first pair that is missing or has no positive SE."""
     if lt.pairwise is None and lt.covariance is None:
         warnings.warn(
             "no covariance supplied; pairwise SEs assume independent basic estimates",
@@ -206,18 +212,11 @@ def _pair_table(lt: LeagueTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         )
     labels = lt.treatments
     i, j = np.triu_indices(len(labels), 1)
-    if lt.pairwise is not None:
-        entries = []
-        for a, b in zip(i.tolist(), j.tolist()):
-            estimate, se = _pair_entry(lt, labels[a], labels[b])
-            if se <= 0:
-                raise _se_error(labels[a], labels[b], se)
-            entries.append((estimate, se))
-        return (i, j, *np.array(entries, dtype=float).T)
-    estimate, se = _basic_contrasts(lt, i, j)
-    first = np.flatnonzero(se <= 0)[:1].tolist()
+    estimate, se = (values[i, j] for values in lt._pairs)
+    first = np.flatnonzero(~(se > 0))[:1].tolist()  # a missing pair's SE is NaN
     if first:
-        raise _se_error(labels[i[first[0]]], labels[j[first[0]]], float(se[first[0]]))
+        x, y = labels[i[first[0]]], labels[j[first[0]]]
+        raise _se_error(x, y, _pair_entry(lt, x, y)[1])  # or the missing pair's error
     return i, j, estimate, se
 
 

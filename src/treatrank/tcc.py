@@ -46,6 +46,7 @@ class Verdict(enum.Enum):
 
 
 _VERDICTS = tuple(Verdict)  # indexed by outcome: a win for the first, for the second, a tie
+_VERDICT_VALUES = tuple(v.value for v in _VERDICTS)  # their records.csv strings
 _OUTCOME = {v: k for k, v in enumerate(_VERDICTS)}
 _SWAPPED = np.array([1, 0, 2])  # the same outcome seen from the other pair member
 _RECORD_COLUMNS = ("study", "treat1", "treat2", "verdict")
@@ -171,10 +172,10 @@ class PairCounts(NamedTuple):
 
 
 class _CountsOnFirstRead:
-    """``Tournament.counts`` of a tournament that :meth:`Tournament._of_counts` built:
-    made from its arrays on the first read, which the instance then holds. A non-data
-    descriptor, so a tournament given its counts holds them from the start; read from
-    the class it raises AttributeError, so the dataclass field has no default."""
+    """``Tournament.counts``: made from the tournament's arrays on the first read, which
+    the instance then holds. A non-data descriptor, so a value that the instance holds
+    comes first; read from the class it raises AttributeError, so the dataclass field
+    has no default."""
 
     def __get__(self, t, owner=None):
         if t is None:
@@ -191,14 +192,14 @@ class Tournament:
     """Win/win/tie tallies per unordered treatment pair.
 
     Keys follow the ``treatments`` order: in a ``(X, Y)`` key, X precedes Y,
-    and ``wins_first`` counts wins for X. Pairs with no records are absent.
-    ``counts`` is a read-only copy of the mapping passed in. The model code
-    reads the same tallies as arrays, built once here: ``_i``, ``_j`` hold
+    and ``wins_first`` counts wins for X. Pairs with no records are absent,
+    also when the mapping passed in holds them with zero counts. The model
+    code reads the tallies as arrays, built once here: ``_i``, ``_j`` hold
     the treatment indices of the pairs with records, in key order, and
     ``_counts[P, 3]`` their (wins for ``_i``, wins for ``_j``, ties).
-    :meth:`_of_counts` builds a tournament from those arrays instead; its
-    ``counts`` is built from them on the first read, as the command line
-    never reads it.
+    :meth:`_of_counts` builds a tournament from those arrays instead. Either
+    way ``counts``, a read-only mapping of whole counts, is built from the
+    arrays on its first read, as the command line never reads it.
     """
 
     treatments: tuple[str, ...]
@@ -209,8 +210,8 @@ class Tournament:
 
     def __post_init__(self):
         index = {t: i for i, t in enumerate(self.treatments)}
-        counts, rows = dict(self.counts), []
-        for (x, y), c in counts.items():
+        rows = []
+        for (x, y), c in dict(self.counts).items():
             if x not in index or y not in index:
                 raise DataError(f"pair ({x!r}, {y!r}) uses an unknown treatment")
             if index[x] >= index[y]:
@@ -221,7 +222,7 @@ class Tournament:
             if any(c):
                 rows.append((index[x], index[y], *c))
         table = np.asarray(rows, dtype=np.intp).reshape(-1, 5)
-        object.__setattr__(self, "counts", MappingProxyType(counts))
+        del self.__dict__["counts"]  # read back from the arrays, without the zero pairs
         self._bind(table[:, 0], table[:, 1], table[:, 2:])
 
     @classmethod
@@ -309,7 +310,7 @@ class _Preferences(_Studies):
 
     def dump(self, stream: IO[str]) -> None:
         """Write the records as CSV: study, treat1, treat2, verdict, then covariates."""
-        verdicts = [_VERDICTS[o].value for o in self.outcome.tolist()]
+        verdicts = list(map(_VERDICT_VALUES.__getitem__, self.outcome.tolist()))
         _write_columns(stream, [*_RECORD_COLUMNS, *self.covariates],
                        [self.study, self.treat1, self.treat2, verdicts, *self.covariates.values()])
 
@@ -379,8 +380,7 @@ def _read_records(
     """The columnar core of :func:`parse_preference_records`."""
     columns = _read_columns(source, _RECORD_COLUMNS)
     studies = _study_columns(columns, _RECORD_COLUMNS, schema)
-    verdicts = [v.value for v in _VERDICTS]
-    (outcome,) = _codes(verdicts, columns["verdict"])
+    (outcome,) = _codes(_VERDICT_VALUES, columns["verdict"])
     a, b = _codes(studies.treatments, studies.treat1, studies.treat2)
     bad, repeat = outcome < 0, _repeats(studies.study, a, b, len(studies.treatments))
     flagged = bad | repeat | (a == b)
@@ -388,7 +388,8 @@ def _read_records(
         k = int(np.argmax(flagged))
         i, study, t1, t2, verdict = k + 2, *(columns[c][k] for c in _RECORD_COLUMNS)
         if bad[k]:
-            raise DataError(f"row {i}: verdict must be one of {sorted(verdicts)}, got {verdict!r}")
+            raise DataError(f"row {i}: verdict must be one of {sorted(_VERDICT_VALUES)}, "
+                            f"got {verdict!r}")
         if repeat[k]:
             raise DataError(f"row {i}: duplicate record for pair ({t1}, {t2}) in study {study!r}")
         PreferenceRecord(study, t1, t2, Verdict(verdict))  # raises: both members are one label

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -54,14 +55,28 @@ def test_a_changed_number_in_fit_json_is_counted_and_the_rest_is_the_same(tmp_pa
 def test_a_network_runs_rank_and_compare_with_and_without_its_covariance(tmp_path):
     commands = _tool().commands("network-7", tmp_path)
     files = {name: str(tmp_path / f"network_{name}.csv")
-             for name in ("contrasts", "league", "covariance")}
+             for name in ("contrasts", "league", "covariance", "pairwise")}
     assert commands == {
         "rank": ["rank", "--input", files["contrasts"], "--mcid", "1.2", "--dump-records"],
         "compare": ["compare", "--input", files["league"], "--covariance", files["covariance"],
                     "--mcid", "1.2"],
         "compare-no-covariance": ["compare", "--input", files["league"], "--mcid", "1.2"],
+        "compare-pairwise": ["compare", "--input", files["pairwise"], "--mcid", "1.2"],
     }
     assert sorted(map(str, tmp_path.iterdir())) == sorted(files.values())
+
+
+def test_the_pairwise_table_holds_every_pair_of_the_basic_table(tmp_path):
+    league, pairwise = tmp_path / "league.csv", tmp_path / "pairwise.csv"
+    league.write_text("treat,estimate_vs_ref,se\nA,0.5,0.3\nB,0.25,0.4\nC,-1.0,0.1\n",
+                      encoding="utf-8")
+    _tool().write_pairwise(league, pairwise)
+    assert pairwise.read_text(encoding="utf-8").splitlines() == [
+        "treat1,treat2,estimate,se",
+        f"A,B,0.25,{math.sqrt(0.25)!r}",
+        f"A,C,1.5,{math.sqrt(0.3**2 + 0.1**2)!r}",
+        f"B,C,1.25,{math.sqrt(0.4**2 + 0.1**2)!r}",
+    ]
 
 
 def test_each_exit_code_stream_and_file_is_compared():

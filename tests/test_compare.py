@@ -310,9 +310,9 @@ def _se(draw, low=1e-3):
 
 @st.composite
 def _league_tables(draw):
-    """Pairwise tables (keys in either order, a pair now and then missing or with a
-    zero SE) and basic tables with or without a covariance, which may give one pair
-    a variance of exactly 0, one that rounds negative, or -0.0."""
+    """Pairwise tables (keys in either order or now and then both, a pair now and then
+    missing or with a zero SE) and basic tables with or without a covariance, which may
+    give one pair a variance of exactly 0, one that rounds negative, or -0.0."""
     n = draw(st.integers(2, len(_LABELS)))
     labels = _LABELS[:n]
     direction = draw(st.sampled_from(["beneficial", "harmful"]))
@@ -324,7 +324,10 @@ def _league_tables(draw):
                 if draw(st.integers(0, 19)) == 0:
                     continue
                 estimate, se = draw(_ESTIMATES), draw(_se())
-                if draw(st.booleans()):
+                if draw(st.integers(0, 4)) == 0:  # both key orders, equal only within tolerance
+                    pairwise[(labels[b], labels[a])] = (-estimate - 1e-13, se + 1e-13)
+                    pairwise[(labels[a], labels[b])] = (estimate, se)
+                elif draw(st.booleans()):
                     pairwise[(labels[b], labels[a])] = (-estimate, se)
                 else:
                     pairwise[(labels[a], labels[b])] = (estimate, se)
@@ -363,6 +366,18 @@ def _outcome(fn, *args):
 def test_p_scores_match_the_per_pair_loops_bit_for_bit(lt, mcid):
     assert _outcome(p_scores, lt) == _outcome(loop_p_scores, lt)
     assert _outcome(p_scores_civ, lt, mcid) == _outcome(loop_p_scores_civ, lt, mcid)
+
+
+def test_p_scores_of_a_complete_pairwise_table_look_up_no_pair(monkeypatch):
+    # The metrics read the table's pair-contrast model, not one pair at a time.
+    calls = []
+    lookup = compare._pair_entry
+    monkeypatch.setattr(compare, "_pair_entry",
+                        lambda *args: calls.append(args) or lookup(*args))
+    lt = _pairwise_three()
+    p_scores(lt)
+    p_scores_civ(lt, 1.2)
+    assert calls == []
 
 
 # Cells whose contrast variances come out exactly 0, -0.0 or rounded below 0.

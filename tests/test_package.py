@@ -284,7 +284,7 @@ def test_each_formula_of_a_scalar_entry_point_is_written_once():
         "(upper - lower) / (2.0 * z)",  # the SE of an interval
         "effect - spread",  # its bounds
         "effect + spread",
-        "c[i, i] + c[j, j] - 2.0 * c[i, j]",  # the variance of a basic-form contrast
+        "d[:, None] + d - 2.0 * c",  # the variance of a basic-form contrast
         "se**2",  # the variances of independent estimates
     )
     assert {f: source.count(f) for f in formulas} == dict.fromkeys(formulas, 1)

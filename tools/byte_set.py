@@ -7,12 +7,13 @@ Run from anywhere, with two checkouts (``git archive`` gives one):
 The set is the one ROADMAP.md names: the bundled fixture (``rank --dump-records``,
 ``partition`` and ``compare``), the planted records of seeds 101, 7 and 3
 (``partition --records``) and the network of seeds 101 and 7 (``rank
---dump-records``, and ``compare`` with and without ``--covariance``), all at ``--mcid
-1.2``. The inputs come from ``bench/generate.py`` at the benchmark's
-sizes and from ``tests/fixtures``, both of the checkout holding this script, and
-both sides read the same files. Each command runs in a new process per side, with
-one BLAS thread and no bytecode written, from a directory of its own, with a
-relative ``--out-dir`` so that no path in standard error differs.
+--dump-records``, ``compare`` with and without ``--covariance``, and ``compare`` of
+the pairwise table of all its pairs), all at ``--mcid 1.2``. The inputs come from
+``bench/generate.py`` at the benchmark's sizes and from ``tests/fixtures``, both of
+the checkout holding this script, and both sides read the same files. Each command
+runs in a new process per side, with one BLAS thread and no bytecode written, from a
+directory of its own, with a relative ``--out-dir`` so that no path in standard error
+differs.
 
 Per input, command and artifact it prints ``same`` or ``differs``; for a JSON
 artifact that differs only in its numbers, how many changed and the largest
@@ -23,7 +24,9 @@ is 1 when anything differs, else 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -53,6 +56,19 @@ def _generate():
     return module
 
 
+def write_pairwise(league: Path, path: Path) -> None:
+    """The pairwise league table of every pair of the basic-form table ``league``, in
+    its row order: estimate b_x − b_y and SE √(se_x² + se_y²), as if independent."""
+    with open(league, encoding="utf-8", newline="") as stream:
+        rows = [(r["treat"], float(r["estimate_vs_ref"]), float(r["se"]))
+                for r in csv.DictReader(stream)]
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["treat1", "treat2", "estimate", "se"])
+        for (x, b_x, se_x), (y, b_y, se_y) in itertools.combinations(rows, 2):
+            writer.writerow([x, y, repr(b_x - b_y), repr(math.sqrt(se_x**2 + se_y**2))])
+
+
 def commands(name: str, directory: Path) -> dict[str, list[str]]:
     """The commands of input ``name``, by label, after writing its files to ``directory``."""
     kind, _, seed = name.partition("-")
@@ -70,12 +86,16 @@ def commands(name: str, directory: Path) -> dict[str, list[str]]:
         generate.write_planted_records(rng, path, PLANTED_RECORDS)
         return {"partition": ["partition", "--records", "--input", str(path)]}
     paths = {k: str(v) for k, v in generate.write_network(rng, directory, *NETWORK_SIZE).items()}
+    paths["pairwise"] = str(directory / "network_pairwise.csv")
+    write_pairwise(Path(paths["league"]), Path(paths["pairwise"]))
     return {
         "rank": ["rank", "--input", paths["contrasts"], "--mcid", MCID, "--dump-records"],
         "compare": ["compare", "--input", paths["league"], "--covariance", paths["covariance"],
                     "--mcid", MCID],
         # The basic form without a covariance: independent estimates with variance SE².
         "compare-no-covariance": ["compare", "--input", paths["league"], "--mcid", MCID],
+        # The pairwise form at the network's size; the fixture's table has six treatments.
+        "compare-pairwise": ["compare", "--input", paths["pairwise"], "--mcid", MCID],
     }
 
 
