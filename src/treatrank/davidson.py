@@ -193,13 +193,10 @@ def _reached(n: int, source: np.ndarray, target: np.ndarray, present: np.ndarray
         seen[hit[:-1] + (target[hit[-1]],)] = True
 
 
-def _ford_passes(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """:func:`check_ford` on each row of (..., P, 3) ``counts``: whether it passes."""
+def _ford_reach(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray):
+    """Per row of (..., P, 3) ``counts``: what the first treatment reaches, and what reaches it."""
     source, target, _, present = _preference_edges(i, j, counts)
-    return (
-        _reached(n, source, target, present).all(axis=-1)
-        & _reached(n, target, source, present).all(axis=-1)
-    )
+    return _reached(n, source, target, present), _reached(n, target, source, present)
 
 
 def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
@@ -227,12 +224,10 @@ def check_ford(t: Tournament) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     n = len(t.treatments)
     if n == 0:
         return None
-    source, target, _, present = _preference_edges(t._i, t._j, t._counts)
-    inside = ~_reached(n, source, target, present)
-    if not inside.any():
-        inside = _reached(n, target, source, present)
-        if inside.all():
-            return None
+    forward, backward = _ford_reach(n, t._i, t._j, t._counts)
+    inside = backward if forward.all() else ~forward
+    if inside.all():
+        return None
     return (
         tuple(x for x, k in zip(t.treatments, inside) if k),
         tuple(x for x, k in zip(t.treatments, inside) if not k),
@@ -650,7 +645,8 @@ def _fittable(n: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> np.nd
     the pairs ``(i, j)``, pass the checks of :func:`fit_davidson`: a win, the
     Ford check and, with ties, a finite maximum. The checks run on the
     count-array helpers of :func:`check_ford` and on :func:`_nu_unbounded`."""
-    passed = (counts[..., :2].sum(axis=(-2, -1)) > 0) & _ford_passes(n, i, j, counts)
+    forward, backward = _ford_reach(n, i, j, counts)
+    passed = (counts[..., :2].sum(axis=(-2, -1)) > 0) & forward.all(-1) & backward.all(-1)
     ties = counts[..., 2].sum(axis=-1) > 0
     for r in np.flatnonzero(passed & ties & ~_wins_both_ways(counts)):
         passed[r] = not _nu_unbounded(n, i, j, counts[r])

@@ -27,7 +27,7 @@ from .davidson import fit_davidson
 from .errors import DataError, ModelError
 from .study_data import _BLOCK_FLOATS, Categorical, Continuous, CovariateKind, CovariateSchema
 from .study_data import _check_seed
-from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _tally
+from .tcc import PreferenceRecord, _counts, _Preferences, _running_counts, _subset, _tally
 from .tcc import aggregate_tournament  # noqa: F401  (bench/tracing.py rebinds this name)
 
 __all__ = _EXPORTS["partition"]
@@ -247,9 +247,9 @@ def stability_test(
     fit: AbilityFit,
     kind: CovariateKind | None = None,
     *,
-    permutations: int = 1000,
+    permutations: int = PartitionConfig.permutations,
     rng: np.random.Generator | None = None,
-    trim: float = 0.10,
+    trim: float = PartitionConfig.trim,
 ) -> tuple[float, float]:
     """Score-fluctuation test of ability stability along one covariate.
 
@@ -278,7 +278,7 @@ def stability_test(
     values = columns.covariates[covariate]
     prepared = _prepare(covariate, *_read_covariate(values, covariate, kind), trim)
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(PartitionConfig.seed)
     return _run(prepared, _node_scores(_scores(columns, fit)), permutations, rng)
 
 
@@ -328,6 +328,9 @@ def _run(
     # whatever the block.
     block = min(permutations, 256, max(1, _BLOCK_FLOATS // (n * p_dim)))
     tiled = np.tile(whitened.T, (1, block))
+    # Permutation b fills flat slots b * n onwards with its segment ids plus b * n_seg.
+    b = np.arange(block)[:, None]
+    labels = (segment + n_seg * b).ravel()
     exceed = 0
     remaining = permutations
     while remaining > 0:
@@ -335,10 +338,8 @@ def _run(
             break
         block = min(remaining, block)
         shuffles = np.argsort(rng.random((block, n)), axis=1)
-        # ids[b, r]: the segment of record r under permutation b, plus b * n_seg.
-        ids = np.empty_like(shuffles)
-        np.put_along_axis(ids, shuffles, segment + n_seg * np.arange(block)[:, None], axis=1)
-        ids = ids.ravel()
+        ids = np.empty(block * n, dtype=shuffles.dtype)
+        ids[(shuffles + n * b[:block]).ravel()] = labels[: block * n]
         sums = np.empty((p_dim, block * n_seg))
         for k, column in enumerate(tiled):
             sums[k] = np.bincount(ids, column[: ids.size], block * n_seg)
@@ -352,8 +353,7 @@ def _run(
             hits[near] = exact >= statistic
         exceed += int(np.sum(hits))
         remaining -= block
-    p_value = (1 + exceed) / (permutations + 1)
-    return statistic, p_value
+    return statistic, (1 + exceed) / (permutations + 1)
 
 
 def best_split(
@@ -362,7 +362,7 @@ def best_split(
     kind: CovariateKind | None = None,
     treatments: Sequence[str] | None = None,
     *,
-    min_node_size: int = 10,
+    min_node_size: int = PartitionConfig.min_node_size,
 ):
     """Best binary split of the records along one covariate.
 
@@ -510,9 +510,7 @@ def grow_tree(
 
 def _grow(table, config: PartitionConfig, idx: np.ndarray, path: tuple[int, ...]):
     records, treatments, tree_pairs, tree_codes, covariates = table
-    # The tree's pairs ascend, so this is what _Preferences.coded() gives for the node.
-    used, pair = np.unique(tree_codes[idx] // 3, return_inverse=True)
-    pairs, codes = tree_pairs[used], 3 * pair + tree_codes[idx] % 3
+    pairs, codes = _subset(tree_pairs, tree_codes, idx)
     fit = fit_davidson(_tally(treatments, pairs, codes))
     node_records = tuple(map(records.__getitem__, idx.tolist()))
     node = PartitionNode(records=node_records, fit=fit, split=None, depth=len(path))
@@ -539,7 +537,7 @@ def _grow(table, config: PartitionConfig, idx: np.ndarray, path: tuple[int, ...]
     def cannot_split(p_floor):
         return adjusted(p_floor) >= config.alpha
 
-    scores = _node_scores(_record_scores(fit, *pairs[pair].T, codes % 3))
+    scores = _node_scores(_record_scores(fit, *pairs[codes // 3].T, codes % 3))
     tests = []
     for cov_index, name, covariate in prepared:
         rng = np.random.default_rng(

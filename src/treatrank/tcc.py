@@ -315,6 +315,12 @@ class _Preferences(_Studies):
                        [self.study, self.treat1, self.treat2, verdicts, *self.covariates.values()])
 
 
+def _subset(pairs: np.ndarray, codes: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`_Preferences.coded` of the records ``rows`` of what it gave (its pairs ascend)."""
+    used, pair = np.unique(codes[rows] // 3, return_inverse=True)
+    return pairs[used], 3 * pair + codes[rows] % 3
+
+
 def _judge(studies: _Studies, numbers: Mapping[str, np.ndarray], roe: RoeConfig) -> _Preferences:
     """``apply_tcc(complete_intervals(e), roe)`` for every contrast of a table at once."""
     _, lower, upper = _completed(numbers)

@@ -71,16 +71,31 @@ def test_the_summary_gives_medians_spreads_and_the_pairs_lower_on_the_change():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    job = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 2.5, 2.0, 3.0]}
-    lines = [
-        {"workload": "w", "pair": pair, "side": side,
-         "result": {"metrics": {m: {"value": job[side][pair]} for m in tool.METRICS}}}
-        for pair in range(4) for side in ("parent", "change")
-    ]
+
+    def summary(parent, change):
+        lines = [
+            {"workload": "w", "pair": pair, "side": side,
+             "result": {"metrics": {m: {"value": values[pair]} for m in tool.METRICS}}}
+            for pair in range(len(parent)) for side, values in (("parent", parent),
+                                                                 ("change", change))
+        ]
+        return tool.summarize(lines)[0]
+
     # Quartiles by statistics.quantiles: parent 1.25 and 3.75, change 0.875 and 2.875.
-    assert tool.summarize(lines)[0] == (
-        "w job_s: parent 2.5 (IQR 2.5), change 2.25 (IQR 2), -10.0%, lower in 3 of 4"
+    assert summary([1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 2.0, 3.0]) == (
+        "w job_s: parent 2.5 (IQR 2.5), change 2.25 (IQR 2), -10.0%, lower in 3 of 4, a gain: no"
     )
+    # A gain is lower in at least 9 of 10 pairs, by a median gap above the parent's IQR.
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # IQR 0.55
+    assert summary(parent, [x - 1.0 for x in parent]).endswith("lower in 10 of 10, a gain: yes")
+    assert summary(parent, [x - 0.5 for x in parent]).endswith("lower in 10 of 10, a gain: no")
+    nine = [x - 1.0 for x in parent[:9]] + [parent[9] + 1.0]
+    assert summary(parent, nine).endswith("lower in 9 of 10, a gain: yes")
+    # A tie counts for neither side.
+    tied = [x - 1.0 for x in parent[:8]] + [parent[8] - 1.0, parent[9]]
+    assert summary(parent, tied).endswith("lower in 9 of 10, a gain: yes")
+    tied = [x - 1.0 for x in parent[:8]] + parent[8:]
+    assert summary(parent, tied).endswith("lower in 8 of 10, a gain: no")
 
 
 def test_a_missing_workdir_is_a_usage_error_and_writes_nothing(tmp_path):

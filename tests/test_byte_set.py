@@ -45,7 +45,8 @@ def test_a_changed_number_in_fit_json_is_counted_and_the_rest_is_the_same(tmp_pa
     assert re.fullmatch(r"fixture rank fit\.json: differs \(1 of \d+ numbers changed, in nu; "
                         r"max relative \S+\)", differing[0])
     commands = {" ".join(line.split()[:2]) for line in lines[:-1]}
-    assert commands == {"fixture rank", "fixture partition", "fixture compare"}
+    assert commands == {"fixture rank", "fixture partition", "fixture compare",
+                        "fixture compare-harmful"}
     assert lines[-1] == f"1 of {len(lines) - 1} differ"
     # The runs are gone, and the changed checkout got no bytecode.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["change"]
@@ -120,7 +121,10 @@ def test_a_relative_workdir_runs_the_commands_on_their_inputs(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         f"planted-7 partition {what}: same" for what in ("exit", "stderr", "tree.json", "tree.txt")
-    ] + ["0 of 4 differ"]
+    ] + [
+        f"planted-7 rank {what}: same"
+        for what in ("exit", "stderr", "ability_plot.svg", "fit.json", "rank.csv")
+    ] + ["0 of 9 differ"]
     assert list((tmp_path / "runs").iterdir()) == []
 
 

@@ -173,6 +173,14 @@ def test_the_readme_layout_lists_every_module():
     assert sorted(listed) == sorted(modules)
 
 
+def test_the_readme_names_every_public_name():
+    # A public name that no document names is one a reader finds only in the source.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    quoted = {word for span in spans for word in re.findall(r"\w+", span)}
+    assert [name for name in treatrank.__all__ if name not in quoted] == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # A leftover import (such as partition's _first_seen) outlives the code that used it.
     root = Path(__file__).resolve().parents[1]
@@ -220,7 +228,7 @@ def test_each_shared_default_is_one_number_in_the_source():
         with open(path, "rb") as stream:
             tokens = list(tokenize.tokenize(stream.readline))
         numbers.update(ast.literal_eval(t.string) for t in tokens if t.type == tokenize.NUMBER)
-    assert (numbers[0.95], numbers[100_000]) == (1, 1)
+    assert (numbers[0.95], numbers[100_000], numbers[1000], numbers[0.1]) == (1, 1, 1, 1)
 
 
 def test_run_config_keeps_no_copy_of_a_library_default():

@@ -18,7 +18,9 @@ The output file gets JSON lines, appended: one ``env`` line (Python, numpy, the
 BLAS variables, ``PYTHONDONTWRITEBYTECODE`` and both checkouts), then one
 ``result`` line per run with the last line ``bench/run.py`` printed. Standard
 output gets, per workload and end-to-end metric, each side's median and
-interquartile range and how many pairs read lower on the change.
+interquartile range, how many pairs read lower on the change, and whether the gap
+meets the claim rule: lower on the change in at least 9 of 10 pairs (a tie counts
+for neither side) and a median gap larger than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def _iqr(values: list[float]) -> float:
 
 
 def summarize(lines: list[dict]) -> list[str]:
-    """Per workload and metric: each side's median and IQR, and the pairs lower on the change."""
+    """Per workload and metric: each side's median and IQR, the pairs lower on the
+    change, and whether that is a gain by the claim rule."""
     out = []
     for workload in dict.fromkeys(line["workload"] for line in lines):
         pairs: dict[int, dict[str, dict]] = {}
@@ -88,10 +91,12 @@ def summarize(lines: list[dict]) -> list[str]:
             values = {side: [p[side][metric]["value"] for p in complete] for side in SIDES}
             parent, change = (statistics.median(values[side]) for side in SIDES)
             lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
-            spread = {side: f"{_iqr(values[side]):.3g}" for side in SIDES}
-            out.append(f"{workload} {metric}: parent {parent:.6g} (IQR {spread['parent']}), "
-                       f"change {change:.6g} (IQR {spread['change']}), "
-                       f"{change / parent - 1.0:+.1%}, lower in {lower} of {len(complete)}")
+            spread = {side: _iqr(values[side]) for side in SIDES}
+            gain = 10 * lower >= 9 * len(complete) and parent - change > spread["parent"]
+            out.append(f"{workload} {metric}: parent {parent:.6g} (IQR {spread['parent']:.3g}), "
+                       f"change {change:.6g} (IQR {spread['change']:.3g}), "
+                       f"{change / parent - 1.0:+.1%}, lower in {lower} of {len(complete)}, "
+                       f"a gain: {'yes' if gain else 'no'}")
     return out
 
 

@@ -5,15 +5,15 @@ Run from anywhere, with two checkouts (``git archive`` gives one):
     python3 tools/byte_set.py --parent ../parent --change .
 
 The set is the one ROADMAP.md names: the bundled fixture (``rank --dump-records``,
-``partition`` and ``compare``), the planted records of seeds 101, 7 and 3
-(``partition --records``) and the network of seeds 101 and 7 (``rank
---dump-records``, ``compare`` with and without ``--covariance``, and ``compare`` of
-the pairwise table of all its pairs), all at ``--mcid 1.2``. The inputs come from
-``bench/generate.py`` at the benchmark's sizes and from ``tests/fixtures``, both of
-the checkout holding this script, and both sides read the same files. Each command
-runs in a new process per side, with one BLAS thread and no bytecode written, from a
-directory of its own, with a relative ``--out-dir`` so that no path in standard error
-differs.
+``partition``, and ``compare`` in both directions), the planted records of seeds 101,
+7 and 3 (``partition --records`` and ``rank --records``) and the network of seeds 101
+and 7 (``rank --dump-records``, ``compare`` with and without ``--covariance``, and
+``compare`` of the pairwise table of all its pairs), all at ``--mcid 1.2`` where the
+command takes it. The inputs come from ``bench/generate.py`` at the benchmark's
+sizes and from ``tests/fixtures``, both of the checkout holding this script, and both
+sides read the same files. Each command runs in a new process per side, with one BLAS
+thread and no bytecode written, from a directory of its own, with a relative
+``--out-dir`` so that no path in standard error differs.
 
 Per input, command and artifact it prints ``same`` or ``differs``; for a JSON
 artifact that differs only in its numbers, how many changed and the largest
@@ -79,12 +79,15 @@ def commands(name: str, directory: Path) -> dict[str, list[str]]:
             "rank": ["rank", "--input", contrasts, "--mcid", MCID, "--dump-records"],
             "partition": ["partition", "--input", contrasts, "--mcid", MCID],
             "compare": ["compare", "--input", league, "--mcid", MCID],
+            "compare-harmful": ["compare", "--input", league, "--mcid", MCID,
+                                "--direction", "harmful"],
         }
     generate, rng = _generate(), np.random.default_rng(int(seed))
     if kind == "planted":
         path = directory / "planted_records.csv"
         generate.write_planted_records(rng, path, PLANTED_RECORDS)
-        return {"partition": ["partition", "--records", "--input", str(path)]}
+        return {"partition": ["partition", "--records", "--input", str(path)],
+                "rank": ["rank", "--records", "--input", str(path)]}
     paths = {k: str(v) for k, v in generate.write_network(rng, directory, *NETWORK_SIZE).items()}
     paths["pairwise"] = str(directory / "network_pairwise.csv")
     write_pairwise(Path(paths["league"]), Path(paths["pairwise"]))
