@@ -22,8 +22,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import DataError
 from .study_data import BENEFICIAL, _BLOCK_FLOATS, _check_contest, _check_direction, _check_nsim
-from .study_data import _check_ratios, _check_seed, _first_seen, _floats, _parse_float
-from .study_data import _read_columns
+from .study_data import _check_ratios, _check_seed, _first_seen, _read_columns
 
 __all__ = _EXPORTS["compare"]
 
@@ -333,16 +332,18 @@ def parse_league_table(
 ) -> LeagueTable:
     """Parse a pairwise league-table CSV: treat1, treat2, estimate, se (log scale)."""
     names = ("treat1", "treat2", "estimate", "se")
-    columns = _read_columns(source, names)
+    columns = _read_columns(source, names, numeric=names[2:])
+    estimates, ses = columns["estimate"], columns["se"]
     entries: dict[tuple[str, str], tuple[float, float]] = {}
     seen_pairs: set[frozenset[str]] = set()
-    for i, (t1, t2, estimate, se) in enumerate(zip(*map(columns.get, names)), start=2):
+    for k, (t1, t2) in enumerate(zip(columns["treat1"], columns["treat2"])):
+        i = k + 2
         if not t1 or not t2:
             raise DataError(f"row {i}: both treatment labels are required")
         if t1 == t2:
             raise DataError(f"row {i}: pair compares {t1!r} with itself")
-        estimate = _parse_float(estimate, "estimate", i)
-        se = _parse_float(se, "se", i)
+        estimate = estimates.number(k, "estimate", i)
+        se = ses.number(k, "se", i)
         key = frozenset((t1, t2))
         if key in seen_pairs:
             raise DataError(f"row {i}: pair ({t1!r}, {t2!r}) appears more than once")
@@ -359,22 +360,22 @@ def parse_basic_table(
     direction: str = BENEFICIAL,
 ) -> LeagueTable:
     """Parse a basic-form CSV: treat, estimate_vs_ref, se; optional covariance CSV."""
-    columns = _read_columns(source)
+    columns = _read_columns(source, numeric=("estimate_vs_ref", "estimate", "se"))
     estimate_column = next((c for c in ("estimate_vs_ref", "estimate") if c in columns), None)
     if "treat" not in columns or "se" not in columns or estimate_column is None:
         raise DataError(
             "basic-form table needs columns: treat, estimate_vs_ref (or estimate), se"
         )
     estimates: dict[str, tuple[float, float]] = {}
-    rows = zip(columns["treat"], columns[estimate_column], columns["se"])
-    for i, (label, estimate, se) in enumerate(rows, start=2):
+    for k, label in enumerate(columns["treat"]):
+        i = k + 2
         if not label:
             raise DataError(f"row {i}: treatment label is required")
         if label in estimates:
             raise DataError(_REPEATED_ROW.format(i, label))
         estimates[label] = (
-            _parse_float(estimate, estimate_column, i),
-            _parse_float(se, "se", i),
+            columns[estimate_column].number(k, estimate_column, i),
+            columns["se"].number(k, "se", i),
         )
     if not estimates:
         raise DataError("basic-form table has no rows")
@@ -389,24 +390,31 @@ def parse_covariance_table(
     source: IO[str] | Iterable[str], treatments: tuple[str, ...]
 ) -> np.ndarray:
     """Parse a labeled square covariance CSV and align it to treatment order."""
-    columns = _read_columns(source)
-    _, *header = columns
+    columns = _read_columns(source, numeric=treatments)
+    first, *header = columns
     if sorted(header) != sorted(treatments):
         raise DataError(
             "covariance columns do not match the treatments: "
             f"{header} vs {list(treatments)}"
         )
-    rows: dict[str, list[float]] = {}  # each row label's cells, in row order
-    for i, (label, *cells) in enumerate(zip(*columns.values()), start=2):
+    labels, cells = columns[first], [columns[y] for y in header]
+    finite = np.ones(len(labels), dtype=bool)
+    for column in cells:
+        finite &= np.isfinite(column.values)
+    rows: dict[str, int] = {}  # each row label's position
+    for k, label in enumerate(labels):
+        i = k + 2
         if label in rows:
             raise DataError(_REPEATED_ROW.format(i, label))
-        values, first = _floats(cells, absent=())
-        if first < len(cells):  # _parse_float raises on the row's first bad cell
-            values = [_parse_float(cell, "covariance cell", i) for cell in cells]
-        rows[label] = values
+        if not finite[k]:  # raises on the row's first cell that is no finite number
+            for column in cells:
+                column.number(k, "covariance cell", i)
+        rows[label] = k
     if sorted(rows) != sorted(treatments):
         raise DataError(f"covariance rows do not match the treatments: {sorted(rows)}")
-    matrix = np.array([rows[x] for x in treatments])[:, [header.index(y) for y in treatments]]
+    order = [rows[x] for x in treatments]
+    matrix = np.stack([columns[y].values[order] for y in treatments], axis=1)
+    del columns, cells  # the reader's arrays, freed before the symmetry check's temporaries
     if not np.allclose(matrix, matrix.T, rtol=1e-8, atol=1e-12):
         raise DataError("covariance table is not symmetric")
     return 0.5 * (matrix + matrix.T)

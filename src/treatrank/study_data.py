@@ -199,7 +199,8 @@ def _read_header(source: IO[str] | Iterable[str]) -> tuple[list[str], Iterator[l
 
     Blank rows before the header are skipped: rows whose cells are all empty after
     stripping, that is whose joined cells strip to ``""`` (empty lines, and the ``,,,,``
-    Excel writes for a formatted but empty row). A repeated name is rejected.
+    Excel writes for a formatted but empty row). A repeated name is rejected, and so is
+    a second unnamed column, by its position.
     """
     rows = _rows(source)
     fields = next((cells for cells in rows if "".join(cells).strip()), None)
@@ -207,48 +208,103 @@ def _read_header(source: IO[str] | Iterable[str]) -> tuple[list[str], Iterator[l
         raise DataError("empty input: no header row")
     fields = list(map(str.strip, fields))
     if len(set(fields)) < len(fields):
-        repeated = next(name for k, name in enumerate(fields) if name in fields[:k])
+        k, repeated = next((k, name) for k, name in enumerate(fields) if name in fields[:k])
+        if not repeated:
+            raise DataError(f"column {k + 1} has no header name; name it, or drop it")
         raise DataError(f"column {repeated!r} appears more than once in the header")
     return fields, rows
 
 
-# Rows that _read_columns turns into columns at a time, so that its row lists stay
-# small however long the table is; the columns do not depend on it. On a 10 000-row
-# contrast table, 1024 to 2048 rows gave the lowest heap peak: smaller blocks keep
-# more copies of each repeated label, larger ones hold more row lists at once.
-_BLOCK_ROWS = 2048
+# Cells that _read_columns reads at a time, as whole rows: 910 rows of a 9-column contrast
+# table, 8 of a 1 000-treatment covariance table. Its row lists and the text of its numbers
+# stay that small however long or wide the table is; the columns do not depend on it. On a
+# 10 000-row contrast table 2**13 gave a lower heap peak than 2**12 or 2**14.
+_BLOCK_CELLS = 2**13
+
+# Distinct cells of one text column that _read_columns keeps one string of across its
+# blocks. A label column (treatments, regions) stays under it, so each label is one string
+# however long the table is; a column of ids passes it and starts over, so its dict stays
+# near this size. On a 1 000-treatment, 100 000-row contrast table, sharing labels across
+# blocks rather than within each took the read's heap peak from 33.0 to 24.8 MB.
+_DISTINCT_CELLS = 2**13
+
+
+@dataclass(frozen=True)
+class _Numbers:
+    """A numeric column as :func:`_read_columns` reads it: ``values`` in float64, NaN for
+    an empty cell, and ``text``, the stripped text of each cell that is not a finite
+    number (non-numeric, or ``nan`` or ``inf`` in any spelling) by its position."""
+
+    values: np.ndarray
+    text: Mapping[int, str]
+
+    def number(self, k: int, what: str, row_num: int, required: bool = True) -> float | None:
+        """:func:`_parse_float` of cell ``k``: of its kept text, ``""`` when empty, else
+        of ``repr`` of its value, which ``float`` reads back as that value."""
+        value = float(self.values[k])
+        if math.isfinite(value):
+            return value
+        return _parse_float(self.text.get(k, ""), what, row_num, required)
+
+
+def _float_or_nan(cell: str) -> float:
+    """``float()`` of a stripped cell, NaN for an empty one and for one that is no number."""
+    try:
+        return float(cell or "nan")  # an empty cell, common in ``lower``, raises nothing
+    except ValueError:
+        return math.nan
 
 
 def _read_columns(
-    source: IO[str] | Iterable[str], mandatory: Sequence[str] = ()
-) -> dict[str, list[str]]:
+    source: IO[str] | Iterable[str], mandatory: Sequence[str] = (), numeric: Container[str] = ()
+) -> dict[str, list[str] | _Numbers]:
     """The one CSV-reading path for every input table, and the one place a cell is normalized.
 
     Returns the table as columns: each name of :func:`_read_header`, in header order,
     with the stripped cells of every other row that is not blank, a short row padded
     with ``""``. Row numbers count the header as 1 and skip blank rows, so entry ``k``
     of a column is from row ``k + 2``. A row longer than the header is rejected. The
-    rows are transposed :data:`_BLOCK_ROWS` at a time, and a cell repeated within a
-    block, such as a treatment label, is kept as one string.
+    rows are read :data:`_BLOCK_CELLS` cells at a time, and a column named in
+    ``numeric`` is parsed block by block into a :class:`_Numbers`, which keeps the text
+    of a cell only when it is not a finite number. In any other column a repeated cell,
+    such as a treatment label, is kept as one string across blocks, up to
+    :data:`_DISTINCT_CELLS` distinct cells a column.
     """
     fields, rows = _read_header(source)
     missing = [c for c in mandatory if c not in fields]
     if missing:
         raise DataError(f"missing mandatory column(s): {', '.join(missing)}")
-    width, columns, row_num = len(fields), [[] for _ in fields], 2
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+    width, row_num = len(fields), 2
+    parsed = [name in numeric for name in fields]
+    texts = {j: [] for j, is_number in enumerate(parsed) if not is_number}
+    seen = {j: {} for j in texts}  # each text column's strings, one per distinct cell
+    kept = [{} for is_number in parsed if is_number]  # each numeric column's text
+    blocks = [np.empty((0, len(kept)))]  # per block, its numeric cells' values, row by row
+    while block := list(itertools.islice(rows, max(1, _BLOCK_CELLS // width))):
         block = list(itertools.compress(block, map(str.strip, map("".join, block))))
-        longest = max(map(len, block), default=0)
-        if longest > width:
-            k = next(k for k, cells in enumerate(block) if len(cells) > width)
-            raise DataError(f"row {row_num + k}: expected {width} cells, got {len(block[k])}")
-        for column, cells in zip(columns, itertools.zip_longest(*block, fillvalue="")):
-            cells = list(map(str.strip, cells))
-            seen = {}
-            column.extend(map(seen.setdefault, cells, cells))
-        for column in columns[longest:]:  # no row of the block reaches these
-            column.extend([""] * len(block))
+        lengths = list(map(len, block))
+        if max(lengths, default=width) > width:
+            k = next(k for k, n in enumerate(lengths) if n > width)
+            raise DataError(f"row {row_num + k}: expected {width} cells, got {lengths[k]}")
+        if min(lengths, default=width) < width:
+            block = [cells + [""] * (width - len(cells)) for cells in block]
+        cells = list(map(str.strip, itertools.chain.from_iterable(block)))  # row by row
+        for j, column in texts.items():
+            if len(seen[j]) > _DISTINCT_CELLS:
+                seen[j].clear()
+            strings = cells[j::width]
+            column.extend(map(seen[j].setdefault, strings, strings))
+        cells = list(itertools.compress(cells, itertools.cycle(parsed)))
+        values = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+        for p in np.flatnonzero(~np.isfinite(values)).tolist():
+            if cells[p]:
+                k, j = divmod(p, len(kept))
+                kept[j][row_num - 2 + k] = cells[p]
+        blocks.append(values.reshape(len(block), len(kept)))
         row_num += len(block)
+    numbers = (_Numbers(np.concatenate([values[:, m] for values in blocks]), text)
+               for m, text in enumerate(kept))
+    columns = [next(numbers) if is_number else texts[j] for j, is_number in enumerate(parsed)]
     return dict(zip(fields, columns))
 
 
@@ -278,12 +334,12 @@ def _parse_float(
     return value
 
 
-def _floats(cells: Sequence[str], absent=("",)) -> tuple[list[float | None], int]:
-    """``float()`` of a column's cells, ``None`` for cells in ``absent``, and the first
-    row :func:`_parse_float` may reject: 0 if a cell is no number, else the first
-    non-finite value's row, else ``len(cells)``."""
+def _floats(cells: Sequence[str]) -> tuple[list[float | None], int]:
+    """A continuous covariate's cells as floats, ``None`` for an empty or ``NA`` cell, and
+    the first row :func:`_parse_covariate` may reject: 0 if a cell is no number, else the
+    first non-finite value's row, else ``len(cells)``."""
     try:
-        values = [None if c in absent else float(c) for c in cells]
+        values = [None if c in ("", _MISSING) else float(c) for c in cells]
     except ValueError:
         return [None] * len(cells), 0
     bad = (k for k, v in enumerate(values) if v is not None and not math.isfinite(v))
@@ -361,7 +417,7 @@ def _study_columns(columns: Mapping[str, Sequence[str]], reserved, schema) -> _S
     for name in names:
         cells, kind = columns[name], schema[name]
         if isinstance(kind, Continuous):
-            covariates[name], first = _floats(cells, ("", _MISSING))
+            covariates[name], first = _floats(cells)
         else:
             covariates[name] = [c or None for c in cells]
             first = min(map(cells.index, set(cells) - {""} - set(kind.levels)), default=len(cells))
@@ -405,21 +461,22 @@ def _check_pairs(treatments: Sequence[str], study: Sequence[str], t1: Sequence[s
         raise DataError(f"duplicate contrast for pair {(t1[k], t2[k])} in study {study[k]!r}")
 
 
-def _study_effect(cells: Mapping[str, Sequence[str]], k: int, scale: str) -> StudyEffect:
+def _study_effect(labels: Mapping[str, Sequence[str]], numbers: Mapping[str, _Numbers], k: int,
+                  scale: str) -> StudyEffect:
     """Row ``k`` of a contrast table read one cell at a time, raising on the first bad one."""
     i = k + 2
-    effect = _parse_float(cells["effect"][k], "effect", i)
-    se = _parse_float(cells["se"][k], "standard error", i, required=False)
-    lower = _parse_float(cells["lower"][k], "lower bound", i, required=False)
-    upper = _parse_float(cells["upper"][k], "upper bound", i, required=False)
+    effect = numbers["effect"].number(k, "effect", i)
+    se = numbers["se"].number(k, "standard error", i, required=False)
+    lower = numbers["lower"].number(k, "lower bound", i, required=False)
+    upper = numbers["upper"].number(k, "upper bound", i, required=False)
     if scale == "ratio":
         effect = _log_transform(effect, "effect", i)
         lower = _log_transform(lower, "lower bound", i)
         upper = _log_transform(upper, "upper bound", i)
-    ci_level = _parse_float(cells["ci_level"][k], "ci_level", i, required=False)
+    ci_level = numbers["ci_level"].number(k, "ci_level", i, required=False)
     if ci_level is not None and 0.0 < ci_level < 1.0 and _unusable_level(ci_level):
         raise DataError(f"row {i}: {_UNUSABLE_LEVEL.format(ci_level)}")
-    study, t1, t2 = (cells[c][k] for c in _LABELS)
+    study, t1, t2 = (labels[c][k] for c in _LABELS)
     return StudyEffect(study, t1, t2, effect, se, lower, upper,
                        _CI_LEVEL if ci_level is None else ci_level)
 
@@ -437,25 +494,24 @@ def _read_contrasts(
     """
     if scale not in ("log", "ratio"):
         raise DataError(f"scale must be 'log' or 'ratio', got {scale!r}")
-    columns = _read_columns(source, _MANDATORY)
+    columns = _read_columns(source, _MANDATORY, _NUMBERS)
     has_bounds = "lower" in columns and "upper" in columns
     if "se" not in columns and not has_bounds:
         raise DataError("need an 'se' column or both 'lower' and 'upper' columns")
-    reserved = set(_MANDATORY) | {"se", "lower", "upper", "ci_level"}
-    studies = _study_columns(columns, reserved, schema)
+    studies = _study_columns(columns, {*_LABELS, *_NUMBERS}, schema)
     n = len(studies.study)
-    cells = {c: columns.get(c, ("",) * n) for c in (*_LABELS, *_NUMBERS)}
+    absent = _Numbers(np.full(n, np.nan), {})
+    read = {c: columns.get(c, absent) for c in _NUMBERS}
     if not has_bounds:
-        cells["lower"] = cells["upper"] = ("",) * n
+        read["lower"] = read["upper"] = absent
     numbers, suspect = {}, [n]
-    for name in _NUMBERS:
-        values, first = _floats(cells[name])
+    for name, column in read.items():
+        values = column.values
+        suspect.append(min(column.text, default=n))  # the first cell that is no finite number
         if scale == "ratio" and name in ("effect", "lower", "upper"):
-            nonpositive = (k for k, v in enumerate(values) if v is not None and v <= 0)
-            first = min(first, next(nonpositive, n))
-            values = [math.log(v) if v is not None and v > 0 else v for v in values]
-        numbers[name] = np.array(values, dtype=float)
-        suspect.append(first)
+            suspect += np.flatnonzero(values <= 0)[:1].tolist()
+            values = np.array([math.log(v) if v > 0 else v for v in values.tolist()])
+        numbers[name] = values
     effect, se, lower, upper, ci_level = numbers.values()
     unusable = _unusable_level(ci_level)
     # A row with an unusable level is bad below; the default stands in for it meanwhile.
@@ -466,7 +522,7 @@ def _read_contrasts(
            | (np.isnan(se) & ~both) | (both & ~((lower <= effect) & (effect <= upper)))
            | ~np.isfinite(_completed(numbers)).all(axis=0))
     for k in range(min(suspect + np.flatnonzero(bad)[:1].tolist()), n):
-        complete_intervals(_study_effect(cells, k, scale))
+        complete_intervals(_study_effect(columns, read, k, scale))
     return studies, numbers
 
 

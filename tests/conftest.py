@@ -49,11 +49,22 @@ def overflowing_network(tmp_path) -> Path:
     benchmark's network design at 200 treatments and only 400 contrasts (seed 7), where
     50 log-scale standard errors exceed 362, past which the exp(z * se) of a 0.95
     interval overflows."""
+    return _write_network(tmp_path, 200, 400)["contrasts"]
+
+
+@pytest.fixture
+def benchmark_network(tmp_path) -> dict[str, Path]:
+    """The contrast, basic-form league and covariance tables of the benchmark's network
+    workload: 100 treatments and 10 000 contrasts (seed 7)."""
+    return _write_network(tmp_path, 100, 10_000)
+
+
+def _write_network(directory: Path, n_treatments: int, n_contrasts: int) -> dict[str, Path]:
     path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
     spec = importlib.util.spec_from_file_location("generate", path)
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
-    return generate.write_network(np.random.default_rng(7), tmp_path, 200, 400)["contrasts"]
+    return generate.write_network(np.random.default_rng(7), directory, n_treatments, n_contrasts)
 
 
 def _record(number: int, line: str) -> None:

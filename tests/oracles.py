@@ -810,7 +810,9 @@ def reference_read_columns(source, mandatory=()) -> dict[str, tuple[str, ...]]:
     if fields is None:
         raise DataError("empty input: no header row")
     if len(set(fields)) < len(fields):
-        repeated = next(name for k, name in enumerate(fields) if name in fields[:k])
+        k, repeated = next((k, name) for k, name in enumerate(fields) if name in fields[:k])
+        if not repeated:
+            raise DataError(f"column {k + 1} has no header name; name it, or drop it")
         raise DataError(f"column {repeated!r} appears more than once in the header")
     missing = [c for c in mandatory if c not in fields]
     if missing:

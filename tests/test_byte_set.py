@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import json
 import math
@@ -56,15 +57,29 @@ def test_a_changed_number_in_fit_json_is_counted_and_the_rest_is_the_same(tmp_pa
 def test_a_network_runs_rank_and_compare_with_and_without_its_covariance(tmp_path):
     commands = _tool().commands("network-7", tmp_path)
     files = {name: str(tmp_path / f"network_{name}.csv")
-             for name in ("contrasts", "league", "covariance", "pairwise")}
+             for name in ("contrasts", "league", "covariance", "pairwise", "contrasts_bad",
+                          "covariance_bad")}
     assert commands == {
         "rank": ["rank", "--input", files["contrasts"], "--mcid", "1.2", "--dump-records"],
         "compare": ["compare", "--input", files["league"], "--covariance", files["covariance"],
                     "--mcid", "1.2"],
         "compare-no-covariance": ["compare", "--input", files["league"], "--mcid", "1.2"],
         "compare-pairwise": ["compare", "--input", files["pairwise"], "--mcid", "1.2"],
+        "rank-bad-se": ["rank", "--input", files["contrasts_bad"], "--mcid", "1.2"],
+        "compare-bad-covariance": ["compare", "--input", files["league"], "--covariance",
+                                   files["covariance_bad"], "--mcid", "1.2"],
     }
     assert sorted(map(str, tmp_path.iterdir())) == sorted(files.values())
+    # Each bad table differs from its source in one cell, past the reader's first block.
+    for name, row, column in (("contrasts", 3001, "se"), ("covariance", 91, "T050")):
+        with open(files[name], encoding="utf-8", newline="") as stream:
+            good = list(csv.reader(stream))
+        with open(files[f"{name}_bad"], encoding="utf-8", newline="") as stream:
+            bad = list(csv.reader(stream))
+        changed = [(r, c) for r, (x, y) in enumerate(zip(good, bad), 1)
+                   for c, (u, v) in enumerate(zip(x, y)) if u != v]
+        assert changed == [(row, good[0].index(column))] and len(bad) == len(good)
+        assert bad[row - 1][good[0].index(column)] == "abc"
 
 
 def test_the_pairwise_table_holds_every_pair_of_the_basic_table(tmp_path):

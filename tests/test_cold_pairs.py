@@ -1,4 +1,4 @@
-"""Tests of tools/cold_pairs.py, which times cold rank processes of two checkouts."""
+"""Tests of tools/cold_pairs.py, which times cold rank and compare processes of two checkouts."""
 
 from __future__ import annotations
 
@@ -30,13 +30,19 @@ def test_two_tiny_runs_per_side_report_time_rss_and_the_same_artifacts(tmp_path)
     proc = _pairs(tmp_path, checkout, checkout)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    runs = [re.fullmatch(r"run (\d) (parent|change): exit 0, [\d.]+ s, peak RSS [\d.]+ MB", line)
-            for line in lines[:4]]
-    assert [m.groups() for m in runs] == [("0", "parent"), ("0", "change"),
-                                          ("1", "change"), ("1", "parent")]
-    for side, line in zip(("parent", "change"), lines[4:6]):
-        assert line.startswith(f"{side}: ") and "peak RSS" in line
-    assert lines[6:] == ["artifacts: same (ability_plot.svg, fit.json, rank.csv)"]
+    runs = [re.fullmatch(r"run (\d) (parent|change) (rank|compare): exit 0, [\d.]+ s, "
+                         r"peak RSS [\d.]+ MB", line) for line in lines[:8]]
+    assert [m.groups() for m in runs] == [
+        (run, side, command) for run, sides in (("0", ("parent", "change")),
+                                                ("1", ("change", "parent")))
+        for side in sides for command in ("rank", "compare")
+    ]
+    summaries = [("parent", "rank"), ("change", "rank"), ("parent", "compare"),
+                 ("change", "compare")]
+    for (side, command), line in zip(summaries, lines[8:12]):
+        assert line.startswith(f"{side} {command}: ") and "peak RSS" in line
+    assert lines[12:] == ["artifacts: same (rank: ability_plot.svg, fit.json, rank.csv; "
+                          "compare: scores.csv, scores.json)"]
     # The runs are gone, and the checkout got no bytecode.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkout"]
     assert list(checkout.rglob("__pycache__")) == []
@@ -51,7 +57,8 @@ def test_a_changed_artifact_is_named_and_fails_the_pairs(tmp_path):
     proc = _pairs(tmp_path, parent, change)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines()[-1] == (
-        "artifacts: differ in fit.json (ability_plot.svg, fit.json, rank.csv)"
+        "artifacts: differ in rank fit.json (rank: ability_plot.svg, fit.json, rank.csv; "
+        "compare: scores.csv, scores.json)"
     )
 
 

@@ -6,6 +6,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from treatrank import (
     parse_league_table,
     prob_best,
 )
-from treatrank import compare
+from treatrank import compare, study_data
 
 from oracles import (
     loop_p_scores,
@@ -768,3 +769,27 @@ def test_compare_parsers_raise_the_first_error_in_row_order(kind, bad_row, repea
         _parse(kind, "\n".join([header, *rows]) + "\n")
     first = min((bad_row, bad_message), (repeat_row, repeat_message))
     assert str(raised.value) == f"row {first[0]}: {first[1]}"
+
+
+_BAD_COVARIANCE = {"x": "non-numeric covariance cell 'x'", "": "covariance cell is empty",
+                   "inf": "non-finite covariance cell 'inf'"}
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+@pytest.mark.parametrize("cell", sorted(_BAD_COVARIANCE))
+def test_a_bad_covariance_cell_is_reported_by_its_row_in_any_block(cell, rows_per_block):
+    # Bad cells in the first, a middle and the last row and column; with two, the first
+    # in row order, then in column order, is the one reported.
+    labels = "ABCDE"
+    size = study_data._BLOCK_CELLS if rows_per_block is None else rows_per_block * 6
+    for faults in [[(r, c)] for r in (0, 2, 4) for c in (0, 2, 4)] + [[(4, 0), (2, 4)],
+                                                                     [(2, 4), (2, 0)]]:
+        table = [["1.0" if x == y else "0.0" for y in labels] for x in labels]
+        for r, c in faults:
+            table[r][c] = cell
+        text = "".join([f",{','.join(labels)}\n",
+                        *(f"{x},{','.join(row)}\n" for x, row in zip(labels, table))])
+        with mock.patch.object(study_data, "_BLOCK_CELLS", size):
+            with pytest.raises(DataError) as raised:
+                parse_covariance_table(io.StringIO(text), tuple(labels))
+        assert str(raised.value) == f"row {min(faults)[0] + 2}: {_BAD_COVARIANCE[cell]}", faults

@@ -1,10 +1,12 @@
 """The command line's columnar contrast route against the per-row chain it replaced.
 
-Each generated contrast table goes through ``treatrank`` twice: once as shipped, and
-once with the preference input built by ``oracles.per_row_read_preferences`` (parse
-one row at a time, ``complete_intervals``, a scalar TCC, a record-by-record tally and
-writer). The two runs must leave the same exit code, the same standard error and
-byte-identical artifacts, ``error.json`` included.
+Each generated contrast table goes through ``treatrank`` as shipped, and once with the
+preference input built by ``oracles.per_row_read_preferences`` (parse one row at a
+time, ``complete_intervals``, a scalar TCC, a record-by-record tally and writer). The
+shipped route runs at the reader's block size and at blocks of one and of three rows,
+so that a bad cell lands in a later block than the first. Every run must leave the
+same exit code, the same standard error and byte-identical artifacts, ``error.json``
+included.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from treatrank import cli
+from treatrank import cli, study_data
 
 _TREATMENTS = ("A", "B", "C", "D")
 # A bad cell for each per-row check: labels, numbers, ratio-scale values, ci_level, se
@@ -184,7 +186,9 @@ def test_columnar_route_matches_the_per_row_chain(invocation):
             writer.writerow(header)
             writer.writerows(rows)
         argv = [argv[0], "--input", str(table), *argv[1:]]
-        shipped = _run(argv, Path(scratch) / "shipped")
         with mock.patch.object(cli, "_read_preferences", oracles.per_row_read_preferences):
             reference = _run(argv, Path(scratch) / "reference")
-    assert shipped == reference
+        for rows in (None, 1, 3):
+            size = study_data._BLOCK_CELLS if rows is None else rows * len(header)
+            with mock.patch.object(study_data, "_BLOCK_CELLS", size):
+                assert _run(argv, Path(scratch) / f"shipped-{rows}") == reference, rows

@@ -570,6 +570,18 @@ def test_an_unnamed_covariate_column_is_rejected(parse, text):
         parse(io.StringIO(_trailing_comma(text)))
 
 
+def test_a_second_unnamed_column_is_named_by_its_position():
+    # R's row names plus a trailing comma, or a covariance table's unnamed label column
+    # plus one: the second unnamed column is the error, not a name given twice.
+    text = (FIXTURES / "contrasts.csv").read_text()
+    width = len(text.splitlines()[0].split(","))
+    with pytest.raises(DataError, match=fr"^column {width + 2} has no header name; name it"):
+        parse_contrast_table(io.StringIO(_trailing_comma(_r_export(text))))
+    covariance = _trailing_comma(",A,B\nA,0.04,0.01\nB,0.01,0.09\n")
+    with pytest.raises(DataError, match=r"^column 4 has no header name; name it, or drop it$"):
+        parse_covariance_table(io.StringIO(covariance), ("A", "B"))
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
 def test_a_byte_order_mark_before_the_header_is_dropped(quoted):
     # Excel's "CSV UTF-8" export starts with U+FEFF; R's write.csv also quotes the header.
@@ -758,28 +770,64 @@ def _raw_tables(draw):
     return text, tuple(mandatory)
 
 
-def _columns_or_error(read, text, mandatory):
+def _columns_or_error(read, text, mandatory, *numeric):
     try:
-        return {name: list(cells) for name, cells in read(io.StringIO(text), mandatory).items()}
+        columns = read(io.StringIO(text), mandatory, *numeric)
     except DataError as error:
         return str(error)
+    return {name: _as_read(cells) for name, cells in columns.items()}
+
+
+def _as_read(column):
+    """A column's cells as a list; a numeric column's as the ``repr`` of each value (``nan``
+    for an empty cell) and the text it keeps."""
+    if isinstance(column, study_data._Numbers):
+        return list(map(repr, column.values.tolist())), dict(column.text)
+    return list(column)
+
+
+def _numbers_of(cells):
+    """:func:`_as_read` of the numeric column that the text ``cells`` should read as."""
+    values, text = [], {}
+    for k, cell in enumerate(cells):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            values.append(math.nan)
+        if cell and not math.isfinite(values[-1]):
+            text[k] = cell
+    return list(map(repr, values)), text
+
+
+def _block_rows(rows, text):
+    """The block size in cells that makes ``rows`` rows of the table in ``text``."""
+    try:
+        return rows * len(study_data._read_header(io.StringIO(text))[0])
+    except DataError:
+        return rows
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_raw_tables())
 def test_the_block_wise_reader_reads_like_the_row_wise_reader(case):
+    # Read as text, and with every column numeric: its values, NaN for an empty cell,
+    # and the text of each cell that is not a finite number.
     text, mandatory = case
     expected = _columns_or_error(reference_read_columns, text, mandatory)
-    for size in (1, 2, 3, study_data._BLOCK_ROWS):
-        with mock.patch.object(study_data, "_BLOCK_ROWS", size):
-            assert _columns_or_error(_read_columns, text, mandatory) == expected, size
+    names = () if isinstance(expected, str) else tuple(expected)
+    numbers = expected if not names else {name: _numbers_of(expected[name]) for name in names}
+    for rows in (1, 2, 3, None):
+        size = study_data._BLOCK_CELLS if rows is None else _block_rows(rows, text)
+        with mock.patch.object(study_data, "_BLOCK_CELLS", size):
+            assert _columns_or_error(_read_columns, text, mandatory) == expected, rows
+            assert _columns_or_error(_read_columns, text, mandatory, names) == numbers, rows
 
 
 @pytest.mark.parametrize("fault", [None, "long", "blank"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_rows_at_the_default_block_edges_read_like_the_row_wise_reader(offset, fault):
     # A blank row shifts the row numbers of every later block.
-    size = study_data._BLOCK_ROWS
+    size = study_data._BLOCK_CELLS // 2
     rows = [f"s{k},{k % 7}" for k in range(2 * size + 2)]
     rows[size // 2] = ",,"
     for edge in (size, 2 * size):
@@ -792,6 +840,22 @@ def test_rows_at_the_default_block_edges_read_like_the_row_wise_reader(offset, f
     assert _columns_or_error(_read_columns, text, ()) == expected
     if fault == "long":
         assert expected == f"row {size + offset + 1}: expected 2 cells, got 3"
+
+
+@pytest.mark.parametrize("distinct", [100, 10])
+def test_a_repeated_label_is_one_string_across_blocks(distinct):
+    # Blocks of two rows, 50 labels and a column of ids: up to the cap of distinct cells
+    # a label is one string however many blocks it is in; past it, it still reads right.
+    rows = [f"s{k},T{k % 50},{k}" for k in range(1000)]
+    text = "study,treat1,x\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(study_data, "_BLOCK_CELLS", 6), \
+            mock.patch.object(study_data, "_DISTINCT_CELLS", distinct):
+        columns = _read_columns(io.StringIO(text), (), ("x",))
+    assert columns["treat1"] == [f"T{k % 50}" for k in range(1000)]
+    assert columns["study"] == [f"s{k}" for k in range(1000)]
+    assert columns["x"].values.tolist() == list(range(1000))
+    if distinct > 50:
+        assert len(set(map(id, columns["treat1"]))) == 50
 
 
 def test_input_that_is_not_utf8_text_is_a_data_error():
@@ -911,6 +975,28 @@ def _network_table(n_rows: int, n_treatments: int = 100) -> str:
         lines.append(",".join([f"s{k:05d}", f"T{i:03d}", f"T{j:03d}", repr(effect), *cells,
                                str(rng.integers(1990, 2024)), f"region{rng.integers(4)}"]))
     return "\n".join(lines) + "\n"
+
+
+def _traced_peak(read, *paths) -> int:
+    """The tracemalloc peak of ``read`` on open streams of ``paths``, in bytes."""
+    streams = [open(path, encoding="utf-8", newline="") for path in paths]
+    tracemalloc.start()
+    try:
+        read(*streams)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for stream in streams:
+            stream.close()
+
+
+def test_the_benchmark_network_is_read_without_its_numbers_as_text(benchmark_network):
+    # Read with every numeric cell kept as text until whole columns were converted, the
+    # contrast table peaked at about 4.8 MB and the basic table with its covariance at 1.5 MB;
+    # parsed block by block, at about 2.6 and 1.0 MB.
+    tables = benchmark_network
+    assert _traced_peak(_read_contrasts, tables["contrasts"]) < 3.8e6
+    assert _traced_peak(parse_basic_table, tables["league"], tables["covariance"]) < 1.25e6
 
 
 def test_reading_a_large_contrast_table_holds_it_about_once():

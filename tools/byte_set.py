@@ -9,11 +9,14 @@ The set is the one ROADMAP.md names: the bundled fixture (``rank --dump-records`
 7 and 3 (``partition --records`` and ``rank --records``) and the network of seeds 101
 and 7 (``rank --dump-records``, ``compare`` with and without ``--covariance``, and
 ``compare`` of the pairwise table of all its pairs), all at ``--mcid 1.2`` where the
-command takes it. The inputs come from ``bench/generate.py`` at the benchmark's
-sizes and from ``tests/fixtures``, both of the checkout holding this script, and both
-sides read the same files. Each command runs in a new process per side, with one BLAS
-thread and no bytecode written, from a directory of its own, with a relative
-``--out-dir`` so that no path in standard error differs.
+command takes it. Two commands per network fail on purpose, on a bad cell past the
+reader's first block: ``rank`` with row 3 001's ``se`` set to ``abc``, and ``compare
+--covariance`` with row 91's ``T050`` cell set to ``abc``; their exit codes, standard
+error and ``error.json`` are compared like any other output. The inputs come from
+``bench/generate.py`` at the benchmark's sizes and from ``tests/fixtures``, both of the
+checkout holding this script, and both sides read the same files. Each command runs in
+a new process per side, with one BLAS thread and no bytecode written, from a directory
+of its own, with a relative ``--out-dir`` so that no path in standard error differs.
 
 Per input, command and artifact it prints ``same`` or ``differs``; for a JSON
 artifact that differs only in its numbers, how many changed and the largest
@@ -69,6 +72,16 @@ def write_pairwise(league: Path, path: Path) -> None:
             writer.writerow([x, y, repr(b_x - b_y), repr(math.sqrt(se_x**2 + se_y**2))])
 
 
+def write_with_cell(source: Path, path: Path, row: int, column: str, cell: str) -> None:
+    """A copy of the CSV table ``source`` whose ``column`` holds ``cell`` on row ``row``,
+    the header being row 1."""
+    with open(source, encoding="utf-8", newline="") as stream:
+        rows = list(csv.reader(stream))
+    rows[row - 1][rows[0].index(column)] = cell
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+
+
 def commands(name: str, directory: Path) -> dict[str, list[str]]:
     """The commands of input ``name``, by label, after writing its files to ``directory``."""
     kind, _, seed = name.partition("-")
@@ -91,6 +104,9 @@ def commands(name: str, directory: Path) -> dict[str, list[str]]:
     paths = {k: str(v) for k, v in generate.write_network(rng, directory, *NETWORK_SIZE).items()}
     paths["pairwise"] = str(directory / "network_pairwise.csv")
     write_pairwise(Path(paths["league"]), Path(paths["pairwise"]))
+    for key, row, column in (("contrasts", 3001, "se"), ("covariance", 91, "T050")):
+        paths[f"bad-{key}"] = str(directory / f"network_{key}_bad.csv")
+        write_with_cell(Path(paths[key]), Path(paths[f"bad-{key}"]), row, column, "abc")
     return {
         "rank": ["rank", "--input", paths["contrasts"], "--mcid", MCID, "--dump-records"],
         "compare": ["compare", "--input", paths["league"], "--covariance", paths["covariance"],
@@ -99,6 +115,10 @@ def commands(name: str, directory: Path) -> dict[str, list[str]]:
         "compare-no-covariance": ["compare", "--input", paths["league"], "--mcid", MCID],
         # The pairwise form at the network's size; the fixture's table has six treatments.
         "compare-pairwise": ["compare", "--input", paths["pairwise"], "--mcid", MCID],
+        # Each exits 1 with error.json, on a bad cell past the reader's first block.
+        "rank-bad-se": ["rank", "--input", paths["bad-contrasts"], "--mcid", MCID],
+        "compare-bad-covariance": ["compare", "--input", paths["league"], "--covariance",
+                                   paths["bad-covariance"], "--mcid", MCID],
     }
 
 

@@ -1,4 +1,4 @@
-"""Cold rank pairs: time cold ``treatrank rank`` processes of two checkouts on a wide network.
+"""Cold pairs: time cold ``treatrank`` processes of two checkouts on a wide network.
 
 Run from anywhere, with two clean checkouts (no ``__pycache__``; ``git archive``
 gives one):
@@ -8,15 +8,16 @@ gives one):
 
 The input is ``bench/generate.write_network(default_rng(seed), dir, treatments,
 contrasts)``, from the checkout holding this script, and both sides read the same
-files. Each run is a new process, ``rank --mcid 1.2`` with every artifact, with
-one BLAS thread and no bytecode written, so every run compiles what it imports.
-The parent runs first in even runs and the change first in odd ones; ``--cpu``
-pins each process to one CPU.
+files. A run is two new processes, ``rank --mcid 1.2`` on the contrast table and
+``compare --covariance --mcid 1.2`` on the basic-form table and its covariance, each
+writing every artifact, with one BLAS thread and no bytecode written, so every
+process compiles what it imports. The parent runs first in even runs and the change
+first in odd ones; ``--cpu`` pins each process to one CPU.
 
-Per run it prints the wall time from start to exit and the child's peak RSS
-(``os.wait4``), then per side the median and range of both, and whether every
-run's artifacts are byte-identical to the parent's first run. The exit status is
-1 when a run fails or an artifact differs, else 0.
+Per run and command it prints the wall time from start to exit and the child's peak
+RSS (``os.wait4``), then per command and side the median and range of both, and
+whether every run's artifacts are byte-identical to the parent's first run of that
+command. The exit status is 1 when a run fails or an artifact differs, else 0.
 """
 
 from __future__ import annotations
@@ -41,23 +42,28 @@ ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "
 MAIN = "import sys; from treatrank.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _write_network(directory: Path, seed: int, treatments: int, contrasts: int) -> Path:
-    """The contrast table of ``bench/generate.write_network`` at these sizes."""
+def _write_network(directory: Path, seed: int, treatments: int,
+                   contrasts: int) -> dict[str, list[str]]:
+    """The arguments of each command on ``bench/generate.write_network``'s tables at
+    these sizes."""
     spec = importlib.util.spec_from_file_location("generate", ROOT / "bench" / "generate.py")
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
     rng = np.random.default_rng(seed)
-    return generate.write_network(rng, directory, treatments, contrasts)["contrasts"]
+    paths = {k: str(v) for k, v in generate.write_network(rng, directory, treatments,
+                                                          contrasts).items()}
+    return {"rank": ["rank", "--input", paths["contrasts"], "--mcid", "1.2"],
+            "compare": ["compare", "--input", paths["league"], "--covariance",
+                        paths["covariance"], "--mcid", "1.2"]}
 
 
-def _run(checkout: Path, contrasts: Path, out: Path, cpu: int | None) -> tuple[int, float, float]:
-    """Exit status, wall seconds and peak RSS in MB of one cold ``rank`` process."""
+def _run(checkout: Path, argv: list[str], out: Path, cpu: int | None) -> tuple[int, float, float]:
+    """Exit status, wall seconds and peak RSS in MB of one cold ``treatrank`` process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **ENV)
     pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
     start = time.perf_counter()
     child = subprocess.Popen(
-        [sys.executable, "-c", MAIN, "rank", "--input", str(contrasts), "--mcid", "1.2",
-         "--out-dir", str(out)],
+        [sys.executable, "-c", MAIN, *argv, "--out-dir", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, preexec_fn=pin,
     )
     _, status, usage = os.wait4(child.pid, 0)
@@ -101,32 +107,35 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     base = Path(tempfile.mkdtemp(prefix="cold-pairs-", dir=args.workdir)).resolve()
-    results: dict[str, list[tuple[float, float]]] = {side: [] for side in SIDES}
-    failed, differing, reference = 0, set(), None
+    failed, differing, references = 0, set(), {}
     try:
-        contrasts = _write_network(base, args.seed, args.treatments, args.contrasts)
+        argvs = _write_network(base, args.seed, args.treatments, args.contrasts)
+        results = {(command, side): [] for command in argvs for side in SIDES}
         for run in range(args.runs):
             for side in SIDES if run % 2 == 0 else SIDES[::-1]:
-                out = base / f"{side}-{run}"
-                code, seconds, rss = _run(checkouts[side], contrasts, out, args.cpu)
-                print(f"run {run} {side}: exit {code}, {seconds:.3f} s, peak RSS {rss:.1f} MB",
-                      flush=True)
-                failed += code != 0
-                results[side].append((seconds, rss))
-                files = _artifacts(out)
-                shutil.rmtree(out, ignore_errors=True)
-                reference = files if reference is None else reference  # the parent's first
-                differing |= {name for name in files.keys() | reference.keys()
-                              if files.get(name) != reference.get(name)}
+                for command, argv_ in argvs.items():
+                    out = base / f"{command}-{side}-{run}"
+                    code, seconds, rss = _run(checkouts[side], argv_, out, args.cpu)
+                    print(f"run {run} {side} {command}: exit {code}, {seconds:.3f} s, "
+                          f"peak RSS {rss:.1f} MB", flush=True)
+                    failed += code != 0
+                    results[command, side].append((seconds, rss))
+                    files = _artifacts(out)
+                    shutil.rmtree(out, ignore_errors=True)
+                    reference = references.setdefault(command, files)  # the parent's first
+                    differing |= {f"{command} {name}" for name in files.keys() | reference.keys()
+                                  if files.get(name) != reference.get(name)}
     finally:
         shutil.rmtree(base, ignore_errors=True)
-    for side in SIDES:
-        seconds, rss = zip(*results[side])
-        print(f"{side}: {statistics.median(seconds):.3f} s median "
+    for (command, side), timings in results.items():
+        seconds, rss = zip(*timings)
+        print(f"{side} {command}: {statistics.median(seconds):.3f} s median "
               f"({min(seconds):.3f}-{max(seconds):.3f}), peak RSS {statistics.median(rss):.1f} MB "
               f"median ({min(rss):.1f}-{max(rss):.1f})")
+    compared = "; ".join(f"{command}: {', '.join(sorted(files))}"
+                         for command, files in references.items())
     print(f"artifacts: {'differ in ' + ', '.join(sorted(differing)) if differing else 'same'}"
-          f" ({', '.join(sorted(reference or ()))})")
+          f" ({compared})")
     return 1 if failed or differing else 0
 
 
